@@ -26,7 +26,7 @@ from . import fock
 from . import hamiltonians as ham
 from .config import ConfigError, RunConfig, config_hash, load_config_file, resolve_config
 from .dynamics import ClassicalState, MirrorParams, StiffnessError, integrate
-from .rates import CavityParams, all_rates, base_rates
+from .rates import CavityParams, all_rates
 
 _SCALAR_RATE_FIELDS = (
     "x_zp", "theta", "R", "alpha", "beta", "gamma", "g0",
@@ -169,16 +169,9 @@ def _cmd_evolve(args) -> int:
 
 def _build_variant(cfg: RunConfig, variant: str) -> fock.OperatorMatrix:
     space = fock.FockSpace(n_mech=cfg.n_mech, n_opt=cfg.n_opt, dim_cap=cfg.dim_cap)
-    options = {"r_convention": cfg.r_convention}
-    if variant == "H4_special_eta":
-        options["eta"] = cfg.eta
-    if variant in ("new_full", "law_full"):
-        return ham.build_hamiltonian(variant, _cavity_params(cfg), space, order=cfg.order,
-                                     **options)
-    if variant in ("H3", "H4", "H5"):
-        return ham.build_hamiltonian(variant, _cavity_params(cfg), space, **options)
-    options.pop("r_convention")
-    return ham.build_hamiltonian(variant, _cavity_params(cfg), space, **options)
+    eta = {"eta": cfg.eta} if variant == "H4_special_eta" else {}
+    return ham.build_hamiltonian(variant, _cavity_params(cfg), space, order=cfg.order,
+                                 r_convention=cfg.r_convention, **eta)
 
 
 def _cmd_hamiltonian(args) -> int:
@@ -224,9 +217,7 @@ def _cmd_spectrum(args) -> int:
         shift = float(eigs[va][0] - eigs[vb][0])
         summary = {"variants": [va, vb], "ground_state_shift": shift}
         if {"new_full", "law_full"} <= set(variants):
-            p = _cavity_params(cfg)
-            rs = base_rates(p, cfg.r_convention)
-            pert = -(p.hbar * rs.beta / 2.0) * rs.R * (p.omega_m / p.omega_c) ** 2 * 0.25
+            pert = ham.ground_shift_estimate(_cavity_params(cfg), cfg.r_convention)
             signed = float(eigs["new_full"][0] - eigs["law_full"][0])
             summary["perturbative_estimate"] = pert
             summary["new_minus_law_shift"] = signed

@@ -108,8 +108,11 @@ class ConfigError(ValueError):
 
 def load_config_file(path: str) -> dict:
     """Parse a JSON config file; syntax errors carry line/column diagnostics."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -141,6 +144,9 @@ def resolve_config(file_doc: dict | None = None, overrides: dict | None = None) 
         raise ConfigError("out_format must be 'csv' or 'json'")
     if merged["r_convention"] not in ("exact", "prose"):
         raise ConfigError("r_convention must be 'exact' or 'prose'")
+    k_eigen = merged["k_eigen"]
+    if isinstance(k_eigen, bool) or not isinstance(k_eigen, int) or k_eigen < 1:
+        raise ConfigError(f"k_eigen must be an integer >= 1, got {k_eigen!r}")
     if not isinstance(merged["grid"], dict):
         raise ConfigError("grid must be an object mapping parameter names to value lists")
     unknown_grid = sorted(set(merged["grid"]) - set(DEFAULTS))

@@ -1,14 +1,30 @@
 """Classical dynamics of the coupled mirror-field system.
 
 Two equivalent-in-the-limit formulations of the field equations are
-implemented:
+implemented.  Both read
 
-* ``new``: the field acceleration carries the explicit self-rate term
+    Qddot_k = -omega_k^2 Q_k + u^2 ((M - g) Q)_k + 2u (g Qdot)_k + (qddot/q) (g Q)_k,
+
+with u = qdot/q, and differ only in the coupling matrix M:
+
+* ``new``: M = d, which carries the explicit self-rate term
   r_k (qdot/q)^2 Q_k plus the (h - 3g) cross coupling,
-* ``law``: the same dynamics written through the Gram sum
-  sum_j g_{kj} g_{lj}, which reproduces the ``new`` form only when the inner
-  sum runs over infinitely many modes.  Truncations of the two therefore
-  differ, and the difference is a measurable 1/L effect.
+* ``law``: M is the Gram sum sum_l g_{kl} g_{jl}, which reproduces the
+  ``new`` form only when the inner sum runs over infinitely many modes.
+  Truncations of the two therefore differ, and the difference is a
+  measurable 1/L effect.
+
+The inner cutoff L of the ``law`` Gram sum has one default per entry point,
+each set by what that entry point is for (an explicit ``inner_cutoff``
+overrides all three):
+
+* ``field_accel_law``: the table extent, a strict truncation, so a single
+  call shows the truncated formulation as it is (at kmax = 1 the Gram term
+  is empty and the self-rate is lost entirely);
+* ``integrate``: 16 * kmax, so the mirror dynamics runs close to the
+  untruncated limit;
+* ``integrate_prescribed``: kmax, the matched truncation whose new/law gap
+  shrinks as kmax grows (acceptance criterion 04).
 
 The mirror can be driven three ways: by the radiation-pressure Newton
 equation (default; it contains no accelerations, so evaluating it first and
@@ -38,13 +54,14 @@ non-separable), so energy drift is monitored, not enforced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import DOP853
 
-from .coefficients import CoefficientTable, g_block, gram_matrix
+from .coefficients import CoefficientTable, gram_matrix
 
 __all__ = [
     "MirrorParams",
@@ -83,8 +100,9 @@ class MirrorParams:
 
     def __post_init__(self):
         for name in ("mass", "length", "omega_m", "c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
 
@@ -141,29 +159,44 @@ def _check_state(state: ClassicalState, params: MirrorParams) -> None:
         raise ValueError(f"state holds {len(state.Q)} modes, params.kmax = {params.kmax}")
 
 
-def _slice_table(table: CoefficientTable, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+def _coupling(
+    variant: str,
+    table: CoefficientTable,
+    kmax: int,
+    inner_cutoff: int | None,
+    default_cutoff: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, M, d) of a variant: M = d for 'new', the Gram matrix summed to
+    ``inner_cutoff`` modes (``default_cutoff`` when None) for 'law'."""
     if table.kmax < kmax:
         raise ValueError("coefficient table smaller than requested mode count")
-    return table.g[:kmax, :kmax], table.d[:kmax, :kmax]
+    g, d = table.g[:kmax, :kmax], table.d[:kmax, :kmax]
+    if variant == "new":
+        return g, d, d
+    if variant == "law":
+        L = default_cutoff if inner_cutoff is None else inner_cutoff
+        return g, gram_matrix(kmax, L), d
+    raise ValueError(f"unknown variant {variant!r}; use 'new' or 'law'")
 
 
-def _field_accel(
-    q: float,
-    qdot: float,
-    Q: np.ndarray,
-    Qdot: np.ndarray,
-    qddot: float,
-    g: np.ndarray,
-    M: np.ndarray,
-    params: MirrorParams,
-) -> np.ndarray:
-    """Shared field equation: Qddot = -omega_k^2 Q + u^2 (M - g) Q + 2u g Qdot
-    + (qddot/q) g Q, with u = qdot/q and M the variant coupling matrix."""
+def _free_field_accel(q, qdot, Q, Qdot, g, M, params):
+    """Field acceleration at qddot = 0, F = -omega_k^2 Q + u^2 (M - g) Q + 2u g Qdot
+    with u = qdot/q; returned with omega_k^2, g Q and M Q for reuse.
+
+    The full field equation is Qddot = F + (qddot/q) g Q.
+    """
     u = qdot / q
     k = np.arange(1, params.kmax + 1, dtype=float)
     om2 = (params.c * np.pi * k / q) ** 2
     gQ = g @ Q
-    return -om2 * Q + u * u * (M @ Q - gQ) + 2.0 * u * (g @ Qdot) + (qddot / q) * gQ
+    MQ = M @ Q
+    F = -om2 * Q + u * u * (MQ - gQ) + 2.0 * u * (g @ Qdot)
+    return F, om2, gQ, MQ
+
+
+def _field_accel(q, qdot, Q, Qdot, qddot, g, M, params):
+    F, _, gQ, _ = _free_field_accel(q, qdot, Q, Qdot, g, M, params)
+    return F + (qddot / q) * gQ
 
 
 def field_accel_new(
@@ -174,8 +207,8 @@ def field_accel_new(
 ) -> np.ndarray:
     """Field accelerations with the explicit self-rate and (h - 3g) couplings."""
     _check_state(state, params)
-    g, d = _slice_table(table, params.kmax)
-    return _field_accel(state.q, state.qdot, state.Q, state.Qdot, qddot, g, d, params)
+    g, M, _ = _coupling("new", table, params.kmax, None, None)
+    return _field_accel(state.q, state.qdot, state.Q, state.Qdot, qddot, g, M, params)
 
 
 def field_accel_law(
@@ -192,10 +225,15 @@ def field_accel_law(
     Gram term is empty and the self-rate is lost entirely).
     """
     _check_state(state, params)
-    g, _ = _slice_table(table, params.kmax)
-    L = table.kmax if inner_cutoff is None else inner_cutoff
-    gram = gram_matrix(params.kmax, L)
-    return _field_accel(state.q, state.qdot, state.Q, state.Qdot, qddot, g, gram, params)
+    g, M, _ = _coupling("law", table, params.kmax, inner_cutoff, table.kmax)
+    return _field_accel(state.q, state.qdot, state.Q, state.Qdot, qddot, g, M, params)
+
+
+def _newton_accel(q, Q, signs, params):
+    """Newton mirror acceleration; ``signs`` holds (-1)^k k."""
+    s = signs @ Q
+    pressure = (params.c * np.pi / q) ** 2 * s * s / q
+    return (-params.mass * params.omega_m**2 * (q - params.length) + pressure) / params.mass
 
 
 def mirror_accel(state: ClassicalState, params: MirrorParams) -> float:
@@ -207,31 +245,16 @@ def mirror_accel(state: ClassicalState, params: MirrorParams) -> float:
     """
     _check_state(state, params)
     k = np.arange(1, params.kmax + 1, dtype=float)
-    s = float(((-1.0) ** k * k) @ state.Q)
-    pressure = (params.c * np.pi / state.q) ** 2 * s * s / state.q
-    return (-params.mass * params.omega_m**2 * (state.q - params.length) + pressure) / params.mass
+    return float(_newton_accel(state.q, state.Q, (-1.0) ** k * k, params))
 
 
-def _variational_mirror_accel(
-    q: float,
-    qdot: float,
-    Q: np.ndarray,
-    Qdot: np.ndarray,
-    g: np.ndarray,
-    M: np.ndarray,
-    params: MirrorParams,
-) -> float:
+def _variational_mirror_accel(q, qdot, Q, Qdot, F, om2, gQ, MQ, params):
     """Euler-Lagrange mirror equation of the truncated Lagrangian.
 
     The mutual dependence on the field accelerations is linear and is solved
-    in closed form; gamma = g Q collects the velocity-coupling weights.
+    in closed form from the pieces of the field equation (see
+    ``_free_field_accel``); gamma = g Q collects the velocity-coupling weights.
     """
-    u = qdot / q
-    k = np.arange(1, params.kmax + 1, dtype=float)
-    om2 = (params.c * np.pi * k / q) ** 2
-    MQ = M @ Q
-    gQ = g @ Q
-    F = -om2 * Q + u * u * (MQ - gQ) + 2.0 * u * (g @ Qdot)  # field accel at qddot = 0
     D = Q @ MQ
     Ddot = 2.0 * (Qdot @ MQ)
     W = float(om2 @ (Q * Q))
@@ -246,35 +269,31 @@ def _variational_mirror_accel(
     return num / den
 
 
-def _legendre_energy(
-    q: float,
-    qdot: float,
-    Q: np.ndarray,
-    Qdot: np.ndarray,
-    g: np.ndarray,
-    M: np.ndarray,
-    params: MirrorParams,
-) -> float:
+def _energies(q, qdot, Q, Qdot, g, M, d, params):
+    """(Legendre energy with coupling M, canonical-split value) of one state."""
     k = np.arange(1, params.kmax + 1, dtype=float)
     om2 = (params.c * np.pi * k / q) ** 2
-    D = Q @ (M @ Q)
-    G = (g @ Q) @ Qdot
-    return (
+    base = (
         0.5 * params.mass * qdot * qdot
         + 0.5 * params.mass * params.omega_m**2 * (q - params.length) ** 2
         + 0.5 * float(Qdot @ Qdot + om2 @ (Q * Q))
-        + qdot * qdot / (2.0 * q * q) * D
-        - qdot / q * G
     )
+    legendre = base + qdot * qdot / (2.0 * q * q) * (Q @ (M @ Q)) - qdot / q * ((g @ Q) @ Qdot)
+    canonical = base - qdot * qdot / (4.0 * q * q) * (Q @ (d @ Q))
+    return legendre, canonical
+
+
+def _state_energies(state, params, table):
+    _check_state(state, params)
+    g, M, d = _coupling("new", table, params.kmax, None, None)
+    return _energies(state.q, state.qdot, state.Q, state.Qdot, g, M, d, params)
 
 
 def energy(state: ClassicalState, params: MirrorParams, table: CoefficientTable) -> float:
     """Legendre energy of the truncated system (the conserved quantity of the
     variational flow): kinetic + spring + field + quadratic-velocity coupling
     + velocity cross coupling."""
-    _check_state(state, params)
-    g, d = _slice_table(table, params.kmax)
-    return _legendre_energy(state.q, state.qdot, state.Q, state.Qdot, g, d, params)
+    return _state_energies(state, params, table)[0]
 
 
 def h_canonical(state: ClassicalState, params: MirrorParams, table: CoefficientTable) -> float:
@@ -284,17 +303,7 @@ def h_canonical(state: ClassicalState, params: MirrorParams, table: CoefficientT
     quadratic-velocity term (-1/4 instead of +1/2) and drops the velocity
     cross term; reported as a diagnostic, not a conservation claim.
     """
-    _check_state(state, params)
-    _, d = _slice_table(table, params.kmax)
-    k = np.arange(1, params.kmax + 1, dtype=float)
-    om2 = (params.c * np.pi * k / state.q) ** 2
-    D = state.Q @ (d @ state.Q)
-    return (
-        0.5 * params.mass * state.qdot**2
-        + 0.5 * params.mass * params.omega_m**2 * (state.q - params.length) ** 2
-        + 0.5 * float(state.Qdot @ state.Qdot + om2 @ (state.Q * state.Q))
-        - state.qdot**2 / (4.0 * state.q**2) * D
-    )
+    return _state_energies(state, params, table)[1]
 
 
 @dataclass(frozen=True)
@@ -334,14 +343,16 @@ class TrajectoryRecord:
         )
 
 
-def _validate_tols(rel_tol: float, abs_tol: float) -> None:
+def _validate_run(t_end: float, rel_tol: float, abs_tol: float) -> None:
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < v <= 1e-2):
             raise ValueError(f"{name} must lie in (0, 1e-2], got {v}")
 
 
 def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop):
-    """Run the adaptive solver, returning (t, y, accepted, rejected, nfev, stopped).
+    """Run the adaptive solver, returning (t, y, stats, stopped).
 
     With ``sample_times`` the output is interpolated onto that grid via the
     solver's dense output; otherwise the natural accepted steps are returned.
@@ -383,7 +394,8 @@ def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop):
             break
     attempts = (solver.nfev - _STARTUP_EVALS - _EVALS_PER_DENSE * n_dense) // _EVALS_PER_ATTEMPT
     rejected = max(0, attempts - accepted)
-    return np.array(ts), np.array(ys), accepted, rejected, solver.nfev, stopped
+    stats = IntegratorStats(accepted, rejected, solver.nfev, rel_tol, abs_tol)
+    return np.array(ts), np.array(ys), stats, stopped
 
 
 def _make_stiffness_error(ts, ys, y0):
@@ -397,14 +409,21 @@ def _make_stiffness_error(ts, ys, y0):
     return StiffnessError(f"step size underflow at t = {t_last}", state)
 
 
-def _coupling_for(variant, table, params, inner_cutoff):
-    g, d = _slice_table(table, params.kmax)
-    if variant == "new":
-        return g, d
-    if variant == "law":
-        L = 16 * params.kmax if inner_cutoff is None else inner_cutoff
-        return g, gram_matrix(params.kmax, L)
-    raise ValueError(f"unknown variant {variant!r}; use 'new' or 'law'")
+def _record(t, y, stats, g, M, d, params, variant, mirror_model, floor_hit=False):
+    """Trajectory record with the per-sample energy diagnostics of ``y``."""
+    k = params.kmax
+    diag = [_energies(r[0], r[1], r[2 : 2 + k], r[2 + k :], g, M, d, params) for r in y]
+    return TrajectoryRecord(
+        t=t,
+        y=y,
+        energy=np.array([e for e, _ in diag]),
+        h_canonical=np.array([h for _, h in diag]),
+        stats=stats,
+        variant=variant,
+        mirror_model=mirror_model,
+        floor_hit=floor_hit,
+        kmax=k,
+    )
 
 
 def integrate(
@@ -430,70 +449,36 @@ def integrate(
     stops early if the mirror reaches ``q_floor`` (default length/100).
     """
     _check_state(state0, params)
-    _validate_tols(rel_tol, abs_tol)
+    _validate_run(t_end, rel_tol, abs_tol)
     if mirror_model not in ("newton", "lagrangian"):
         raise ValueError(f"unknown mirror_model {mirror_model!r}")
-    g, M = _coupling_for(variant, table, params, inner_cutoff)
-    floor = params.length / 100.0 if q_floor is None else q_floor
     kmax = params.kmax
+    g, M, d = _coupling(variant, table, kmax, inner_cutoff, 16 * kmax)
+    floor = params.length / 100.0 if q_floor is None else q_floor
     kk = np.arange(1, kmax + 1, dtype=float)
     signs_k = (-1.0) ** kk * kk
-    mass, length, om_m, c = params.mass, params.length, params.omega_m, params.c
 
     def rhs(t, y):
         q, qdot = y[0], y[1]
         Q = y[2 : 2 + kmax]
         Qdot = y[2 + kmax :]
+        F, om2, gQ, MQ = _free_field_accel(q, qdot, Q, Qdot, g, M, params)
         if mirror_model == "newton":
-            s = signs_k @ Q
-            qddot = (-mass * om_m**2 * (q - length) + (c * np.pi / q) ** 2 * s * s / q) / mass
+            qddot = _newton_accel(q, Q, signs_k, params)
         else:
-            qddot = _variational_mirror_accel(q, qdot, Q, Qdot, g, M, params)
-        Qddot = _field_accel(q, qdot, Q, Qdot, qddot, g, M, params)
+            qddot = _variational_mirror_accel(q, qdot, Q, Qdot, F, om2, gQ, MQ, params)
         out = np.empty_like(y)
         out[0] = qdot
         out[1] = qddot
         out[2 : 2 + kmax] = Qdot
-        out[2 + kmax :] = Qddot
+        out[2 + kmax :] = F + (qddot / q) * gQ
         return out
 
     y0 = np.concatenate([[state0.q, state0.qdot], state0.Q, state0.Qdot])
-    t, y, accepted, rejected, nfev, stopped = _drive_solver(
+    t, y, stats, stopped = _drive_solver(
         rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop=lambda yv: yv[0] <= floor
     )
-    energies = np.array(
-        [_legendre_energy(r[0], r[1], r[2 : 2 + kmax], r[2 + kmax :], g, M, params) for r in y]
-    )
-    _, d = _slice_table(table, kmax)
-    hvals = np.array(
-        [
-            _h_canonical_raw(r[0], r[1], r[2 : 2 + kmax], r[2 + kmax :], d, params)
-            for r in y
-        ]
-    )
-    return TrajectoryRecord(
-        t=t,
-        y=y,
-        energy=energies,
-        h_canonical=hvals,
-        stats=IntegratorStats(accepted, rejected, nfev, rel_tol, abs_tol),
-        variant=variant,
-        mirror_model=mirror_model,
-        floor_hit=stopped,
-        kmax=kmax,
-    )
-
-
-def _h_canonical_raw(q, qdot, Q, Qdot, d, params):
-    k = np.arange(1, params.kmax + 1, dtype=float)
-    om2 = (params.c * np.pi * k / q) ** 2
-    D = Q @ (d @ Q)
-    return (
-        0.5 * params.mass * qdot * qdot
-        + 0.5 * params.mass * params.omega_m**2 * (q - params.length) ** 2
-        + 0.5 * float(Qdot @ Qdot + om2 @ (Q * Q))
-        - qdot * qdot / (4.0 * q * q) * D
-    )
+    return _record(t, y, stats, g, M, d, params, variant, mirror_model, stopped)
 
 
 def integrate_prescribed(
@@ -514,16 +499,9 @@ def integrate_prescribed(
     record layout matches ``integrate``.  For 'law' the inner Gram cutoff
     defaults to the retained mode count (strict matched truncation).
     """
-    _validate_tols(rel_tol, abs_tol)
+    _validate_run(t_end, rel_tol, abs_tol)
     kmax = params.kmax
-    g, d = _slice_table(table, kmax)
-    if variant == "new":
-        M = d
-    elif variant == "law":
-        L = kmax if inner_cutoff is None else inner_cutoff
-        M = gram_matrix(kmax, L)
-    else:
-        raise ValueError(f"unknown variant {variant!r}; use 'new' or 'law'")
+    g, M, d = _coupling(variant, table, kmax, inner_cutoff, kmax)
 
     def rhs(t, y):
         Q = y[:kmax]
@@ -532,25 +510,8 @@ def integrate_prescribed(
         return np.concatenate([Qdot, Qddot])
 
     y0 = np.concatenate([state0.Q, state0.Qdot])
-    t, yf, accepted, rejected, nfev, _ = _drive_solver(
-        rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop=None
-    )
+    t, yf, stats, _ = _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop=None)
     q = np.array([motion.q(tv) for tv in t])
     qdot = np.array([motion.qdot(tv) for tv in t])
     y = np.column_stack([q, qdot, yf])
-    energies = np.array(
-        [_legendre_energy(r[0], r[1], r[2 : 2 + kmax], r[2 + kmax :], g, M, params) for r in y]
-    )
-    hvals = np.array(
-        [_h_canonical_raw(r[0], r[1], r[2 : 2 + kmax], r[2 + kmax :], d, params) for r in y]
-    )
-    return TrajectoryRecord(
-        t=t,
-        y=y,
-        energy=energies,
-        h_canonical=hvals,
-        stats=IntegratorStats(accepted, rejected, nfev, rel_tol, abs_tol),
-        variant=variant,
-        mirror_model="prescribed",
-        kmax=kmax,
-    )
+    return _record(t, y, stats, g, M, d, params, variant, "prescribed")

@@ -62,6 +62,7 @@ __all__ = [
     "delta_relativistic",
     "delta_relativistic_first",
     "delta_relativistic_second",
+    "ground_shift_estimate",
 ]
 
 VARIANTS = (
@@ -134,6 +135,13 @@ def h5(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") ->
         - ops.x @ ops.x @ ops.x @ (ops.n_op + 0.5 * ops.identity)
     )
     return ops.wrap(data)
+
+
+def ground_shift_estimate(params: CavityParams, r_convention: str = "exact") -> float:
+    """First-order estimate of the new_full minus law_full ground-state shift:
+    -(hbar beta / 2) R (Omega/omega)^2 / 4."""
+    rs = base_rates(params, r_convention)
+    return -(params.hbar * rs.beta / 2.0) * rs.R * (params.omega_m / params.omega_c) ** 2 * 0.25
 
 
 def _dressing_polys(theta: float, ops: ModeOperators, order: int, printed_quadratic: bool):
@@ -227,6 +235,7 @@ def h4_linear_optical(
     ops: ModeOperators,
     branch: str = "plus",
     convention: str = "printed",
+    r_convention: str = "exact",
 ) -> OperatorMatrix:
     """Optically linearized quartic term.
 
@@ -239,7 +248,7 @@ def h4_linear_optical(
     docstring.
     """
     _require_single_optical(ops, "H4_linear_optical")
-    rs = linearized_rates(params, base_rates(params))
+    rs = linearized_rates(params, base_rates(params, r_convention))
     if convention == "printed":
         if branch == "plus":
             bb = ops.bdag + ops.b
@@ -263,12 +272,12 @@ def h4_linear_optical(
 
 
 def h4_linear_mechanical(
-    params: CavityParams, ops: ModeOperators, branch: str = "plus"
+    params: CavityParams, ops: ModeOperators, branch: str = "plus", r_convention: str = "exact"
 ) -> OperatorMatrix:
     """Mechanically linearized quartic term: hbar G4+ (b^dag + b)(e^{i phi} a^dag
     + e^{-i phi} a) or hbar G4- (b^dag - b)(a^dag + a)."""
     _require_single_optical(ops, "H4_linear_mechanical")
-    rs = linearized_rates(params, base_rates(params))
+    rs = linearized_rates(params, base_rates(params, r_convention))
     if branch == "plus":
         data = params.hbar * rs.G4_plus * (ops.bdag + ops.b) @ _drive_quadrature(ops, params.a_phase)
     elif branch == "minus":
@@ -307,7 +316,9 @@ def h4_special_eta(
     return ops.wrap(data)
 
 
-def h4_bogoliubov_form(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
+def h4_bogoliubov_form(
+    params: CavityParams, ops: ModeOperators, r_convention: str = "exact"
+) -> OperatorMatrix:
     """Quartic interaction in squeezed-mode form hbar G4 (a B^dag + a^dag B).
 
     B mixes the mechanical ladder with cosh/sinh weights of the squeeze ratio
@@ -316,7 +327,7 @@ def h4_bogoliubov_form(params: CavityParams, ops: ModeOperators) -> OperatorMatr
     (hbar/2)[G4+ (b^dag+b)(a^dag+a) + G4- (b^dag-b)(a^dag-a)].
     """
     _require_single_optical(ops, "H4_bogoliubov_form")
-    rs = linearized_rates(params, base_rates(params))
+    rs = linearized_rates(params, base_rates(params, r_convention))
     G4p, G4m = rs.G4_plus, rs.G4_minus
     G4 = math.sqrt(max(G4p * G4m, 0.0))
     if G4 == 0.0:
@@ -392,17 +403,18 @@ def build_hamiltonian(
         out = h3_linear_optical(params, ops)
     elif variant == "H4_linear_optical":
         out = h4_linear_optical(
-            params, ops, options.pop("branch", "plus"), options.pop("convention", "printed")
+            params, ops, options.pop("branch", "plus"), options.pop("convention", "printed"),
+            r_convention,
         )
     elif variant == "H4_linear_mechanical":
-        out = h4_linear_mechanical(params, ops, options.pop("branch", "plus"))
+        out = h4_linear_mechanical(params, ops, options.pop("branch", "plus"), r_convention)
     elif variant == "H4_special_eta":
         eta = options.pop("eta", None)
         if eta is None:
             raise TypeError("H4_special_eta requires an eta=... option")
         out = h4_special_eta(params, ops, eta)
     elif variant == "H4_bogoliubov_form":
-        out = h4_bogoliubov_form(params, ops)
+        out = h4_bogoliubov_form(params, ops, r_convention)
     elif variant == "delta_relativistic":
         out = delta_relativistic(params, ops)
     else:

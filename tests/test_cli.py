@@ -1,10 +1,15 @@
 """CLI behavior: outputs, determinism, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optomech
 from optomech.cli import main
 
 
@@ -117,6 +122,18 @@ class TestHamiltonianAndSpectrum:
         assert doc["matches_perturbation_within_10pct"] is True
         assert doc["new_minus_law_shift"] < 0
 
+    def test_prose_r_convention_reaches_bogoliubov_form(self, tmp_path):
+        cfg = tmp_path / "drive.json"
+        cfg.write_text(json.dumps({"a_amp": 1.0, "b_amp": 1.0, "b_phase": 0.7}))
+        data = {}
+        for conv in ("exact", "prose"):
+            out = tmp_path / conv
+            assert run(["hamiltonian", "--variant", "H4_bogoliubov_form", "--n-mech", "3",
+                        "--n-opt", "3", "--r-convention", conv, "--config", str(cfg),
+                        "--out-dir", str(out)]) == 0
+            data[conv] = only(out, "hamiltonian-*.csv").read_text()
+        assert data["exact"] != data["prose"]
+
     def test_spectrum_csv_shape(self, tmp_path):
         assert run(["spectrum", "--variant", "H012", "--n-mech", "4", "--n-opt", "4",
                     "--k-eigen", "5", "--out-dir", str(tmp_path)]) == 0
@@ -184,10 +201,45 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_invalid_value_is_numerical_failure(self, tmp_path):
+    def test_invalid_value_is_numerical_failure(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"mass": -1.0}))
-        assert run(["rates", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        for text in ('{"mass": -1.0}', '{"mass": NaN}', '{"mass": 1e400}'):
+            cfg.write_text(text)
+            assert run(["rates", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1, text
+            assert "mass" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rates-*.json"))
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert run(["rates", "--config", str(missing), "--out-dir", str(tmp_path)]) == 2
+        assert "absent.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_eigen", ["-3", "0"])
+    def test_k_eigen_below_one_is_config_error(self, tmp_path, k_eigen, capsys):
+        code = run(["spectrum", "--variant", "H012", "--n-mech", "3", "--n-opt", "3",
+                    "--k-eigen", k_eigen, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "k_eigen" in capsys.readouterr().err
+        assert not list(tmp_path.glob("spectrum-*"))
+
+    def test_negative_t_end_is_numerical_failure(self, tmp_path, capsys):
+        assert run(["evolve", "--kmax", "1", "--t-end", "-1", "--out-dir", str(tmp_path)]) == 1
+        assert "t_end" in capsys.readouterr().err
+        assert not list(tmp_path.glob("evolve-*"))
+
+    def test_non_finite_t_end_exits_instead_of_hanging(self, tmp_path):
+        # a subprocess with a timeout, so a hang fails this test instead of the suite
+        src = str(Path(optomech.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        for t_end in ("nan", "inf"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "optomech.cli", "evolve", "--t-end", t_end,
+                 "--out-dir", str(tmp_path)],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 1, t_end
+            assert "t_end" in proc.stderr
 
 
 class TestDeterministicNaming:

@@ -83,6 +83,15 @@ def test_load_config_file_diagnostics(tmp_path):
     bad.write_text('{"mass": 1,\n "oops\n')
     with pytest.raises(ConfigError, match="line 2"):
         load_config_file(str(bad))
+    with pytest.raises(ConfigError, match="absent.json"):
+        load_config_file(str(tmp_path / "absent.json"))
+
+
+@pytest.mark.parametrize("k_eigen", [-3, 0, 2.0, True])
+def test_k_eigen_must_be_a_positive_integer(k_eigen):
+    with pytest.raises(ConfigError, match="k_eigen"):
+        resolve_config({"k_eigen": k_eigen})
+    assert resolve_config({"k_eigen": 1}).k_eigen == 1
 
 
 def test_every_default_key_resolves():

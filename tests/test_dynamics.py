@@ -1,7 +1,10 @@
 """Classical mirror-field dynamics: accelerations, energies, integration."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.integrate._ivp.rk as scipy_rk
 
 from optomech import coefficients as coef
 from optomech.dynamics import (
@@ -81,6 +84,14 @@ class TestFieldAccel:
     def test_rejects_nonpositive_position(self):
         with pytest.raises(ValueError):
             make_state(q=-1.0)
+
+    @pytest.mark.parametrize("name", ["mass", "length", "omega_m", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_params(self, name, value):
+        kwargs = dict(mass=1.0, length=1.0, omega_m=1.0, kmax=1)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            MirrorParams(**kwargs)
 
 
 class TestMirrorAccel:
@@ -204,6 +215,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate("new", st, params, table8, 1.0, abs_tol=0.0)
 
+    # non-finite t_end is tested through a CLI subprocess with a timeout: without
+    # its validation the solver spins forever, which would hang the suite here
+    @pytest.mark.parametrize("t_end", [-1.0, 0.0])
+    def test_t_end_domain(self, table8, t_end):
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=1)
+        st = make_state(q=1.01, Q=[0.0])
+        motion = harmonic_mirror_motion(1.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match="t_end"):
+            integrate("new", st, params, table8, t_end)
+        with pytest.raises(ValueError, match="t_end"):
+            integrate_prescribed("law", motion, st, params, table8, t_end)
+
     def test_unknown_variant_and_model(self, table8):
         params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=1)
         st = make_state(q=1.01, Q=[0.0])
@@ -233,6 +256,39 @@ class TestIntegrate:
         assert rec.stats.rejected_steps >= 0
         assert rec.stats.nfev > rec.stats.steps
         assert rec.stats.rel_tol == 1e-9
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_step_counts_match_solver_attempts(self, monkeypatch, sampled):
+        # the rejected-step count is inferred from nfev through the DOP853 cost
+        # model; count the solver's actual step attempts and compare
+        attempts = []
+        rk_step = scipy_rk.rk_step
+
+        def counting_rk_step(*args, **kwargs):
+            attempts.append(1)
+            return rk_step(*args, **kwargs)
+
+        monkeypatch.setattr(scipy_rk, "rk_step", counting_rk_step)
+        table = coef.build_table(4)
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=4)
+        st = make_state(q=1.005, Q=[0.02, 0.0, 0.0, 0.0])
+        t_end = 10 * 2 * np.pi
+        grid = np.linspace(0.0, t_end, 201) if sampled else None
+        rec = integrate("new", st, params, table, t_end, rel_tol=1e-10, abs_tol=1e-13,
+                        mirror_model="lagrangian", sample_times=grid)
+        assert rec.stats.rejected_steps > 0
+        assert rec.stats.steps + rec.stats.rejected_steps == len(attempts)
+
+    @pytest.mark.parametrize("mirror_model", ["newton", "lagrangian"])
+    def test_recorded_diagnostics_equal_state_functions(self, table8, mirror_model):
+        params = MirrorParams(mass=1.3, length=0.9, omega_m=1.7, c=1.1, kmax=3)
+        st = make_state(q=0.93, qdot=0.05, Q=[0.05, -0.02, 0.01], Qdot=[0.0, 0.03, -0.01])
+        rec = integrate("new", st, params, table8, 8.0, rel_tol=1e-10, abs_tol=1e-12,
+                        mirror_model=mirror_model)
+        for i in range(len(rec.t)):
+            s = rec.state(i)
+            assert rec.energy[i] == energy(s, params, table8)
+            assert rec.h_canonical[i] == h_canonical(s, params, table8)
 
 
 class TestPrescribed:

@@ -183,6 +183,8 @@ class TestFullBuilds:
         pert = -(p.hbar * rs.beta / 2) * rs.R * (p.omega_m / p.omega_c) ** 2 * 0.25
         assert shift < 0
         assert abs(shift / pert - 1.0) < 0.1
+        assert ham.ground_shift_estimate(p) == pert
+        assert ham.ground_shift_estimate(p, "prose") == pytest.approx(pert * 0.95 / rs.R, rel=1e-14)
 
 
 class TestLinearized:
@@ -217,6 +219,18 @@ class TestLinearized:
         Hm = ham.h4_linear_mechanical(P_WEAK, ops, branch="minus")
         want = P_WEAK.hbar * rs.G4_minus * (ops.bdag - ops.b) @ (ops.adag + ops.a)
         assert np.abs(Hm.data - want).max() < 1e-16
+
+    @pytest.mark.parametrize("variant, options", [
+        ("H4_linear_optical", {"branch": "minus"}),
+        ("H4_linear_mechanical", {"branch": "minus"}),
+        ("H4_bogoliubov_form", {}),
+    ])
+    def test_r_convention_reaches_builders_that_use_R(self, ops8, variant, options):
+        space, _ = ops8
+        exact = ham.build_hamiltonian(variant, P_WEAK, space, r_convention="exact", **options)
+        prose = ham.build_hamiltonian(variant, P_WEAK, space, r_convention="prose", **options)
+        assert np.abs(exact.data).max() > 0.0
+        assert np.abs(prose.data - exact.data).max() > 1e-3 * np.abs(exact.data).max()
 
     def test_branch_validation(self, ops8):
         _, ops = ops8

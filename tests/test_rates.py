@@ -76,6 +76,10 @@ class TestBaseRates:
             CavityParams(mass=0.0)
         with pytest.raises(ValueError):
             CavityParams(a_amp=-1.0)
+        for name in ("mass", "omega_c", "a_amp", "a_phase", "chi0"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=name):
+                    CavityParams(**{name: value})
 
 
 class TestLinearizedRates:
