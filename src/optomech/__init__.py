@@ -32,7 +32,6 @@ from .fock import (
     FockSpace,
     ModeOperators,
     OperatorMatrix,
-    OperatorWord,
     bogoliubov_pair,
     commutator,
     expand_inverse_power,
@@ -40,7 +39,7 @@ from .fock import (
     make_space,
     spectrum,
     squared_annihilator,
-    symmetrize,
+    symmetrize_matrices,
 )
 from .hamiltonians import VARIANTS, build_hamiltonian
 from .rates import (
@@ -77,7 +76,6 @@ __all__ = [
     "FockSpace",
     "ModeOperators",
     "OperatorMatrix",
-    "OperatorWord",
     "bogoliubov_pair",
     "commutator",
     "expand_inverse_power",
@@ -85,7 +83,7 @@ __all__ = [
     "make_space",
     "spectrum",
     "squared_annihilator",
-    "symmetrize",
+    "symmetrize_matrices",
     "VARIANTS",
     "build_hamiltonian",
     "CavityParams",

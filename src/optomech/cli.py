@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -269,8 +268,7 @@ def _cmd_sweep(args) -> int:
     value_lists = [cfg.grid[n] for n in names]
     points = list(itertools.product(*value_lists))
     cfg_dict = cfg.to_dict()
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(lambda vals: _sweep_point(cfg_dict, names, vals), points))
+    rows = [_sweep_point(cfg_dict, names, vals) for vals in points]
     header = names + list(_SCALAR_RATE_FIELDS)
     path = _out_path(args, cfg, "sweep", "csv")
     _write_csv(path, header, rows)

@@ -144,14 +144,21 @@ def resolve_config(file_doc: dict | None = None, overrides: dict | None = None) 
         raise ConfigError("out_format must be 'csv' or 'json'")
     if merged["r_convention"] not in ("exact", "prose"):
         raise ConfigError("r_convention must be 'exact' or 'prose'")
-    k_eigen = merged["k_eigen"]
-    if isinstance(k_eigen, bool) or not isinstance(k_eigen, int) or k_eigen < 1:
-        raise ConfigError(f"k_eigen must be an integer >= 1, got {k_eigen!r}")
+    # exact type checks: bool is an int subclass and 1.0 == 1, both rejected
+    for key, low in (("kmax", 1), ("n_mech", 2), ("n_opt", 2), ("dim_cap", 4), ("k_eigen", 1)):
+        value = merged[key]
+        if type(value) is not int or value < low:
+            raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    if type(merged["order"]) is not int or merged["order"] not in (0, 1, 2):
+        raise ConfigError(f"order must be 0, 1 or 2, got {merged['order']!r}")
     if not isinstance(merged["grid"], dict):
         raise ConfigError("grid must be an object mapping parameter names to value lists")
     unknown_grid = sorted(set(merged["grid"]) - set(DEFAULTS))
     if unknown_grid:
         raise ConfigError(f"unknown grid keys: {', '.join(unknown_grid)}")
+    for key, values in merged["grid"].items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid value for {key} must be a non-empty list, got {values!r}")
     return RunConfig(**merged)
 
 

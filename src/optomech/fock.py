@@ -1,9 +1,13 @@
 """Truncated Fock-space operators for one mechanical and one or two optical modes.
 
-Dense complex matrices throughout (desk-scale cutoffs; the total dimension is
-capped).  Ladder truncation corrupts the top levels, so operator identities
-are asserted on the "interior block" that excludes the top levels of each
-subsystem; helpers for that projection live here.
+Operators are built from single-mode factors: ``ModeOperators`` holds the
+mechanical ladder and one optical ladder shared by every optical mode, and
+``ModeOperators.lift`` assembles dense complex product-space matrices from
+them (mechanical factor first; the total dimension is capped).  Product-space
+attributes such as ``ops.x`` are lifted on first use.  Ladder truncation
+corrupts the top levels, so operator identities are asserted on the
+"interior block" that excludes the top levels of each subsystem; helpers for
+that projection live here.
 
 Normalization: the dimensionless quadratures are Q = (a^dag + a)/sqrt(2),
 P = i (a^dag - a)/sqrt(2) (same for the mechanical pair X, P_mech), fixed so
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property, reduce
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -26,12 +31,11 @@ from scipy.linalg import expm
 __all__ = [
     "FockSpace",
     "OperatorMatrix",
-    "OperatorWord",
+    "Ladder",
     "ModeOperators",
     "destroy",
     "make_space",
     "mode_operators",
-    "symmetrize",
     "symmetrize_matrices",
     "expand_inverse_power",
     "commutator",
@@ -103,71 +107,78 @@ def destroy(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
-def _embed(op: np.ndarray, slot: int, space: FockSpace) -> np.ndarray:
-    """Lift a single-factor operator into the product space at the given slot
-    (slot 0 = mechanical, slots 1.. = optical modes)."""
-    out = np.array([[1.0 + 0.0j]])
-    for s, n in enumerate(space.shape):
-        out = np.kron(out, op if s == slot else np.eye(n, dtype=complex))
-    return out
+@dataclass(frozen=True)
+class Ladder:
+    """Single-mode operators on an n-level ladder: ``a``, ``adag``, the number
+    operator ``n``, the quadratures ``x`` and ``p`` (normalized as in the
+    module docstring) and the identity ``eye``."""
+
+    a: np.ndarray
+    adag: np.ndarray
+    n: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    eye: np.ndarray
+
+    @classmethod
+    def of(cls, levels: int) -> "Ladder":
+        a = destroy(levels)
+        adag = a.conj().T
+        s2 = np.sqrt(2.0)
+        return cls(a=a, adag=adag, n=adag @ a, x=(adag + a) / s2, p=1j * (adag - a) / s2,
+                   eye=np.eye(levels, dtype=complex))
 
 
 @dataclass(frozen=True)
 class ModeOperators:
-    """Elementary operator bundle on one space.
+    """Single-mode ladders of one space and their lift into the product space.
 
-    ``a``/``adag``/``n_op``/``q``/``p`` act on the first optical mode;
-    ``a_modes``/``adag_modes`` list every optical mode.  ``b``/``bdag``/
-    ``m_op``/``x``/``p_mech`` are mechanical.
+    ``mech`` is the mechanical ladder, ``opt`` the optical ladder shared by
+    every optical mode.  The product-space attributes are lifted on first
+    use: ``b``/``bdag``/``m_op``/``x``/``p_mech`` are mechanical,
+    ``a``/``adag``/``n_op``/``q``/``p`` act on the first optical mode, and
+    ``a_modes``/``adag_modes`` list every optical mode.
     """
 
     space: FockSpace
-    b: np.ndarray
-    bdag: np.ndarray
-    m_op: np.ndarray
-    x: np.ndarray
-    p_mech: np.ndarray
-    a: np.ndarray
-    adag: np.ndarray
-    n_op: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    a_modes: tuple[np.ndarray, ...]
-    adag_modes: tuple[np.ndarray, ...]
+    mech: Ladder
+    opt: Ladder
 
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.space.dim, dtype=complex)
+    def lift(self, mech: np.ndarray | None = None, *opt: np.ndarray | None) -> np.ndarray:
+        """Product-space matrix of single-mode factors: the mechanical factor,
+        then one factor per optical mode in order; ``None`` or a missing
+        trailing factor is the identity."""
+        n_modes = self.space.n_modes_opt
+        if len(opt) > n_modes:
+            raise ValueError(f"{len(opt)} optical factors for {n_modes} optical mode(s)")
+        factors = (mech,) + opt + (None,) * (n_modes - len(opt))
+        eyes = (self.mech.eye,) + (self.opt.eye,) * n_modes
+        return reduce(np.kron, [e if f is None else f for f, e in zip(factors, eyes)])
+
+    def _each_optical_mode(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(self.lift(None, *(None,) * i, op) for i in range(self.space.n_modes_opt))
+
+    b = cached_property(lambda self: self.lift(self.mech.a))
+    bdag = cached_property(lambda self: self.lift(self.mech.adag))
+    m_op = cached_property(lambda self: self.lift(self.mech.n))
+    x = cached_property(lambda self: self.lift(self.mech.x))
+    p_mech = cached_property(lambda self: self.lift(self.mech.p))
+    a = cached_property(lambda self: self.lift(None, self.opt.a))
+    adag = cached_property(lambda self: self.lift(None, self.opt.adag))
+    n_op = cached_property(lambda self: self.lift(None, self.opt.n))
+    q = cached_property(lambda self: self.lift(None, self.opt.x))
+    p = cached_property(lambda self: self.lift(None, self.opt.p))
+    a_modes = cached_property(lambda self: self._each_optical_mode(self.opt.a))
+    adag_modes = cached_property(lambda self: self._each_optical_mode(self.opt.adag))
+    identity = cached_property(lambda self: self.lift())
 
     def wrap(self, data: np.ndarray) -> OperatorMatrix:
         return OperatorMatrix(self.space, data)
 
 
 def mode_operators(space: FockSpace) -> ModeOperators:
-    """Build the elementary ladder and quadrature matrices on a space."""
-    b = _embed(destroy(space.n_mech), 0, space)
-    bdag = b.conj().T
-    a_modes = tuple(
-        _embed(destroy(space.n_opt), 1 + i, space) for i in range(space.n_modes_opt)
-    )
-    adag_modes = tuple(m.conj().T for m in a_modes)
-    a, adag = a_modes[0], adag_modes[0]
-    s2 = np.sqrt(2.0)
-    return ModeOperators(
-        space=space,
-        b=b,
-        bdag=bdag,
-        m_op=bdag @ b,
-        x=(bdag + b) / s2,
-        p_mech=1j * (bdag - b) / s2,
-        a=a,
-        adag=adag,
-        n_op=adag @ a,
-        q=(adag + a) / s2,
-        p=1j * (adag - a) / s2,
-        a_modes=a_modes,
-        adag_modes=adag_modes,
-    )
+    """Build the single-mode ladders of a space."""
+    return ModeOperators(space=space, mech=Ladder.of(space.n_mech), opt=Ladder.of(space.n_opt))
 
 
 def make_space(
@@ -193,21 +204,6 @@ def interior_block(mat: np.ndarray | OperatorMatrix, space: FockSpace, margin: i
     data = np.asarray(mat)
     idx = interior_indices(space, margin)
     return data[np.ix_(idx, idx)]
-
-
-@dataclass(frozen=True)
-class OperatorWord:
-    """Ordered product of named factors; repeated labels mean repeated factors."""
-
-    labels: tuple[str, ...]
-    alphabet: Mapping[str, np.ndarray | OperatorMatrix]
-
-    def __post_init__(self):
-        if not self.labels:
-            raise ValueError("word must be nonempty")
-        missing = [lb for lb in self.labels if lb not in self.alphabet]
-        if missing:
-            raise KeyError(f"labels not in alphabet: {missing}")
 
 
 def symmetrize_matrices(
@@ -240,20 +236,6 @@ def symmetrize_matrices(
             prod = prod @ by_label[lb]
         acc = acc + prod
     return acc / len(orderings)
-
-
-def symmetrize(word: OperatorWord) -> OperatorMatrix:
-    """Symmetrized (all-orderings average) operator for a word."""
-    space = None
-    for lb in word.labels:
-        op = word.alphabet[lb]
-        if isinstance(op, OperatorMatrix):
-            space = op.space
-            break
-    if space is None:
-        raise TypeError("alphabet must map labels to OperatorMatrix to recover the space")
-    mats = [np.asarray(word.alphabet[lb]) for lb in word.labels]
-    return OperatorMatrix(space, symmetrize_matrices(mats, labels=list(word.labels)))
 
 
 def expand_inverse_power(n: float, order: int) -> tuple[float, ...]:
@@ -320,8 +302,8 @@ def bogoliubov_pair(rho: complex, ops: ModeOperators) -> tuple[OperatorMatrix, O
     is treated as a report-only quantity).
     """
     sh, ch = np.sinh(rho), np.cosh(rho)
-    A = ops.adag * sh + ops.a * ch
-    B = ops.bdag * ch + ops.b * sh
+    A = ops.lift(None, ops.opt.adag * sh + ops.opt.a * ch)
+    B = ops.lift(ops.mech.adag * ch + ops.mech.a * sh)
     return ops.wrap(A), ops.wrap(B)
 
 
@@ -333,14 +315,14 @@ def squared_annihilator(ops: ModeOperators) -> tuple[OperatorMatrix, OperatorMat
     """
     if ops.space.n_mech < 4:
         raise ValueError("need n_mech >= 4 to resolve the squared annihilator")
-    c = 0.5 * (ops.b @ ops.b)
+    c = 0.5 * (ops.mech.a @ ops.mech.a)
     cdag = c.conj().T
-    return ops.wrap(c), ops.wrap(c @ cdag - cdag @ c)
+    return ops.wrap(ops.lift(c)), ops.wrap(ops.lift(c @ cdag - cdag @ c))
 
 
 def displacement(ops: ModeOperators, amp: complex) -> np.ndarray:
-    """Optical displacement exp(amp a^dag - conj(amp) a) (dense exponential)."""
-    return expm(amp * ops.adag - np.conj(amp) * ops.a)
+    """Displacement exp(amp a^dag - conj(amp) a) of the first optical mode."""
+    return ops.lift(None, expm(amp * ops.opt.adag - np.conj(amp) * ops.opt.a))
 
 
 def coherent_state(n: int, z: complex) -> np.ndarray:

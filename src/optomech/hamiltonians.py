@@ -25,6 +25,9 @@ quadratic term two conventions exist in print that are mutually inconsistent
 ``convention="printed"`` (the g4+ (b^dag+b)^2 form) and
 ``convention="special_case"`` (the large-eta limit of the tuned special-case
 chain, which is what the special-case builder converges to).
+
+Every term is (mechanical factor) x (optical factor), built on the ladders
+``ops.mech`` and ``ops.opt`` and lifted once with ``ops.lift``.
 """
 
 from __future__ import annotations
@@ -87,16 +90,23 @@ def _require_single_optical(ops: ModeOperators, variant: str) -> None:
 
 
 def _drive_quadrature(ops: ModeOperators, phase: float) -> np.ndarray:
-    """e^{i phi} a^dag + e^{-i phi} a."""
+    """e^{i phi} a^dag + e^{-i phi} a (optical factor)."""
     ph = cmath.exp(1j * phase)
-    return ph * ops.adag + np.conj(ph) * ops.a
+    return ph * ops.opt.adag + np.conj(ph) * ops.opt.a
+
+
+def _free_mirror(params: CavityParams, ops: ModeOperators) -> np.ndarray:
+    """hbar Omega (P_mech^2 + X^2)/2."""
+    m = ops.mech
+    return 0.5 * params.hbar * params.omega_m * ops.lift(m.p @ m.p + m.x @ m.x)
 
 
 def h012(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Free part: hbar Omega (P_mech^2 + X^2)/2 + hbar omega (P^2 + Q^2)/2."""
     _require_single_optical(ops, "H012")
-    data = 0.5 * params.hbar * params.omega_m * (ops.p_mech @ ops.p_mech + ops.x @ ops.x) + \
-        0.5 * params.hbar * params.omega_c * (ops.p @ ops.p + ops.q @ ops.q)
+    o = ops.opt
+    data = _free_mirror(params, ops) + \
+        0.5 * params.hbar * params.omega_c * ops.lift(None, o.p @ o.p + o.x @ o.x)
     return ops.wrap(data)
 
 
@@ -104,7 +114,7 @@ def h3(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") ->
     """Cubic interaction -hbar alpha X (n + 1/2): the standard number-position coupling."""
     _require_single_optical(ops, "H3")
     rs = base_rates(params, r_convention)
-    data = -params.hbar * rs.alpha * ops.x @ (ops.n_op + 0.5 * ops.identity)
+    data = ops.lift(-params.hbar * rs.alpha * ops.mech.x, ops.opt.n + 0.5 * ops.opt.eye)
     return ops.wrap(data)
 
 
@@ -117,9 +127,10 @@ def h4(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") ->
     _require_single_optical(ops, "H4")
     rs = base_rates(params, r_convention)
     ratio2 = (params.omega_m / params.omega_c) ** 2
+    m, o = ops.mech, ops.opt
     data = 0.5 * params.hbar * rs.beta * (
-        ops.x @ ops.x @ (ops.p @ ops.p + ops.q @ ops.q)
-        - rs.R * ratio2 * (ops.p_mech @ ops.p_mech) @ (ops.q @ ops.q)
+        ops.lift(m.x @ m.x, o.p @ o.p + o.x @ o.x)
+        - ops.lift(rs.R * ratio2 * (m.p @ m.p), o.x @ o.x)
     )
     return ops.wrap(data)
 
@@ -129,10 +140,11 @@ def h5(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") ->
     _require_single_optical(ops, "H5")
     rs = base_rates(params, r_convention)
     ratio2 = (params.omega_m / params.omega_c) ** 2
-    sym_ppx = symmetrize_matrices([ops.p_mech, ops.p_mech, ops.x], labels=["p", "p", "x"])
+    m, o = ops.mech, ops.opt
+    sym_ppx = symmetrize_matrices([m.p, m.p, m.x], labels=["p", "p", "x"])
     data = params.hbar * rs.gamma * (
-        rs.R * ratio2 * sym_ppx @ (ops.q @ ops.q)
-        - ops.x @ ops.x @ ops.x @ (ops.n_op + 0.5 * ops.identity)
+        ops.lift(rs.R * ratio2 * sym_ppx, o.x @ o.x)
+        - ops.lift(m.x @ m.x @ m.x, o.n + 0.5 * o.eye)
     )
     return ops.wrap(data)
 
@@ -147,13 +159,14 @@ def ground_shift_estimate(params: CavityParams, r_convention: str = "exact") -> 
 def _dressing_polys(theta: float, ops: ModeOperators, order: int, printed_quadratic: bool):
     """Truncated dressing polynomials in u = theta X: momentum-quadrature
     factor (1+u)^{-1/2}, position-quadrature factor (1+u)^{+1/2}, squared
-    frequency (1+u)^{-2} (optionally with the printed +4 quadratic term)."""
-    u_pows = [ops.identity]
+    frequency (1+u)^{-2} (optionally with the printed +4 quadratic term), all
+    three as mechanical factors."""
+    u_pows = [ops.mech.eye]
     for _ in range(2 * order):
-        u_pows.append(u_pows[-1] @ (theta * ops.x))
+        u_pows.append(u_pows[-1] @ (theta * ops.mech.x))
 
     def poly(coeffs):
-        out = np.zeros_like(ops.identity)
+        out = np.zeros_like(ops.mech.eye)
         for i, cv in enumerate(coeffs):
             out = out + cv * u_pows[i]
         return out
@@ -181,13 +194,14 @@ def momentum_coupling_term(
     coeffs = list(expand_inverse_power(2, order))
     if printed_quadratic and order >= 2:
         coeffs[2] = 4.0
-    acc = np.zeros_like(ops.identity)
+    m = ops.mech
+    acc = np.zeros_like(m.eye)
     for i, ci in enumerate(coeffs):
-        word = [ops.p_mech, ops.p_mech] + [ops.x] * i
+        word = [m.p, m.p] + [m.x] * i
         labels = ["p", "p"] + ["x"] * i
         acc = acc + ci * rs.theta**i * symmetrize_matrices(word, labels=labels)
     ratio2 = (params.omega_m / params.omega_c) ** 2
-    data = -0.5 * params.hbar * rs.beta * rs.R * ratio2 * acc @ (ops.q @ ops.q)
+    data = ops.lift(-0.5 * params.hbar * rs.beta * rs.R * ratio2 * acc, ops.opt.x @ ops.opt.x)
     return ops.wrap(data)
 
 
@@ -201,10 +215,10 @@ def law_full(
     _require_single_optical(ops, "law_full")
     rs = base_rates(params)
     f_p, f_q, g_w = _dressing_polys(rs.theta, ops, order, printed_quadratic)
-    data = 0.5 * params.hbar * params.omega_m * (ops.p_mech @ ops.p_mech + ops.x @ ops.x) + \
-        0.5 * params.hbar * params.omega_c * (
-            f_p @ f_p @ ops.p @ ops.p + g_w @ f_q @ f_q @ ops.q @ ops.q
-        )
+    o = ops.opt
+    data = _free_mirror(params, ops) + 0.5 * params.hbar * params.omega_c * (
+        ops.lift(f_p @ f_p, o.p @ o.p) + ops.lift(g_w @ f_q @ f_q, o.x @ o.x)
+    )
     return ops.wrap(data)
 
 
@@ -226,7 +240,8 @@ def h3_linear_optical(params: CavityParams, ops: ModeOperators) -> OperatorMatri
     """Optically linearized cubic term -hbar g3 (b^dag + b)(e^{i phi} a^dag + e^{-i phi} a)."""
     _require_single_optical(ops, "H3_linear_optical")
     rs = linearized_rates(params, base_rates(params))
-    data = -params.hbar * rs.g3 * (ops.bdag + ops.b) @ _drive_quadrature(ops, params.a_phase)
+    data = ops.lift(-params.hbar * rs.g3 * (ops.mech.adag + ops.mech.a),
+                    _drive_quadrature(ops, params.a_phase))
     return ops.wrap(data)
 
 
@@ -249,24 +264,24 @@ def h4_linear_optical(
     """
     _require_single_optical(ops, "H4_linear_optical")
     rs = linearized_rates(params, base_rates(params, r_convention))
+    m, o = ops.mech, ops.opt
     if convention == "printed":
         if branch == "plus":
-            bb = ops.bdag + ops.b
-            data = params.hbar * rs.g4_plus * bb @ bb @ _drive_quadrature(ops, params.a_phase)
+            bb = m.adag + m.a
+            data = ops.lift(params.hbar * rs.g4_plus * bb @ bb,
+                            _drive_quadrature(ops, params.a_phase))
         elif branch == "minus":
-            bb = ops.bdag - ops.b
-            data = params.hbar * rs.g4_minus * bb @ bb @ (ops.adag + ops.a)
+            bb = m.adag - m.a
+            data = ops.lift(params.hbar * rs.g4_minus * bb @ bb, o.adag + o.a)
         else:
             raise ValueError(f"unknown branch {branch!r}; use 'plus' or 'minus'")
         return ops.wrap(data)
     if convention == "special_case":
         if branch != "plus":
             raise ValueError("the special-case convention defines only the plus branch")
-        b2 = ops.bdag @ ops.bdag + ops.b @ ops.b
-        data = (
-            2.0 * params.hbar * rs.beta * params.a_amp
-            * (b2 + ops.m_op) @ _drive_quadrature(ops, params.a_phase)
-        )
+        b2 = m.adag @ m.adag + m.a @ m.a
+        data = ops.lift(2.0 * params.hbar * rs.beta * params.a_amp * (b2 + m.n),
+                        _drive_quadrature(ops, params.a_phase))
         return ops.wrap(data)
     raise ValueError(f"unknown convention {convention!r}; use 'printed' or 'special_case'")
 
@@ -278,10 +293,12 @@ def h4_linear_mechanical(
     + e^{-i phi} a) or hbar G4- (b^dag - b)(a^dag + a)."""
     _require_single_optical(ops, "H4_linear_mechanical")
     rs = linearized_rates(params, base_rates(params, r_convention))
+    m, o = ops.mech, ops.opt
     if branch == "plus":
-        data = params.hbar * rs.G4_plus * (ops.bdag + ops.b) @ _drive_quadrature(ops, params.a_phase)
+        data = ops.lift(params.hbar * rs.G4_plus * (m.adag + m.a),
+                        _drive_quadrature(ops, params.a_phase))
     elif branch == "minus":
-        data = params.hbar * rs.G4_minus * (ops.bdag - ops.b) @ (ops.adag + ops.a)
+        data = ops.lift(params.hbar * rs.G4_minus * (m.adag - m.a), o.adag + o.a)
     else:
         raise ValueError(f"unknown branch {branch!r}; use 'plus' or 'minus'")
     return ops.wrap(data)
@@ -305,13 +322,14 @@ def h4_special_eta(
     rs = base_rates(params)
     D = _drive_quadrature(ops, params.a_phase)
     Dc = _drive_quadrature(ops, -params.a_phase)
-    b2 = ops.bdag @ ops.bdag + ops.b @ ops.b
+    m = ops.mech
+    b2 = m.adag @ m.adag + m.a @ m.a
     inv2 = 0.5 / eta
     data = 2.0 * params.hbar * rs.beta * params.a_amp * (
-        inv2 * b2 @ Dc
-        + (1.0 + inv2) * ops.m_op @ D
-        + b2 @ D
-        - (2.0 * inv2) * ops.m_op @ Dc
+        ops.lift(inv2 * b2, Dc)
+        + ops.lift((1.0 + inv2) * m.n, D)
+        + ops.lift(b2, D)
+        - ops.lift((2.0 * inv2) * m.n, Dc)
     )
     return ops.wrap(data)
 
@@ -331,27 +349,32 @@ def h4_bogoliubov_form(
     G4p, G4m = rs.G4_plus, rs.G4_minus
     G4 = math.sqrt(max(G4p * G4m, 0.0))
     if G4 == 0.0:
-        return ops.wrap(np.zeros_like(ops.identity))
+        return ops.wrap(np.zeros((ops.space.dim,) * 2, dtype=complex))
     ph = cmath.exp(1j * params.a_phase)
     rho = np.arctanh((G4p - G4m * ph) / (G4p + G4m * ph))
-    B = ops.bdag * np.cosh(rho) + ops.b * np.sinh(rho)
-    half = params.hbar * G4 * ops.a @ B.conj().T
+    B = ops.mech.adag * np.cosh(rho) + ops.mech.a * np.sinh(rho)
+    half = ops.lift(B.conj().T, params.hbar * G4 * ops.opt.a)
     data = half + half.conj().T
     return ops.wrap(data)
 
 
 def _relativistic_common(params: CavityParams, ops: ModeOperators) -> np.ndarray:
     """(b^dag - b)^2 sum_{kj} w_{kj} (a_k^dag + a_k)(a_j^dag + a_j)."""
-    if ops.space.n_modes_opt > 2:
+    n_modes = ops.space.n_modes_opt
+    if n_modes > 2:
         raise ValueError("relativistic correction is built for at most two optical modes")
-    w, _ = relativistic_rates(params, ops.space.n_modes_opt)
-    bb = (ops.bdag - ops.b) @ (ops.bdag - ops.b)
-    quads = [ops.adag_modes[i] + ops.a_modes[i] for i in range(ops.space.n_modes_opt)]
-    acc = np.zeros_like(ops.identity)
-    for k in range(len(quads)):
-        for j in range(len(quads)):
-            acc = acc + w[k, j] * quads[k] @ quads[j]
-    return bb @ acc
+    w, _ = relativistic_rates(params, n_modes)
+    bb = (ops.mech.adag - ops.mech.a) @ (ops.mech.adag - ops.mech.a)
+    quad = ops.opt.adag + ops.opt.a
+    acc = np.zeros((ops.space.dim,) * 2, dtype=complex)
+    for k in range(n_modes):
+        for j in range(n_modes):
+            # w_kj quad_k on mode k, then quad_j on mode j (quad^2 when k == j)
+            slots = [None] * n_modes
+            slots[k] = w[k, j] * quad
+            slots[j] = quad if slots[j] is None else slots[j] @ quad
+            acc = acc + ops.lift(bb, *slots)
+    return acc
 
 
 def delta_relativistic_first(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:

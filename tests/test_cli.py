@@ -28,6 +28,15 @@ def only(dirpath, pattern):
     return hits[0]
 
 
+def run_subprocess(argv, cwd):
+    # a fresh interpreter with a timeout, so a hang fails the test instead of the suite
+    src = str(Path(optomech.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "optomech.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestCoeffs:
     def test_csv_contents(self, tmp_path):
         assert run(["coeffs", "--kmax", "2", "--out-dir", str(tmp_path)]) == 0
@@ -228,18 +237,20 @@ class TestErrors:
         assert not list(tmp_path.glob("evolve-*"))
 
     def test_non_finite_t_end_exits_instead_of_hanging(self, tmp_path):
-        # a subprocess with a timeout, so a hang fails this test instead of the suite
-        src = str(Path(optomech.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         for t_end in ("nan", "inf"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "optomech.cli", "evolve", "--t-end", t_end,
-                 "--out-dir", str(tmp_path)],
-                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-            )
+            proc = run_subprocess(["evolve", "--t-end", t_end, "--out-dir", str(tmp_path)],
+                                  tmp_path)
             assert proc.returncode == 1, t_end
             assert "t_end" in proc.stderr
+
+    def test_fractional_kmax_is_config_error(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kmax": 2.5}))
+        proc = run_subprocess(["coeffs", "--config", str(cfg), "--out-dir", str(tmp_path)],
+                              tmp_path)
+        assert proc.returncode == 2
+        assert "kmax" in proc.stderr and "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("coeffs-*"))
 
 
 class TestDeterministicNaming:

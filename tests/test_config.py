@@ -98,3 +98,16 @@ def test_every_default_key_resolves():
     cfg = resolve_config()
     for key in DEFAULTS:
         assert hasattr(cfg, key)
+
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kmax", 2.5), ("kmax", "4"), ("kmax", 0), ("kmax", True),
+    ("n_mech", 1), ("n_mech", 8.0), ("n_opt", 1), ("n_opt", False),
+    ("dim_cap", "x"), ("dim_cap", 3),
+    ("order", 3), ("order", -1), ("order", 1.0), ("order", True),
+    ("grid", {"omega_c": 2.0}), ("grid", {"omega_c": []}), ("grid", {"omega_c": "1,2"}),
+])
+def test_bad_cutoff_and_grid_values_are_config_errors(key, value):
+    with pytest.raises(ConfigError, match=key):
+        resolve_config({key: value})

@@ -1,6 +1,7 @@
 """Fock-space construction, symmetrization, and operator identities."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,25 @@ class TestLadder:
     def test_mech_optical_commute(self, space16):
         _, ops = space16
         assert np.abs(fock.commutator(ops.x, ops.q)).max() == 0.0
+
+    def test_make_space_holds_only_single_mode_factors(self):
+        tracemalloc.start()
+        try:
+            fock.make_space(32, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_lift_places_factors_in_kron_order(self):
+        space, ops = fock.make_space(3, 4, n_modes_opt=2)
+        m, o = ops.mech, ops.opt
+        assert np.array_equal(ops.lift(), np.eye(space.dim))
+        assert np.array_equal(ops.lift(m.x), np.kron(np.kron(m.x, o.eye), o.eye))
+        assert np.array_equal(ops.lift(None, None, o.a), ops.a_modes[1])
+        assert np.array_equal(ops.lift(m.n, o.x), np.kron(np.kron(m.n, o.x), o.eye))
+        with pytest.raises(ValueError):
+            ops.lift(None, o.a, o.a, o.a)
 
     def test_two_optical_modes(self):
         space, ops = fock.make_space(4, 4, n_modes_opt=2)
@@ -106,20 +126,6 @@ class TestSymmetrize:
         _, ops = fock.make_space(4, 4)
         with pytest.raises(ValueError):
             fock.symmetrize_matrices([ops.x] * 9)
-
-    def test_word_object_interface(self):
-        space, ops = fock.make_space(6, 6)
-        word = fock.OperatorWord(
-            labels=("p", "p", "x"),
-            alphabet={"p": ops.wrap(ops.p), "x": ops.wrap(ops.x)},
-        )
-        out = fock.symmetrize(word)
-        assert isinstance(out, fock.OperatorMatrix)
-        assert out.space == space
-        with pytest.raises(ValueError):
-            fock.OperatorWord(labels=(), alphabet={})
-        with pytest.raises(KeyError):
-            fock.OperatorWord(labels=("y",), alphabet={"x": ops.wrap(ops.x)})
 
     @given(st.permutations(["p", "p", "x", "q"]))
     @settings(max_examples=12, deadline=None)

@@ -168,6 +168,30 @@ class TestFullBuilds:
         assert got == pytest.approx(want, rel=1e-3)
         assert abs(got / want - 1.0) > 0.0  # higher orders present but small
 
+    def test_order_two_builds_match_product_space_formula(self):
+        # the full builds written out with product-space operators: dressing
+        # series of (1+u)^{-1/2}, (1+u)^{+1/2}, (1+u)^{-2} in u = theta X, and
+        # the momentum term over S{P_mech^2}, S{P_mech^2 X}, S{P_mech^2 X^2}
+        space, ops = fock.make_space(16, 16)
+        p = CavityParams(mass=1.0, length=10.0, omega_m=1.0, omega_c=2.0)
+        rs = base_rates(p)
+        eye, u = ops.identity, rs.theta * ops.x
+        f_p = eye - 0.5 * u + 0.375 * u @ u
+        f_q = eye + 0.5 * u - 0.125 * u @ u
+        g_w = eye - 2.0 * u + 3.0 * u @ u
+        pm, x, q = ops.p_mech, ops.x, ops.q
+        law = 0.5 * p.hbar * p.omega_m * (pm @ pm + x @ x) \
+            + 0.5 * p.hbar * p.omega_c * (f_p @ f_p @ ops.p @ ops.p + g_w @ f_q @ f_q @ q @ q)
+        sym = (
+            fock.symmetrize_matrices([pm, pm], labels="pp")
+            - 2.0 * rs.theta * fock.symmetrize_matrices([pm, pm, x], labels="ppx")
+            + 3.0 * rs.theta**2 * fock.symmetrize_matrices([pm, pm, x, x], labels="ppxx")
+        )
+        mom = -0.5 * p.hbar * rs.beta * rs.R * (p.omega_m / p.omega_c) ** 2 * sym @ q @ q
+        for variant, want in (("law_full", law), ("new_full", law + mom)):
+            got = ham.build_hamiltonian(variant, p, space, order=2).data
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), variant
+
     def test_printed_quadratic_flag_changes_spectrum(self, ops8):
         space, ops = ops8
         taylor = ham.law_full(P_WEAK, ops, order=2)
