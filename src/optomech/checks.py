@@ -25,7 +25,10 @@ from .rates import (
     squeeze_parameters,
 )
 
-__all__ = ["CheckEntry", "CheckReport", "run_checks"]
+__all__ = ["CheckEntry", "CheckReport", "SUM_RULE_KMAX", "run_checks"]
+
+# the diagonal sum rule is checked for modes k = 1..SUM_RULE_KMAX
+SUM_RULE_KMAX = 5
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,11 @@ class CheckReport:
 
 
 def _series_checks(report: CheckReport, jmax: int, ltrunc: int, kmax: int) -> None:
-    worst = max(coef.verify_g_squared_sum(k, jmax, tail_correct=True) for k in range(1, 6))
-    report.add("mode_sum_rule_max_k1to5", worst, 1e-4)
+    worst = max(
+        coef.verify_g_squared_sum(k, jmax, tail_correct=True)
+        for k in range(1, SUM_RULE_KMAX + 1)
+    )
+    report.add(f"mode_sum_rule_max_k1to{SUM_RULE_KMAX}", worst, 1e-4)
     report.add("gram_identity_max", coef.verify_gram_identity(kmax, ltrunc, True), 1e-3)
     r_lo = coef.verify_gram_identity(kmax, 10**3, tail_correct=False)
     r_hi = coef.verify_gram_identity(kmax, 10**4, tail_correct=False)

@@ -11,6 +11,7 @@ config -> byte-identical files, named <subcommand>-<confighash>.<ext> under
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -94,10 +95,20 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+def _require_above(cfg: RunConfig, key: str, bound: int, what: str) -> None:
+    # a truncation must reach past the largest mode its sum rule is checked at
+    value = getattr(cfg, key)
+    if value <= bound:
+        raise ConfigError(f"{key} must exceed {what} ({bound}), got {value}")
+
+
 def _cmd_verify(args) -> int:
     cfg = _resolve(args)
+    k_rule = min(cfg.kmax, 8)
+    _require_above(cfg, "jmax", k_rule, "the largest sum-rule mode")
+    _require_above(cfg, "ltrunc", max(cfg.kmax, 2), "kmax")
     report = checks_mod.CheckReport()
-    for k in range(1, min(cfg.kmax, 8) + 1):
+    for k in range(1, k_rule + 1):
         report.add(
             f"mode_sum_rule_k{k}",
             coef.verify_g_squared_sum(k, cfg.jmax, cfg.tail_correct),
@@ -166,8 +177,11 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _build_variant(cfg: RunConfig, variant: str) -> fock.OperatorMatrix:
-    space = fock.FockSpace(n_mech=cfg.n_mech, n_opt=cfg.n_opt, dim_cap=cfg.dim_cap)
+def _fock_space(cfg: RunConfig) -> fock.FockSpace:
+    return fock.FockSpace(n_mech=cfg.n_mech, n_opt=cfg.n_opt, dim_cap=cfg.dim_cap)
+
+
+def _build_variant(cfg: RunConfig, space: fock.FockSpace, variant: str) -> fock.OperatorMatrix:
     eta = {"eta": cfg.eta} if variant == "H4_special_eta" else {}
     return ham.build_hamiltonian(variant, _cavity_params(cfg), space, order=cfg.order,
                                  r_convention=cfg.r_convention, **eta)
@@ -176,7 +190,7 @@ def _build_variant(cfg: RunConfig, variant: str) -> fock.OperatorMatrix:
 def _cmd_hamiltonian(args) -> int:
     cfg = _resolve(args)
     variant = args.variants[0] if args.variants else "new_full"
-    H = _build_variant(cfg, variant)
+    H = _build_variant(cfg, _fock_space(cfg), variant)
     if cfg.out_format == "json":
         payload = {
             "variant": variant,
@@ -201,10 +215,13 @@ def _cmd_hamiltonian(args) -> int:
 def _cmd_spectrum(args) -> int:
     cfg = _resolve(args)
     variants = args.variants or ["new_full"]
+    space = _fock_space(cfg)
+    if cfg.k_eigen > space.dim:
+        raise ConfigError(f"k_eigen ({cfg.k_eigen}) exceeds the space dimension {space.dim}")
     paths = []
     eigs = {}
     for variant in variants:
-        H = _build_variant(cfg, variant)
+        H = _build_variant(cfg, space, variant)
         vals = fock.spectrum(H, cfg.k_eigen)
         eigs[variant] = vals
         path = _out_path(args, cfg, "spectrum", "csv", suffix=f"-{variant}")
@@ -233,8 +250,11 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_checks(args) -> int:
     cfg = _resolve(args)
+    kmax = max(cfg.kmax, 2)
+    _require_above(cfg, "jmax", checks_mod.SUM_RULE_KMAX, "the largest sum-rule mode")
+    _require_above(cfg, "ltrunc", kmax, "kmax")
     report = checks_mod.run_checks(
-        jmax=cfg.jmax, ltrunc=cfg.ltrunc, kmax=max(cfg.kmax, 2), params=_cavity_params(cfg)
+        jmax=cfg.jmax, ltrunc=cfg.ltrunc, kmax=kmax, params=_cavity_params(cfg)
     )
     path = _out_path(args, cfg, "checks", "json")
     _write_json(path, report.to_dict())
@@ -246,13 +266,13 @@ def _cmd_checks(args) -> int:
     return 0
 
 
-def _sweep_point(cfg_dict: dict, names: list[str], values: tuple) -> tuple:
-    overrides = dict(zip(names, values))
-    merged = dict(cfg_dict)
-    merged.update(overrides)
-    merged["grid"] = {}
-    cfg = resolve_config(merged, None)
-    rs = all_rates(_cavity_params(cfg), kmax=cfg.kmax, r_convention=cfg.r_convention)
+def _sweep_point(cfg: RunConfig, names: list[str], values: tuple) -> tuple:
+    # resolve_config checked every grid value by its key's own rule, so a point
+    # needs no second resolution; None keeps the base value, as in a config file
+    point = dataclasses.replace(
+        cfg, **{name: v for name, v in zip(names, values) if v is not None}
+    )
+    rs = all_rates(_cavity_params(point), kmax=point.kmax, r_convention=point.r_convention)
     scalars = tuple(
         float(getattr(rs, f)) if getattr(rs, f) is not None else float("nan")
         for f in _SCALAR_RATE_FIELDS
@@ -267,8 +287,7 @@ def _cmd_sweep(args) -> int:
     names = sorted(cfg.grid)
     value_lists = [cfg.grid[n] for n in names]
     points = list(itertools.product(*value_lists))
-    cfg_dict = cfg.to_dict()
-    rows = [_sweep_point(cfg_dict, names, vals) for vals in points]
+    rows = [_sweep_point(cfg, names, vals) for vals in points]
     header = names + list(_SCALAR_RATE_FIELDS)
     path = _out_path(args, cfg, "sweep", "csv")
     _write_csv(path, header, rows)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["RunConfig", "DEFAULTS", "load_config_file", "resolve_config", "config_hash"]
@@ -124,6 +126,43 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
+_CHOICES = {
+    "units": ("natural", "SI"),
+    "out_format": ("csv", "json"),
+    "r_convention": ("exact", "prose"),
+}
+_INT_MINIMA = {
+    "kmax": 1, "k_eigen": 1, "jmax": 1, "ltrunc": 1, "n_mech": 2, "n_opt": 2, "dim_cap": 4,
+}
+_REAL_KEYS = frozenset({
+    "mass", "length", "omega_m", "omega_c", "c", "hbar", "a_amp", "a_phase", "b_amp",
+    "b_phase", "chi0", "thickness", "rel_tol", "abs_tol", "t_end", "q_floor", "eta", "q0",
+    "qdot0",
+})
+
+
+def _check_value(key: str, value, name: str) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is valid for ``key``.
+
+    Every rule looks at one key alone, so a sweep grid value is valid exactly
+    when it would be valid as that key's own value.  None means "not given".
+    """
+    if value is None:
+        return
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(f"{name} must be one of {_CHOICES[key]}, got {value!r}")
+    # exact type checks: bool is an int subclass and 1.0 == 1, both rejected
+    if key in _INT_MINIMA and (type(value) is not int or value < _INT_MINIMA[key]):
+        raise ConfigError(f"{name} must be an integer >= {_INT_MINIMA[key]}, got {value!r}")
+    if key == "order" and (type(value) is not int or value not in (0, 1, 2)):
+        raise ConfigError(f"{name} must be 0, 1 or 2, got {value!r}")
+    if key in _REAL_KEYS and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    # a chained comparison, not math.isfinite: a huge JSON integer cannot overflow it
+    if key == "eta" and not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def resolve_config(file_doc: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Merge defaults, config file, and flag overrides (flags win); validate."""
     merged = dict(DEFAULTS)
@@ -134,23 +173,13 @@ def resolve_config(file_doc: dict | None = None, overrides: dict | None = None) 
         if unknown:
             raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
         merged.update({k: v for k, v in source.items() if v is not None})
-    if merged["units"] not in ("natural", "SI"):
-        raise ConfigError("units must be 'natural' or 'SI'")
     if merged["c"] is None:
         merged["c"] = 1.0 if merged["units"] == "natural" else SI_C
     if merged["hbar"] is None:
         merged["hbar"] = 1.0 if merged["units"] == "natural" else SI_HBAR
-    if merged["out_format"] not in ("csv", "json"):
-        raise ConfigError("out_format must be 'csv' or 'json'")
-    if merged["r_convention"] not in ("exact", "prose"):
-        raise ConfigError("r_convention must be 'exact' or 'prose'")
-    # exact type checks: bool is an int subclass and 1.0 == 1, both rejected
-    for key, low in (("kmax", 1), ("n_mech", 2), ("n_opt", 2), ("dim_cap", 4), ("k_eigen", 1)):
-        value = merged[key]
-        if type(value) is not int or value < low:
-            raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-    if type(merged["order"]) is not int or merged["order"] not in (0, 1, 2):
-        raise ConfigError(f"order must be 0, 1 or 2, got {merged['order']!r}")
+    for key, value in merged.items():
+        if key != "grid":
+            _check_value(key, value, key)
     if not isinstance(merged["grid"], dict):
         raise ConfigError("grid must be an object mapping parameter names to value lists")
     unknown_grid = sorted(set(merged["grid"]) - set(DEFAULTS))
@@ -159,6 +188,8 @@ def resolve_config(file_doc: dict | None = None, overrides: dict | None = None) 
     for key, values in merged["grid"].items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid value for {key} must be a non-empty list, got {values!r}")
+        for value in values:
+            _check_value(key, value, f"grid.{key}")
     return RunConfig(**merged)
 
 

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .coefficients import CoefficientTable, gram_matrix
 
@@ -357,6 +356,9 @@ def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop):
     With ``sample_times`` the output is interpolated onto that grid via the
     solver's dense output; otherwise the natural accepted steps are returned.
     """
+    # imported here so that only integrating callers pay for scipy.integrate
+    from scipy.integrate import DOP853
+
     solver = DOP853(rhs, 0.0, np.asarray(y0, dtype=float), t_bound=float(t_end),
                     rtol=rel_tol, atol=abs_tol)
     ts = [0.0]

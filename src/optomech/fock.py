@@ -26,7 +26,6 @@ from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "FockSpace",
@@ -322,6 +321,8 @@ def squared_annihilator(ops: ModeOperators) -> tuple[OperatorMatrix, OperatorMat
 
 def displacement(ops: ModeOperators, amp: complex) -> np.ndarray:
     """Displacement exp(amp a^dag - conj(amp) a) of the first optical mode."""
+    from scipy.linalg import expm  # here, so that only displacement pays for scipy.linalg
+
     return ops.lift(None, expm(amp * ops.opt.adag - np.conj(amp) * ops.opt.a))
 
 

@@ -28,13 +28,17 @@ def only(dirpath, pattern):
     return hits[0]
 
 
-def run_subprocess(argv, cwd):
+def run_python(args, cwd):
     # a fresh interpreter with a timeout, so a hang fails the test instead of the suite
     src = str(Path(optomech.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "optomech.cli", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def run_subprocess(argv, cwd):
+    return run_python(["-m", "optomech.cli", *argv], cwd)
 
 
 class TestCoeffs:
@@ -251,6 +255,72 @@ class TestErrors:
         assert proc.returncode == 2
         assert "kmax" in proc.stderr and "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("coeffs-*"))
+
+    def test_non_finite_eta_is_config_error(self, tmp_path, capsys):
+        code = run(["hamiltonian", "--variant", "H4_special_eta", "--eta", "nan",
+                    "--n-mech", "4", "--n-opt", "4", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "eta" in capsys.readouterr().err
+        assert not list(tmp_path.glob("hamiltonian-*"))
+
+    def test_k_eigen_above_dimension_is_config_error(self, tmp_path, capsys):
+        code = run(["spectrum", "--n-mech", "4", "--n-opt", "4", "--k-eigen", "100",
+                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "k_eigen" in err and "16" in err
+        assert not list(tmp_path.glob("spectrum-*"))
+
+    @pytest.mark.parametrize("argv, key", [
+        (["verify", "--jmax", "3"], "jmax"),
+        (["checks", "--jmax", "3"], "jmax"),
+        (["verify", "--ltrunc", "3"], "ltrunc"),
+    ])
+    def test_truncation_below_checked_modes_is_config_error(self, tmp_path, capsys, argv, key):
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_wrong_type_grid_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"grid": {"omega_c": [1.0, "x"]}}))
+        assert run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "grid.omega_c" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sweep-*"))
+
+
+# Runs in a fresh interpreter: other tests import scipy into this one.
+_IMPORT_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = {}
+import optomech
+loaded["import optomech"] = scipy_modules()
+from optomech.cli import main
+loaded["import optomech.cli"] = scipy_modules()
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    codes[argv[0]] = main(argv + ["--out-dir", sys.argv[2]])
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_only_evolve_loads_scipy(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grid": {"omega_c": [1.0, 2.0]}}))
+    small = ["--n-mech", "4", "--n-opt", "4"]
+    calls = [["coeffs"], ["rates"], ["verify"], ["sweep", "--config", str(grid)], ["checks"],
+             ["hamiltonian", *small], ["spectrum", *small, "--k-eigen", "3"],
+             ["evolve", "--kmax", "1", "--t-end", "1"]]
+    proc = run_python(["-c", _IMPORT_PROBE, json.dumps(calls), str(tmp_path)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == {argv[0]: 0 for argv in calls}
+    loaded = report["loaded"]
+    assert "scipy.integrate" in loaded.pop("evolve")
+    assert loaded == {step: [] for step in loaded}
 
 
 class TestDeterministicNaming:

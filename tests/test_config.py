@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optomech.config import (
     ConfigError,
@@ -111,3 +113,48 @@ def test_every_default_key_resolves():
 def test_bad_cutoff_and_grid_values_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
         resolve_config({key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("omega_c", "x"), ("mass", True), ("t_end", [1.0]), ("q0", "far"),
+    ("eta", float("nan")), ("eta", float("inf")), ("eta", 0.0), ("eta", -1.0), ("eta", "0.5"),
+])
+def test_real_valued_keys_reject_other_types_and_bad_eta(key, value):
+    with pytest.raises(ConfigError, match=key):
+        resolve_config({key: value})
+    assert resolve_config({key: 2}).to_dict()[key] == 2
+
+
+@pytest.mark.parametrize("grid, name", [
+    ({"omega_c": [1.0, "x"]}, "grid.omega_c"),
+    ({"mass": [1.0, False]}, "grid.mass"),
+    ({"kmax": [2, 2.5]}, "grid.kmax"),
+    ({"r_convention": ["exact", "rounded"]}, "grid.r_convention"),
+    ({"eta": [0.5, -1.0]}, "grid.eta"),
+])
+def test_grid_values_follow_their_key_rule(grid, name):
+    with pytest.raises(ConfigError, match=name):
+        resolve_config({"grid": grid})
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8)
+)
+_JSON_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+_GRIDS = st.dictionaries(st.sampled_from(sorted(DEFAULTS) + ["frequency"]), _JSON_VALUES,
+                         max_size=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=_JSON_VALUES | _GRIDS,
+       others=st.dictionaries(st.sampled_from(sorted(DEFAULTS)), _JSON_VALUES | _GRIDS,
+                              max_size=2))
+@example(value=10**400, others={})  # JSON integers are unbounded; math.isfinite overflows
+def test_any_json_config_resolves_or_is_config_error(value, others):
+    # every key meets the drawn value; a few other drawn keys ride along
+    for key in DEFAULTS:
+        try:
+            resolve_config({**others, key: value})
+        except ConfigError:
+            pass
