@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -146,11 +147,21 @@ def _cmd_rates(args) -> int:
     return 0
 
 
+def _mode_amplitudes(cfg: RunConfig, key: str) -> np.ndarray:
+    # a list of kmax real numbers, or zeros when not given
+    value = getattr(cfg, key)
+    if value is None:
+        return np.zeros(cfg.kmax)
+    if not (isinstance(value, list) and len(value) == cfg.kmax and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value)):
+        raise ConfigError(f"{key} must be a list of kmax = {cfg.kmax} real numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _initial_state(cfg: RunConfig) -> ClassicalState:
     q0 = cfg.length * 1.01 if cfg.q0 is None else cfg.q0
-    Q0 = np.zeros(cfg.kmax) if cfg.Q0 is None else np.asarray(cfg.Q0, dtype=float)
-    Qdot0 = np.zeros(cfg.kmax) if cfg.Qdot0 is None else np.asarray(cfg.Qdot0, dtype=float)
-    return ClassicalState(t=0.0, q=q0, qdot=cfg.qdot0, Q=Q0, Qdot=Qdot0)
+    return ClassicalState(t=0.0, q=q0, qdot=cfg.qdot0, Q=_mode_amplitudes(cfg, "Q0"),
+                          Qdot=_mode_amplitudes(cfg, "Qdot0"))
 
 
 def _cmd_evolve(args) -> int:
@@ -178,6 +189,9 @@ def _cmd_evolve(args) -> int:
 
 
 def _fock_space(cfg: RunConfig) -> fock.FockSpace:
+    if cfg.n_mech * cfg.n_opt > cfg.dim_cap:
+        raise ConfigError(f"n_mech * n_opt = {cfg.n_mech * cfg.n_opt} exceeds dim_cap "
+                          f"({cfg.dim_cap})")
     return fock.FockSpace(n_mech=cfg.n_mech, n_opt=cfg.n_opt, dim_cap=cfg.dim_cap)
 
 

@@ -130,6 +130,8 @@ _CHOICES = {
     "units": ("natural", "SI"),
     "out_format": ("csv", "json"),
     "r_convention": ("exact", "prose"),
+    "variant": ("new", "law"),
+    "mirror_model": ("newton", "lagrangian"),
 }
 _INT_MINIMA = {
     "kmax": 1, "k_eigen": 1, "jmax": 1, "ltrunc": 1, "n_mech": 2, "n_opt": 2, "dim_cap": 4,
@@ -156,6 +158,8 @@ def _check_value(key: str, value, name: str) -> None:
         raise ConfigError(f"{name} must be an integer >= {_INT_MINIMA[key]}, got {value!r}")
     if key == "order" and (type(value) is not int or value not in (0, 1, 2)):
         raise ConfigError(f"{name} must be 0, 1 or 2, got {value!r}")
+    if key == "tail_correct" and type(value) is not bool:
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     if key in _REAL_KEYS and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     # a chained comparison, not math.isfinite: a huge JSON integer cannot overflow it

@@ -34,6 +34,12 @@ exactly), by the Euler-Lagrange equation of the truncated Lagrangian
 truncated system an exact invariant of the flow), or by a prescribed motion
 (``integrate_prescribed``).
 
+Every right-hand side starts from one block matvec R = B @ [Q; Qdot], whose
+six rows are Q, Qdot, gQ, MQ, g Qdot and (c pi k)^2 Q.  The field
+accelerations are [0, 0, qddot/q - u^2, u^2, 2u, -1/q^2] @ R, the Newton
+force reads sum_k (-1)^k k Q_k from row Q, and R[:3] @ R[2:].T holds every
+dot product of the Euler-Lagrange mirror equation, solved on Python floats.
+
 The Legendre energy reported along trajectories is
 
     E = m qdot^2/2 + V(q) + sum_k (Qdot_k^2 + omega_k^2 Q_k^2)/2
@@ -45,7 +51,9 @@ symmetric canonical-momentum split (same expression with -1/4 instead of
 +1/2 on the quadratic-velocity term and no velocity cross term) is recorded
 alongside as ``h_canonical``; it is generally *not* conserved under the
 truncated flow, and both diagnostics are reported rather than deciding which
-one "should" be constant.
+one "should" be constant.  Both columns are evaluated in one batch over all
+samples, summed column by column so that a row's value does not depend on
+the batch: ``h_canonical()``, and ``energy()`` for ``new``, equal them exactly.
 
 Integration uses an adaptive 8(5,3) Runge-Kutta scheme with local
 interpolation; no symplectic structure is claimed (the system is
@@ -119,6 +127,9 @@ class ClassicalState:
     def __post_init__(self):
         self.Q = np.asarray(self.Q, dtype=float)
         self.Qdot = np.asarray(self.Qdot, dtype=float)
+        for name in ("q", "qdot", "Q", "Qdot"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"invalid state: {name} must be finite")
         if self.q <= 0:
             raise ValueError("invalid state: mirror position q must be > 0")
         if self.Q.shape != self.Qdot.shape or self.Q.ndim != 1:
@@ -158,65 +169,112 @@ def _check_state(state: ClassicalState, params: MirrorParams) -> None:
         raise ValueError(f"state holds {len(state.Q)} modes, params.kmax = {params.kmax}")
 
 
-def _coupling(
-    variant: str,
-    table: CoefficientTable,
-    kmax: int,
-    inner_cutoff: int | None,
-    default_cutoff: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, M, d) of a variant: M = d for 'new', the Gram matrix summed to
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (N, k) arrays, summed column by column (N-independent)."""
+    acc = a[:, 0] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        acc += a[:, j] * b[:, j]
+    return acc
+
+
+def _rowmatvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ x for every row x of X, accumulated column by column (see _rowdot)."""
+    acc = X[:, :1] * A[:, 0]
+    for j in range(1, X.shape[1]):
+        acc += X[:, j : j + 1] * A[:, j]
+    return acc
+
+
+class _Coupling:
+    """Couplings g, M, d of one variant at kmax modes and the mirror constants,
+    with the block matrix B whose one matvec feeds the right-hand side."""
+
+    def __init__(self, params: MirrorParams, g: np.ndarray, M: np.ndarray, d: np.ndarray):
+        k = params.kmax
+        kk = np.arange(1, k + 1, dtype=float)
+        self.kmax, self.g, self.M, self.d = k, g, M, d
+        self.mass, self.length = params.mass, params.length
+        self.spring = params.mass * params.omega_m**2
+        self.c2pi2 = (params.c * np.pi) ** 2
+        self.c2k2 = (params.c * np.pi * kk) ** 2
+        self.signs = (-1.0) ** kk * kk
+        eye, zero = np.eye(k), np.zeros((k, k))
+        self.B = np.block([[eye, zero], [zero, eye], [g, zero], [M, zero], [zero, g],
+                           [np.diag(self.c2k2), zero]])
+
+    def rows(self, z: np.ndarray) -> np.ndarray:
+        """R = B @ z for z = [Q; Qdot]: rows Q, Qdot, gQ, MQ, g Qdot, (c pi k)^2 Q."""
+        return np.dot(self.B, z).reshape(6, self.kmax)
+
+    def field_accel(self, q: float, qdot: float, qddot: float, R: np.ndarray) -> np.ndarray:
+        """Field equation of the module docstring, as one combination of R."""
+        u = qdot / q
+        return np.dot((0.0, 0.0, qddot / q - u * u, u * u, 2.0 * u, -1.0 / (q * q)), R)
+
+    def newton_accel(self, q: float, qdot: float, R: np.ndarray) -> float:
+        """qddot = [-m Omega^2 (q - l) + (c pi / q)^2 (sum_k (-1)^k k Q_k)^2 / q] / m."""
+        s = float(np.dot(self.signs, R[0]))
+        return (-self.spring * (q - self.length) + self.c2pi2 * s * s / (q * q * q)) / self.mass
+
+    def lagrangian_accel(self, q: float, qdot: float, R: np.ndarray) -> float:
+        """Euler-Lagrange mirror equation of the truncated Lagrangian, linear in the
+        field accelerations and so solved in closed form (F: field acceleration at
+        qddot = 0, D = Q.M.Q, omega_k = c pi k / q):
+
+            (m + (D - gQ.gQ)/q^2) qddot = -m Omega^2 (q - l) + omega^2.Q^2/q
+                + qdot^2 D/q^3 - 2 qdot Qdot.MQ/q^2 + gQ.F/q
+        """
+        (_, D, _, W), (_, half_Ddot, _, _), (gg, gM, ggd, gW) = np.dot(R[:3], R[2:].T).tolist()
+        u = qdot / q
+        q2 = q * q
+        gF = u * u * (gM - gg) + 2.0 * u * ggd - gW / q2
+        num = (-self.spring * (q - self.length) + W / (q2 * q) + qdot * qdot / (q2 * q) * D
+               - 2.0 * qdot / q2 * half_Ddot + gF / q)
+        return num / (self.mass + (D - gg) / q2)
+
+    def energies(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Legendre energy with coupling M, canonical-split value) of every row
+        [q, qdot, Q, Qdot] of ``y``; temporaries are N x kmax."""
+        k = self.kmax
+        q, qdot, Q, Qdot = y[:, 0], y[:, 1], y[:, 2 : 2 + k], y[:, 2 + k :]
+        u = qdot / q
+        base = (0.5 * self.mass * qdot * qdot + 0.5 * self.spring * (q - self.length) ** 2
+                + 0.5 * (_rowdot(Qdot, Qdot) + _rowdot(Q, Q * self.c2k2) / (q * q)))
+        legendre = (base + 0.5 * u * u * _rowdot(Q, _rowmatvec(self.M, Q))
+                    - u * _rowdot(Qdot, _rowmatvec(self.g, Q)))
+        return legendre, base - 0.25 * u * u * _rowdot(Q, _rowmatvec(self.d, Q))
+
+
+def _coupling(variant: str, table: CoefficientTable, params: MirrorParams,
+              inner_cutoff: int | None, default_cutoff: int | None) -> _Coupling:
+    """Coupling of a variant: M = d for 'new', the Gram matrix summed to
     ``inner_cutoff`` modes (``default_cutoff`` when None) for 'law'."""
+    kmax = params.kmax
     if table.kmax < kmax:
         raise ValueError("coefficient table smaller than requested mode count")
     g, d = table.g[:kmax, :kmax], table.d[:kmax, :kmax]
     if variant == "new":
-        return g, d, d
+        return _Coupling(params, g, d, d)
     if variant == "law":
         L = default_cutoff if inner_cutoff is None else inner_cutoff
-        return g, gram_matrix(kmax, L), d
+        return _Coupling(params, g, gram_matrix(kmax, L), d)
     raise ValueError(f"unknown variant {variant!r}; use 'new' or 'law'")
 
 
-def _free_field_accel(q, qdot, Q, Qdot, g, M, params):
-    """Field acceleration at qddot = 0, F = -omega_k^2 Q + u^2 (M - g) Q + 2u g Qdot
-    with u = qdot/q; returned with omega_k^2, g Q and M Q for reuse.
-
-    The full field equation is Qddot = F + (qddot/q) g Q.
-    """
-    u = qdot / q
-    k = np.arange(1, params.kmax + 1, dtype=float)
-    om2 = (params.c * np.pi * k / q) ** 2
-    gQ = g @ Q
-    MQ = M @ Q
-    F = -om2 * Q + u * u * (MQ - gQ) + 2.0 * u * (g @ Qdot)
-    return F, om2, gQ, MQ
+def _state_vector(state: ClassicalState) -> np.ndarray:
+    return np.concatenate([[state.q, state.qdot], state.Q, state.Qdot])
 
 
-def _field_accel(q, qdot, Q, Qdot, qddot, g, M, params):
-    F, _, gQ, _ = _free_field_accel(q, qdot, Q, Qdot, g, M, params)
-    return F + (qddot / q) * gQ
-
-
-def field_accel_new(
-    state: ClassicalState,
-    table: CoefficientTable,
-    params: MirrorParams,
-    qddot: float,
-) -> np.ndarray:
+def field_accel_new(state: ClassicalState, table: CoefficientTable, params: MirrorParams,
+                    qddot: float) -> np.ndarray:
     """Field accelerations with the explicit self-rate and (h - 3g) couplings."""
     _check_state(state, params)
-    g, M, _ = _coupling("new", table, params.kmax, None, None)
-    return _field_accel(state.q, state.qdot, state.Q, state.Qdot, qddot, g, M, params)
+    cp = _coupling("new", table, params, None, None)
+    return cp.field_accel(state.q, state.qdot, qddot, cp.rows(_state_vector(state)[2:]))
 
 
-def field_accel_law(
-    state: ClassicalState,
-    table: CoefficientTable,
-    params: MirrorParams,
-    qddot: float,
-    inner_cutoff: int | None = None,
-) -> np.ndarray:
+def field_accel_law(state: ClassicalState, table: CoefficientTable, params: MirrorParams,
+                    qddot: float, inner_cutoff: int | None = None) -> np.ndarray:
     """Field accelerations in the Gram-sum form.
 
     The inner sum over the coupling products runs to ``inner_cutoff`` modes
@@ -224,15 +282,8 @@ def field_accel_law(
     Gram term is empty and the self-rate is lost entirely).
     """
     _check_state(state, params)
-    g, M, _ = _coupling("law", table, params.kmax, inner_cutoff, table.kmax)
-    return _field_accel(state.q, state.qdot, state.Q, state.Qdot, qddot, g, M, params)
-
-
-def _newton_accel(q, Q, signs, params):
-    """Newton mirror acceleration; ``signs`` holds (-1)^k k."""
-    s = signs @ Q
-    pressure = (params.c * np.pi / q) ** 2 * s * s / q
-    return (-params.mass * params.omega_m**2 * (q - params.length) + pressure) / params.mass
+    cp = _coupling("law", table, params, inner_cutoff, table.kmax)
+    return cp.field_accel(state.q, state.qdot, qddot, cp.rows(_state_vector(state)[2:]))
 
 
 def mirror_accel(state: ClassicalState, params: MirrorParams) -> float:
@@ -243,56 +294,18 @@ def mirror_accel(state: ClassicalState, params: MirrorParams) -> float:
     equations; that ordering is exact, not iterative.
     """
     _check_state(state, params)
-    k = np.arange(1, params.kmax + 1, dtype=float)
-    return float(_newton_accel(state.q, state.Q, (-1.0) ** k * k, params))
-
-
-def _variational_mirror_accel(q, qdot, Q, Qdot, F, om2, gQ, MQ, params):
-    """Euler-Lagrange mirror equation of the truncated Lagrangian.
-
-    The mutual dependence on the field accelerations is linear and is solved
-    in closed form from the pieces of the field equation (see
-    ``_free_field_accel``); gamma = g Q collects the velocity-coupling weights.
-    """
-    D = Q @ MQ
-    Ddot = 2.0 * (Qdot @ MQ)
-    W = float(om2 @ (Q * Q))
-    num = (
-        -params.mass * params.omega_m**2 * (q - params.length)
-        + W / q
-        + qdot * qdot / q**3 * D
-        - qdot / q**2 * Ddot
-        + (gQ @ F) / q
-    )
-    den = params.mass + (D - gQ @ gQ) / q**2
-    return num / den
-
-
-def _energies(q, qdot, Q, Qdot, g, M, d, params):
-    """(Legendre energy with coupling M, canonical-split value) of one state."""
-    k = np.arange(1, params.kmax + 1, dtype=float)
-    om2 = (params.c * np.pi * k / q) ** 2
-    base = (
-        0.5 * params.mass * qdot * qdot
-        + 0.5 * params.mass * params.omega_m**2 * (q - params.length) ** 2
-        + 0.5 * float(Qdot @ Qdot + om2 @ (Q * Q))
-    )
-    legendre = base + qdot * qdot / (2.0 * q * q) * (Q @ (M @ Q)) - qdot / q * ((g @ Q) @ Qdot)
-    canonical = base - qdot * qdot / (4.0 * q * q) * (Q @ (d @ Q))
-    return legendre, canonical
-
-
-def _state_energies(state, params, table):
-    _check_state(state, params)
-    g, M, d = _coupling("new", table, params.kmax, None, None)
-    return _energies(state.q, state.qdot, state.Q, state.Qdot, g, M, d, params)
+    zero = np.zeros((params.kmax, params.kmax))  # the Newton force reads no coupling
+    cp = _Coupling(params, zero, zero, zero)
+    return float(cp.newton_accel(state.q, state.qdot, cp.rows(_state_vector(state)[2:])))
 
 
 def energy(state: ClassicalState, params: MirrorParams, table: CoefficientTable) -> float:
     """Legendre energy of the truncated system (the conserved quantity of the
     variational flow): kinetic + spring + field + quadratic-velocity coupling
     + velocity cross coupling."""
-    return _state_energies(state, params, table)[0]
+    _check_state(state, params)
+    cp = _coupling("new", table, params, None, None)
+    return float(cp.energies(_state_vector(state)[None])[0][0])
 
 
 def h_canonical(state: ClassicalState, params: MirrorParams, table: CoefficientTable) -> float:
@@ -302,7 +315,9 @@ def h_canonical(state: ClassicalState, params: MirrorParams, table: CoefficientT
     quadratic-velocity term (-1/4 instead of +1/2) and drops the velocity
     cross term; reported as a diagnostic, not a conservation claim.
     """
-    return _state_energies(state, params, table)[1]
+    _check_state(state, params)
+    cp = _coupling("new", table, params, None, None)
+    return float(cp.energies(_state_vector(state)[None])[1][0])
 
 
 @dataclass(frozen=True)
@@ -411,21 +426,31 @@ def _make_stiffness_error(ts, ys, y0):
     return StiffnessError(f"step size underflow at t = {t_last}", state)
 
 
-def _record(t, y, stats, g, M, d, params, variant, mirror_model, floor_hit=False):
-    """Trajectory record with the per-sample energy diagnostics of ``y``."""
-    k = params.kmax
-    diag = [_energies(r[0], r[1], r[2 : 2 + k], r[2 + k :], g, M, d, params) for r in y]
-    return TrajectoryRecord(
-        t=t,
-        y=y,
-        energy=np.array([e for e, _ in diag]),
-        h_canonical=np.array([h for _, h in diag]),
-        stats=stats,
-        variant=variant,
-        mirror_model=mirror_model,
-        floor_hit=floor_hit,
-        kmax=k,
-    )
+def _record(t, y, stats, cp, variant, mirror_model, floor_hit=False):
+    """Trajectory record with the energy diagnostics of every row of ``y``."""
+    legendre, canonical = cp.energies(y)
+    return TrajectoryRecord(t=t, y=y, energy=legendre, h_canonical=canonical, stats=stats,
+                            variant=variant, mirror_model=mirror_model, floor_hit=floor_hit,
+                            kmax=cp.kmax)
+
+
+def _rhs(cp: _Coupling, mirror_model: str):
+    """Right-hand side f(t, y) of the mirror-field system, y = [q, qdot, Q, Qdot]."""
+    if mirror_model == "newton":
+        mirror = cp.newton_accel
+    elif mirror_model == "lagrangian":
+        mirror = cp.lagrangian_accel
+    else:
+        raise ValueError(f"unknown mirror_model {mirror_model!r}")
+    rows, field = cp.rows, cp.field_accel
+
+    def rhs(t, y):
+        q, qdot = y[:2].tolist()
+        R = rows(y[2:])
+        qddot = mirror(q, qdot, R)
+        return np.concatenate(((qdot, qddot), R[1], field(q, qdot, qddot, R)))
+
+    return rhs
 
 
 def integrate(
@@ -452,35 +477,12 @@ def integrate(
     """
     _check_state(state0, params)
     _validate_run(t_end, rel_tol, abs_tol)
-    if mirror_model not in ("newton", "lagrangian"):
-        raise ValueError(f"unknown mirror_model {mirror_model!r}")
-    kmax = params.kmax
-    g, M, d = _coupling(variant, table, kmax, inner_cutoff, 16 * kmax)
+    cp = _coupling(variant, table, params, inner_cutoff, 16 * params.kmax)
+    rhs = _rhs(cp, mirror_model)
     floor = params.length / 100.0 if q_floor is None else q_floor
-    kk = np.arange(1, kmax + 1, dtype=float)
-    signs_k = (-1.0) ** kk * kk
-
-    def rhs(t, y):
-        q, qdot = y[0], y[1]
-        Q = y[2 : 2 + kmax]
-        Qdot = y[2 + kmax :]
-        F, om2, gQ, MQ = _free_field_accel(q, qdot, Q, Qdot, g, M, params)
-        if mirror_model == "newton":
-            qddot = _newton_accel(q, Q, signs_k, params)
-        else:
-            qddot = _variational_mirror_accel(q, qdot, Q, Qdot, F, om2, gQ, MQ, params)
-        out = np.empty_like(y)
-        out[0] = qdot
-        out[1] = qddot
-        out[2 : 2 + kmax] = Qdot
-        out[2 + kmax :] = F + (qddot / q) * gQ
-        return out
-
-    y0 = np.concatenate([[state0.q, state0.qdot], state0.Q, state0.Qdot])
-    t, y, stats, stopped = _drive_solver(
-        rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop=lambda yv: yv[0] <= floor
-    )
-    return _record(t, y, stats, g, M, d, params, variant, mirror_model, stopped)
+    t, y, stats, stopped = _drive_solver(rhs, _state_vector(state0), t_end, rel_tol, abs_tol,
+                                         sample_times, stop=lambda yv: yv[0] <= floor)
+    return _record(t, y, stats, cp, variant, mirror_model, stopped)
 
 
 def integrate_prescribed(
@@ -502,18 +504,16 @@ def integrate_prescribed(
     defaults to the retained mode count (strict matched truncation).
     """
     _validate_run(t_end, rel_tol, abs_tol)
-    kmax = params.kmax
-    g, M, d = _coupling(variant, table, kmax, inner_cutoff, kmax)
+    cp = _coupling(variant, table, params, inner_cutoff, params.kmax)
 
     def rhs(t, y):
-        Q = y[:kmax]
-        Qdot = y[kmax:]
-        Qddot = _field_accel(motion.q(t), motion.qdot(t), Q, Qdot, motion.qddot(t), g, M, params)
-        return np.concatenate([Qdot, Qddot])
+        R = cp.rows(y)
+        qddot = cp.field_accel(motion.q(t), motion.qdot(t), motion.qddot(t), R)
+        return np.concatenate((R[1], qddot))
 
     y0 = np.concatenate([state0.Q, state0.Qdot])
     t, yf, stats, _ = _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop=None)
     q = np.array([motion.q(tv) for tv in t])
     qdot = np.array([motion.qdot(tv) for tv in t])
     y = np.column_stack([q, qdot, yf])
-    return _record(t, y, stats, g, M, d, params, variant, "prescribed")
+    return _record(t, y, stats, cp, variant, "prescribed")

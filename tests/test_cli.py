@@ -281,6 +281,39 @@ class TestErrors:
         assert key in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command, doc, key", [
+        ("verify", {"tail_correct": "no"}, "tail_correct"),
+        ("evolve", {"variant": "x"}, "variant"),
+        ("evolve", {"mirror_model": "x"}, "mirror_model"),
+        ("evolve", {"kmax": 2, "Q0": [0.1]}, "Q0"),
+        ("evolve", {"kmax": 2, "Qdot0": [0.1, "x"]}, "Qdot0"),
+        ("evolve", {"kmax": 1, "Q0": 0.1}, "Q0"),
+    ])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, command, doc, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{command}-*"))
+
+    def test_dimension_above_cap_is_config_error(self, tmp_path, capsys):
+        code = run(["hamiltonian", "--n-mech", "100", "--n-opt", "100",
+                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "dim_cap" in capsys.readouterr().err
+        assert not list(tmp_path.glob("hamiltonian-*"))
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"q0": NaN}', "q"), ('{"q0": Infinity}', "q"), ('{"kmax": 2, "Q0": [NaN, 0.0]}', "Q"),
+    ])
+    def test_non_finite_initial_state_is_numerical_failure(self, tmp_path, capsys, text, field):
+        # rejected by ClassicalState, before the solver sees the state
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run(["evolve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert f"invalid state: {field} must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("evolve-*"))
+
     def test_wrong_type_grid_value_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"grid": {"omega_c": [1.0, "x"]}}))

@@ -62,6 +62,10 @@ def test_bad_enum_values():
         resolve_config({"out_format": "xml"})
     with pytest.raises(ConfigError):
         resolve_config({"r_convention": "rounded"})
+    with pytest.raises(ConfigError, match="variant"):
+        resolve_config({"variant": "x"})
+    with pytest.raises(ConfigError, match="mirror_model"):
+        resolve_config({"mirror_model": "x"})
 
 
 def test_hash_is_stable_and_sensitive():
@@ -109,6 +113,7 @@ def test_every_default_key_resolves():
     ("dim_cap", "x"), ("dim_cap", 3),
     ("order", 3), ("order", -1), ("order", 1.0), ("order", True),
     ("grid", {"omega_c": 2.0}), ("grid", {"omega_c": []}), ("grid", {"omega_c": "1,2"}),
+    ("tail_correct", "no"), ("tail_correct", 0), ("tail_correct", 1.0),
 ])
 def test_bad_cutoff_and_grid_values_are_config_errors(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -131,6 +136,9 @@ def test_real_valued_keys_reject_other_types_and_bad_eta(key, value):
     ({"kmax": [2, 2.5]}, "grid.kmax"),
     ({"r_convention": ["exact", "rounded"]}, "grid.r_convention"),
     ({"eta": [0.5, -1.0]}, "grid.eta"),
+    ({"variant": ["new", "x"]}, "grid.variant"),
+    ({"mirror_model": ["newton", "x"]}, "grid.mirror_model"),
+    ({"tail_correct": [True, "no"]}, "grid.tail_correct"),
 ])
 def test_grid_values_follow_their_key_rule(grid, name):
     with pytest.raises(ConfigError, match=name):

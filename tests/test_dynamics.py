@@ -20,6 +20,7 @@ from optomech.dynamics import (
     integrate_prescribed,
     mirror_accel,
 )
+from optomech.dynamics import _coupling, _rhs
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,14 @@ class TestFieldAccel:
     def test_rejects_nonpositive_position(self):
         with pytest.raises(ValueError):
             make_state(q=-1.0)
+
+    @pytest.mark.parametrize("name", ["q", "qdot", "Q", "Qdot"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_state(self, name, value):
+        fields = dict(t=0.0, q=1.0, qdot=0.0, Q=np.zeros(2), Qdot=np.zeros(2))
+        fields[name] = value if name in ("q", "qdot") else np.array([0.0, value])
+        with pytest.raises(ValueError, match=f"invalid state: {name} must be finite"):
+            ClassicalState(**fields)
 
     @pytest.mark.parametrize("name", ["mass", "length", "omega_m", "c"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -281,14 +290,60 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("mirror_model", ["newton", "lagrangian"])
     def test_recorded_diagnostics_equal_state_functions(self, table8, mirror_model):
+        # energy() evaluates the 'new' coupling; a 'law' record's energy column is
+        # checked against the same batched function run on one row of the law coupling
         params = MirrorParams(mass=1.3, length=0.9, omega_m=1.7, c=1.1, kmax=3)
         st = make_state(q=0.93, qdot=0.05, Q=[0.05, -0.02, 0.01], Qdot=[0.0, 0.03, -0.01])
-        rec = integrate("new", st, params, table8, 8.0, rel_tol=1e-10, abs_tol=1e-12,
-                        mirror_model=mirror_model)
-        for i in range(len(rec.t)):
-            s = rec.state(i)
-            assert rec.energy[i] == energy(s, params, table8)
-            assert rec.h_canonical[i] == h_canonical(s, params, table8)
+        for variant in ("new", "law"):
+            rec = integrate(variant, st, params, table8, 8.0, rel_tol=1e-10, abs_tol=1e-12,
+                            mirror_model=mirror_model)
+            law = _coupling("law", table8, params, None, 16 * params.kmax)
+            for i in range(len(rec.t)):
+                s = rec.state(i)
+                assert rec.h_canonical[i] == h_canonical(s, params, table8)
+                if variant == "new":
+                    assert rec.energy[i] == energy(s, params, table8)
+                else:
+                    assert rec.energy[i] == law.energies(rec.y[i : i + 1])[0][0]
+
+
+def _reference_rhs(y, g, M, params, mirror_model):
+    """The field equation of the dynamics module docstring and the Newton and
+    Euler-Lagrange mirror equations, written out term by term."""
+    k = params.kmax
+    q, qdot, Q, Qdot = y[0], y[1], y[2 : 2 + k], y[2 + k :]
+    kk = np.arange(1, k + 1, dtype=float)
+    u = qdot / q
+    om2 = (params.c * np.pi * kk / q) ** 2
+    gQ, MQ = g @ Q, M @ Q
+    F = -om2 * Q + u * u * (MQ - gQ) + 2.0 * u * (g @ Qdot)  # field equation at qddot = 0
+    spring = -params.mass * params.omega_m**2 * (q - params.length)
+    if mirror_model == "newton":
+        s = ((-1.0) ** kk * kk) @ Q
+        qddot = (spring + (params.c * np.pi / q) ** 2 * s * s / q) / params.mass
+    else:
+        D = Q @ MQ
+        Ddot = 2.0 * (Qdot @ MQ)
+        W = om2 @ (Q * Q)
+        num = spring + W / q + qdot**2 / q**3 * D - qdot / q**2 * Ddot + (gQ @ F) / q
+        qddot = num / (params.mass + (D - gQ @ gQ) / q**2)
+    return np.concatenate([[qdot, qddot], Qdot, F + (qddot / q) * gQ])
+
+
+@pytest.mark.parametrize("variant", ["new", "law"])
+@pytest.mark.parametrize("mirror_model", ["newton", "lagrangian"])
+def test_rhs_matches_reference_equations(table8, variant, mirror_model):
+    kmax = 8
+    params = MirrorParams(mass=1.3, length=0.9, omega_m=1.7, c=1.1, kmax=kmax)
+    g = table8.g[:kmax, :kmax]
+    M = table8.d[:kmax, :kmax] if variant == "new" else coef.gram_matrix(kmax, 16 * kmax)
+    rhs = _rhs(_coupling(variant, table8, params, None, 16 * kmax), mirror_model)
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        y = np.concatenate([[rng.uniform(0.5, 1.5), rng.normal(scale=0.3)],
+                            rng.normal(scale=0.1, size=kmax), rng.normal(scale=0.3, size=kmax)])
+        ref = _reference_rhs(y, g, M, params, mirror_model)
+        assert np.abs(rhs(0.0, y) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestPrescribed:
