@@ -21,8 +21,8 @@ overrides all three):
 * ``field_accel_law``: the table extent, a strict truncation, so a single
   call shows the truncated formulation as it is (at kmax = 1 the Gram term
   is empty and the self-rate is lost entirely);
-* ``integrate``: 16 * kmax, so the mirror dynamics runs close to the
-  untruncated limit;
+* ``integrate`` and ``energy``: 16 * kmax, so the mirror dynamics runs
+  close to the untruncated limit;
 * ``integrate_prescribed``: kmax, the matched truncation whose new/law gap
   shrinks as kmax grows (acceptance criterion 04).
 
@@ -53,7 +53,9 @@ alongside as ``h_canonical``; it is generally *not* conserved under the
 truncated flow, and both diagnostics are reported rather than deciding which
 one "should" be constant.  Both columns are evaluated in one batch over all
 samples, summed column by column so that a row's value does not depend on
-the batch: ``h_canonical()``, and ``energy()`` for ``new``, equal them exactly.
+the batch: ``energy()`` with the record's variant and inner cutoff, and
+``h_canonical()``, equal them exactly.  The canonical split reads d only, so
+``h_canonical`` does not depend on the variant.
 
 Integration uses an adaptive 8(5,3) Runge-Kutta scheme with local
 interpolation; no symplectic structure is claimed (the system is
@@ -299,12 +301,14 @@ def mirror_accel(state: ClassicalState, params: MirrorParams) -> float:
     return float(cp.newton_accel(state.q, state.qdot, cp.rows(_state_vector(state)[2:])))
 
 
-def energy(state: ClassicalState, params: MirrorParams, table: CoefficientTable) -> float:
+def energy(state: ClassicalState, params: MirrorParams, table: CoefficientTable,
+           variant: str = "new", inner_cutoff: int | None = None) -> float:
     """Legendre energy of the truncated system (the conserved quantity of the
     variational flow): kinetic + spring + field + quadratic-velocity coupling
-    + velocity cross coupling."""
+    + velocity cross coupling, with the coupling M of ``variant`` ('law':
+    Gram sum to ``inner_cutoff`` modes, default 16 * kmax as in ``integrate``)."""
     _check_state(state, params)
-    cp = _coupling("new", table, params, None, None)
+    cp = _coupling(variant, table, params, inner_cutoff, 16 * params.kmax)
     return float(cp.energies(_state_vector(state)[None])[0][0])
 
 
@@ -313,7 +317,8 @@ def h_canonical(state: ClassicalState, params: MirrorParams, table: CoefficientT
 
     Differs from the Legendre energy in the sign and weight of the
     quadratic-velocity term (-1/4 instead of +1/2) and drops the velocity
-    cross term; reported as a diagnostic, not a conservation claim.
+    cross term; reported as a diagnostic, not a conservation claim.  It reads
+    the coupling d only, so it is the same for 'new' and 'law'.
     """
     _check_state(state, params)
     cp = _coupling("new", table, params, None, None)
@@ -503,6 +508,7 @@ def integrate_prescribed(
     record layout matches ``integrate``.  For 'law' the inner Gram cutoff
     defaults to the retained mode count (strict matched truncation).
     """
+    _check_state(state0, params)
     _validate_run(t_end, rel_tol, abs_tol)
     cp = _coupling(variant, table, params, inner_cutoff, params.kmax)
 

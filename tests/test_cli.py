@@ -154,6 +154,18 @@ class TestHamiltonianAndSpectrum:
         assert lines[0] == "index,eigenvalue"
         assert len(lines) == 6
 
+    def test_spectrum_reruns_byte_identical(self, tmp_path):
+        # dim 576 is large enough for multithreaded BLAS inside the eigensolver
+        argv = ["spectrum", "--variant", "new_full", "--variant", "law_full",
+                "--n-mech", "24", "--n-opt", "24"]
+        outputs = []
+        for name in ("a", "b"):
+            proc = run_subprocess([*argv, "--out-dir", str(tmp_path / name)], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
+
 
 class TestChecks:
     def test_byte_identical_reruns(self, tmp_path):

@@ -290,21 +290,17 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("mirror_model", ["newton", "lagrangian"])
     def test_recorded_diagnostics_equal_state_functions(self, table8, mirror_model):
-        # energy() evaluates the 'new' coupling; a 'law' record's energy column is
-        # checked against the same batched function run on one row of the law coupling
+        # energy() defaults to integrate's law cutoff, 16 * kmax; h_canonical()
+        # takes no variant, since the canonical split does not read M
         params = MirrorParams(mass=1.3, length=0.9, omega_m=1.7, c=1.1, kmax=3)
         st = make_state(q=0.93, qdot=0.05, Q=[0.05, -0.02, 0.01], Qdot=[0.0, 0.03, -0.01])
         for variant in ("new", "law"):
             rec = integrate(variant, st, params, table8, 8.0, rel_tol=1e-10, abs_tol=1e-12,
                             mirror_model=mirror_model)
-            law = _coupling("law", table8, params, None, 16 * params.kmax)
             for i in range(len(rec.t)):
                 s = rec.state(i)
                 assert rec.h_canonical[i] == h_canonical(s, params, table8)
-                if variant == "new":
-                    assert rec.energy[i] == energy(s, params, table8)
-                else:
-                    assert rec.energy[i] == law.energies(rec.y[i : i + 1])[0][0]
+                assert rec.energy[i] == energy(s, params, table8, variant=variant)
 
 
 def _reference_rhs(y, g, M, params, mirror_model):
@@ -377,3 +373,22 @@ class TestPrescribed:
         assert rec.y.shape[1] == 6
         np.testing.assert_allclose(rec.y[0, 0], motion.q(0.0))
         assert rec.mirror_model == "prescribed"
+
+    def test_law_record_energy_at_matched_cutoff(self):
+        table = coef.build_table(2)
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+        motion = harmonic_mirror_motion(1.0, 0.05, 1.0)
+        st = ClassicalState(t=0.0, q=1.0, qdot=0.0, Q=np.array([1.0, 0.2]), Qdot=np.zeros(2))
+        rec = integrate_prescribed("law", motion, st, params, table, 2.0,
+                                   rel_tol=1e-9, abs_tol=1e-11)
+        for i in range(len(rec.t)):
+            assert rec.energy[i] == energy(rec.state(i), params, table, variant="law",
+                                           inner_cutoff=params.kmax)
+
+    def test_state_mode_count_must_match_kmax(self):
+        table = coef.build_table(3)
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=3)
+        motion = harmonic_mirror_motion(1.0, 0.01, 1.0)
+        st = make_state(Q=[1.0, 0.0])
+        with pytest.raises(ValueError, match="state holds 2 modes, params.kmax = 3"):
+            integrate_prescribed("new", motion, st, params, table, 1.0)

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomech import fock
+from optomech import hamiltonians as ham
+from optomech.rates import CavityParams
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,24 @@ class TestInversePowerSeries:
             fock.expand_inverse_power(0, 1)
 
 
+class TestInterior:
+    @staticmethod
+    def _loop_indices(space, margin):
+        return np.asarray([idx for idx in range(space.dim)
+                           if all(lv < n - margin for lv, n in
+                                  zip(np.unravel_index(idx, space.shape), space.shape))],
+                          dtype=int)
+
+    @pytest.mark.parametrize("n_modes_opt", [1, 2])
+    @pytest.mark.parametrize("margin", [0, 1, 2])
+    def test_indices_match_the_basis_loop(self, n_modes_opt, margin):
+        space, _ = fock.make_space(5, 4, n_modes_opt=n_modes_opt)
+        got = fock.interior_indices(space, margin)
+        want = self._loop_indices(space, margin)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 class TestBogoliubov:
     def test_zero_mixing_returns_bare_operators(self, space16):
         _, ops = space16
@@ -207,14 +227,78 @@ class TestSpectrum:
 
     def test_rejects_non_hermitian(self, space16):
         _, ops = space16
-        with pytest.raises(ValueError):
-            fock.spectrum(ops.a)
+        for H in (ops.a, ops.a + 0.5j * ops.x):  # real path, complex path
+            with pytest.raises(ValueError):
+                fock.spectrum(H)
 
     def test_sorted_and_counted(self, space16):
         _, ops = space16
-        vals = fock.spectrum(ops.n_op + ops.m_op, 5)
-        assert len(vals) == 5
-        assert np.all(np.diff(vals) >= 0)
+        for H in (ops.n_op + ops.m_op, (ops.n_op + ops.m_op).real):
+            vals = fock.spectrum(H, 5)
+            assert len(vals) == 5
+            assert np.all(np.diff(vals) >= 0)
+
+    def test_k_beyond_dimension_returns_all_and_below_one_raises(self, space16):
+        _, ops = space16
+        assert len(fock.spectrum(ops.n_op, 10**6)) == 256
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            fock.spectrum(ops.n_op, 0)
+
+    @pytest.mark.parametrize("dim", [64, 256])
+    @pytest.mark.parametrize("omega_c", [2.3, 1.0])  # generic; degenerate omega_m = omega_c
+    @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.3, 0.785)])
+    def test_every_variant_matches_complex_eigh(self, dim, omega_c, phases):
+        n = int(np.sqrt(dim))
+        space, _ = fock.make_space(n, n)
+        p = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=omega_c, a_amp=1.0,
+                         b_amp=1.0, a_phase=phases[0], b_phase=phases[1], chi0=1.0,
+                         thickness=0.002)
+        complex_built = []
+        for variant in ham.VARIANTS:
+            options = {"eta": 0.5} if variant == "H4_special_eta" else {}
+            H = ham.build_hamiltonian(variant, p, space, **options).data
+            if H.imag.any():
+                complex_built.append(variant)
+            want = np.linalg.eigh(0.5 * (H + H.conj().T))[0]
+            norm = max(1.0, np.abs(want).max())
+            got = fock.spectrum(H, 8)
+            assert np.abs(got - want[:8]).max() <= 1e-13 * norm, variant
+        # drive phases decide the path: all real without them, five complex with them
+        assert len(complex_built) == (0 if phases == (0.0, 0.0) else 5)
+
+    @pytest.mark.parametrize("imag", [0.0, 0.1])  # real and complex path
+    def test_perturbed_eigenvectors_raise(self, space16, monkeypatch, imag):
+        _, ops = space16
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            vals, vecs = eigh(a)
+            vecs = vecs.copy()
+            vecs[0, 2] += 1e-6
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        H = ops.n_op + 0.5 * ops.m_op + imag * ops.p
+        assert H.imag.any() == (imag != 0.0)
+        with pytest.raises(ArithmeticError, match="residual"):
+            fock.spectrum(H, 3)
+        assert len(fock.spectrum(H, 2)) == 2  # unreturned pairs are not checked
+
+    def test_repeated_degenerate_eigenvector_raises(self, space16, monkeypatch):
+        # n_op has a 16-fold ground level, so a repeated vector passes the
+        # residual check; orthonormality catches it
+        _, ops = space16
+        eigh = np.linalg.eigh
+
+        def repeated(a):
+            vals, vecs = eigh(a)
+            vecs = vecs.copy()
+            vecs[:, 1] = vecs[:, 0]
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", repeated)
+        with pytest.raises(ArithmeticError, match="orthonormality"):
+            fock.spectrum(ops.n_op, 3)
 
     def test_operator_matrix_input(self, space16):
         _, ops = space16
