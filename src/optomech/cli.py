@@ -103,22 +103,35 @@ def _require_above(cfg: RunConfig, key: str, bound: int, what: str) -> None:
         raise ConfigError(f"{key} must exceed {what} ({bound}), got {value}")
 
 
+# verify and checks sum the Gram rule over a max(kmax, 2) x ltrunc float64 block
+# of g: 2^24 entries are 128 MiB, and the sum peaks near twice that.  The largest
+# block in use, verify --kmax 8 --ltrunc 1000000, is half the bound.
+_GRAM_BLOCK_MAX = 2**24
+
+
+def _require_gram_block(kmax: int, ltrunc: int) -> None:
+    if kmax * ltrunc > _GRAM_BLOCK_MAX:
+        raise ConfigError(f"ltrunc * max(kmax, 2) = {ltrunc} * {kmax} exceeds the Gram block "
+                          f"bound of {_GRAM_BLOCK_MAX} entries")
+
+
 def _cmd_verify(args) -> int:
     cfg = _resolve(args)
-    k_rule = min(cfg.kmax, 8)
+    k_rule, k_gram = min(cfg.kmax, 8), max(cfg.kmax, 2)
     _require_above(cfg, "jmax", k_rule, "the largest sum-rule mode")
-    _require_above(cfg, "ltrunc", max(cfg.kmax, 2), "kmax")
+    _require_above(cfg, "ltrunc", k_gram, "kmax")
+    _require_gram_block(k_gram, cfg.ltrunc)
     report = checks_mod.CheckReport()
     for k in range(1, k_rule + 1):
         report.add(
             f"mode_sum_rule_k{k}",
             coef.verify_g_squared_sum(k, cfg.jmax, cfg.tail_correct),
-            1e-4,
+            checks_mod.SUM_RULE_TOL,
         )
     report.add(
         "gram_identity_max",
-        coef.verify_gram_identity(max(cfg.kmax, 2), cfg.ltrunc, cfg.tail_correct),
-        1e-3,
+        coef.verify_gram_identity(k_gram, cfg.ltrunc, cfg.tail_correct),
+        checks_mod.GRAM_RULE_TOL,
     )
     report.notes["tail_correct"] = str(cfg.tail_correct)
     path = _out_path(args, cfg, "verify", "json")
@@ -267,6 +280,7 @@ def _cmd_checks(args) -> int:
     kmax = max(cfg.kmax, 2)
     _require_above(cfg, "jmax", checks_mod.SUM_RULE_KMAX, "the largest sum-rule mode")
     _require_above(cfg, "ltrunc", kmax, "kmax")
+    _require_gram_block(kmax, cfg.ltrunc)
     report = checks_mod.run_checks(
         jmax=cfg.jmax, ltrunc=cfg.ltrunc, kmax=kmax, params=_cavity_params(cfg)
     )

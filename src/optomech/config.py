@@ -133,8 +133,18 @@ _CHOICES = {
     "variant": ("new", "law"),
     "mirror_model": ("newton", "lagrangian"),
 }
-_INT_MINIMA = {
-    "kmax": 1, "k_eigen": 1, "jmax": 1, "ltrunc": 1, "n_mech": 2, "n_opt": 2, "dim_cap": 4,
+# (minimum, maximum) of each integer key.  The maxima of the size keys make a
+# size no desk machine can hold exit 2 before anything is allocated:
+# * kmax <= 512: four kmax x kmax tables (coeffs writes kmax^2 rows), the law
+#   coupling's kmax x 16 kmax Gram block (32 MiB at 512), and kmax stays below
+#   the L = 10^3 scaling probe of `checks`;
+# * jmax <= 10^7: the diagonal sum rule holds a few float64 arrays of jmax
+#   entries (80 MB each);
+# * ltrunc <= 10^7: the Gram sum rule's max(kmax, 2) x ltrunc block of g, whose
+#   entry count the CLI bounds again.
+_INT_RANGES = {
+    "kmax": (1, 512), "k_eigen": (1, math.inf), "jmax": (1, 10**7), "ltrunc": (1, 10**7),
+    "n_mech": (2, math.inf), "n_opt": (2, math.inf), "dim_cap": (4, math.inf),
 }
 _REAL_KEYS = frozenset({
     "mass", "length", "omega_m", "omega_c", "c", "hbar", "a_amp", "a_phase", "b_amp",
@@ -154,8 +164,11 @@ def _check_value(key: str, value, name: str) -> None:
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(f"{name} must be one of {_CHOICES[key]}, got {value!r}")
     # exact type checks: bool is an int subclass and 1.0 == 1, both rejected
-    if key in _INT_MINIMA and (type(value) is not int or value < _INT_MINIMA[key]):
-        raise ConfigError(f"{name} must be an integer >= {_INT_MINIMA[key]}, got {value!r}")
+    if key in _INT_RANGES:
+        lo, hi = _INT_RANGES[key]
+        if type(value) is not int or not lo <= value <= hi:
+            bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+            raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
     if key == "order" and (type(value) is not int or value not in (0, 1, 2)):
         raise ConfigError(f"{name} must be 0, 1 or 2, got {value!r}")
     if key == "tail_correct" and type(value) is not bool:

@@ -14,17 +14,10 @@ with u = qdot/q, and differ only in the coupling matrix M:
   Truncations of the two therefore differ, and the difference is a
   measurable 1/L effect.
 
-The inner cutoff L of the ``law`` Gram sum has one default per entry point,
-each set by what that entry point is for (an explicit ``inner_cutoff``
-overrides all three):
-
-* ``field_accel_law``: the table extent, a strict truncation, so a single
-  call shows the truncated formulation as it is (at kmax = 1 the Gram term
-  is empty and the self-rate is lost entirely);
-* ``integrate`` and ``energy``: 16 * kmax, so the mirror dynamics runs
-  close to the untruncated limit;
-* ``integrate_prescribed``: kmax, the matched truncation whose new/law gap
-  shrinks as kmax grows (acceptance criterion 04).
+The inner cutoff L of the ``law`` Gram sum defaults to 16 * kmax at every
+entry point, close to the untruncated limit; an explicit ``inner_cutoff``
+overrides it (acceptance criterion 04 passes L = kmax, the matched truncation
+whose new/law gap shrinks as kmax grows).
 
 The mirror can be driven three ways: by the radiation-pressure Newton
 equation (default; it contains no accelerations, so evaluating it first and
@@ -248,9 +241,9 @@ class _Coupling:
 
 
 def _coupling(variant: str, table: CoefficientTable, params: MirrorParams,
-              inner_cutoff: int | None, default_cutoff: int | None) -> _Coupling:
+              inner_cutoff: int | None) -> _Coupling:
     """Coupling of a variant: M = d for 'new', the Gram matrix summed to
-    ``inner_cutoff`` modes (``default_cutoff`` when None) for 'law'."""
+    ``inner_cutoff`` modes (16 * kmax when None) for 'law'."""
     kmax = params.kmax
     if table.kmax < kmax:
         raise ValueError("coefficient table smaller than requested mode count")
@@ -258,7 +251,7 @@ def _coupling(variant: str, table: CoefficientTable, params: MirrorParams,
     if variant == "new":
         return _Coupling(params, g, d, d)
     if variant == "law":
-        L = default_cutoff if inner_cutoff is None else inner_cutoff
+        L = 16 * kmax if inner_cutoff is None else inner_cutoff
         return _Coupling(params, g, gram_matrix(kmax, L), d)
     raise ValueError(f"unknown variant {variant!r}; use 'new' or 'law'")
 
@@ -271,7 +264,7 @@ def field_accel_new(state: ClassicalState, table: CoefficientTable, params: Mirr
                     qddot: float) -> np.ndarray:
     """Field accelerations with the explicit self-rate and (h - 3g) couplings."""
     _check_state(state, params)
-    cp = _coupling("new", table, params, None, None)
+    cp = _coupling("new", table, params, None)
     return cp.field_accel(state.q, state.qdot, qddot, cp.rows(_state_vector(state)[2:]))
 
 
@@ -280,11 +273,11 @@ def field_accel_law(state: ClassicalState, table: CoefficientTable, params: Mirr
     """Field accelerations in the Gram-sum form.
 
     The inner sum over the coupling products runs to ``inner_cutoff`` modes
-    (default: the table extent, i.e. a strict truncation: at kmax = 1 the
-    Gram term is empty and the self-rate is lost entirely).
+    (default 16 * kmax).  A strict truncation loses the self-rate: at
+    ``inner_cutoff=1`` the Gram term is empty.
     """
     _check_state(state, params)
-    cp = _coupling("law", table, params, inner_cutoff, table.kmax)
+    cp = _coupling("law", table, params, inner_cutoff)
     return cp.field_accel(state.q, state.qdot, qddot, cp.rows(_state_vector(state)[2:]))
 
 
@@ -308,7 +301,7 @@ def energy(state: ClassicalState, params: MirrorParams, table: CoefficientTable,
     + velocity cross coupling, with the coupling M of ``variant`` ('law':
     Gram sum to ``inner_cutoff`` modes, default 16 * kmax as in ``integrate``)."""
     _check_state(state, params)
-    cp = _coupling(variant, table, params, inner_cutoff, 16 * params.kmax)
+    cp = _coupling(variant, table, params, inner_cutoff)
     return float(cp.energies(_state_vector(state)[None])[0][0])
 
 
@@ -321,7 +314,7 @@ def h_canonical(state: ClassicalState, params: MirrorParams, table: CoefficientT
     the coupling d only, so it is the same for 'new' and 'law'.
     """
     _check_state(state, params)
-    cp = _coupling("new", table, params, None, None)
+    cp = _coupling("new", table, params, None)
     return float(cp.energies(_state_vector(state)[None])[1][0])
 
 
@@ -482,7 +475,7 @@ def integrate(
     """
     _check_state(state0, params)
     _validate_run(t_end, rel_tol, abs_tol)
-    cp = _coupling(variant, table, params, inner_cutoff, 16 * params.kmax)
+    cp = _coupling(variant, table, params, inner_cutoff)
     rhs = _rhs(cp, mirror_model)
     floor = params.length / 100.0 if q_floor is None else q_floor
     t, y, stats, stopped = _drive_solver(rhs, _state_vector(state0), t_end, rel_tol, abs_tol,
@@ -505,12 +498,12 @@ def integrate_prescribed(
     """Integrate the field equations under a prescribed mirror trajectory.
 
     The state rows store the prescribed q, qdot alongside the fields so the
-    record layout matches ``integrate``.  For 'law' the inner Gram cutoff
-    defaults to the retained mode count (strict matched truncation).
+    record layout matches ``integrate``, and 'law' takes the same inner Gram
+    cutoff.
     """
     _check_state(state0, params)
     _validate_run(t_end, rel_tol, abs_tol)
-    cp = _coupling(variant, table, params, inner_cutoff, params.kmax)
+    cp = _coupling(variant, table, params, inner_cutoff)
 
     def rhs(t, y):
         R = cp.rows(y)

@@ -156,6 +156,15 @@ def ground_shift_estimate(params: CavityParams, r_convention: str = "exact") -> 
     return -(params.hbar * rs.beta / 2.0) * rs.R * (params.omega_m / params.omega_c) ** 2 * 0.25
 
 
+def _inverse_square_series(order: int, printed_quadratic: bool) -> list[float]:
+    """Truncated series of (1+u)^{-2}: 1, -2, +3, or the printed +4 at second
+    order when ``printed_quadratic``."""
+    coeffs = list(expand_inverse_power(2, order))
+    if printed_quadratic and order >= 2:
+        coeffs[2] = 4.0
+    return coeffs
+
+
 def _dressing_polys(theta: float, ops: ModeOperators, order: int, printed_quadratic: bool):
     """Truncated dressing polynomials in u = theta X: momentum-quadrature
     factor (1+u)^{-1/2}, position-quadrature factor (1+u)^{+1/2}, squared
@@ -173,10 +182,7 @@ def _dressing_polys(theta: float, ops: ModeOperators, order: int, printed_quadra
 
     c_p = expand_inverse_power(0.5, order)
     c_q = expand_inverse_power(-0.5, order)
-    c_w = list(expand_inverse_power(2, order))
-    if printed_quadratic and order >= 2:
-        c_w[2] = 4.0
-    return poly(c_p), poly(c_q), poly(c_w)
+    return poly(c_p), poly(c_q), poly(_inverse_square_series(order, printed_quadratic))
 
 
 def momentum_coupling_term(
@@ -191,12 +197,9 @@ def momentum_coupling_term(
     with c_i the truncated inverse-square series (1, -2, +3)."""
     _require_single_optical(ops, "momentum_coupling_term")
     rs = base_rates(params, r_convention)
-    coeffs = list(expand_inverse_power(2, order))
-    if printed_quadratic and order >= 2:
-        coeffs[2] = 4.0
     m = ops.mech
     acc = np.zeros_like(m.eye)
-    for i, ci in enumerate(coeffs):
+    for i, ci in enumerate(_inverse_square_series(order, printed_quadratic)):
         word = [m.p, m.p] + [m.x] * i
         labels = ["p", "p"] + ["x"] * i
         acc = acc + ci * rs.theta**i * symmetrize_matrices(word, labels=labels)

@@ -293,6 +293,18 @@ class TestErrors:
         assert key in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("argv, key", [
+        (["coeffs", "--kmax", "513"], "kmax"),
+        (["verify", "--jmax", "10000001"], "jmax"),
+        (["verify", "--ltrunc", "10000001"], "ltrunc"),
+        (["verify", "--kmax", "8", "--ltrunc", "2097153"], "ltrunc * max(kmax, 2)"),
+        (["checks", "--kmax", "1", "--ltrunc", "8388609"], "ltrunc * max(kmax, 2)"),
+    ])
+    def test_oversized_runs_are_config_errors(self, tmp_path, capsys, argv, key):
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command, doc, key", [
         ("verify", {"tail_correct": "no"}, "tail_correct"),
         ("evolve", {"variant": "x"}, "variant"),

@@ -63,9 +63,24 @@ class TestTable:
             for j in range(1, 65):
                 if k == j:
                     continue
-                closed = coef.d_coeff(k, j)
+                closed = float(coef.d_exact(k, j))
                 built = t.d[k - 1, j - 1]
                 assert abs(closed - built) <= 2 * np.spacing(abs(built))
+
+    def test_scalar_lookups_equal_table_entries(self):
+        t = coef.build_table(64)
+        for k in range(1, 65):
+            assert coef.r_coeff(k) == t.r[k - 1]
+            for j in range(1, 65):
+                assert coef.g_coeff(k, j) == t.g[k - 1, j - 1]
+                assert coef.h_coeff(k, j) == t.h[k - 1, j - 1]
+                assert coef.d_coeff(k, j) == t.d[k - 1, j - 1]
+
+    def test_scalar_indices_give_floats_and_index_arrays_give_arrays(self):
+        assert type(coef.g_coeff(1, 2)) is float and type(coef.d_coeff(3, 3)) is float
+        assert type(coef.r_coeff(1)) is float
+        k = np.arange(1, 5)
+        np.testing.assert_array_equal(coef.d_coeff(k[:, None], k), coef.build_table(4).d)
 
     def test_d_equals_sym_h_exact_rational_sample(self):
         for k, j in [(1, 2), (3, 7), (20, 33), (63, 64)]:
@@ -135,13 +150,20 @@ class TestGramSumRule:
 
     def test_tail_correction_within_10x_next_order(self):
         kmax, L = 8, 10**4
-        gram = coef.gram_matrix(kmax, L)
-        t = coef.build_table(kmax)
+        resid = coef.gram_residual(kmax, L)
         k = np.arange(1, kmax + 1, dtype=float)[:, None]
         j = np.arange(1, kmax + 1, dtype=float)[None, :]
-        resid = np.abs(gram + 4.0 * k * j * (-1.0) ** (k + j) / L - t.d)
         next_order = 2.0 * k * j / L**2
         assert float((resid / next_order).max()) <= 10.0
+
+    def test_residual_matrix_against_gram_and_table(self):
+        kmax, L = 3, 200
+        gram, d = coef.gram_matrix(kmax, L), coef.build_table(kmax).d
+        np.testing.assert_array_equal(coef.gram_residual(kmax, L, tail_correct=False),
+                                      np.abs(gram - d))
+        assert coef.verify_gram_identity(kmax, L) == coef.gram_residual(kmax, L).max()
+        # the tail correction shrinks every entry of the residual
+        assert np.all(coef.gram_residual(kmax, L) < np.abs(gram - d))
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,14 @@ def test_bad_cutoff_and_grid_values_are_config_errors(key, value):
         resolve_config({key: value})
 
 
+@pytest.mark.parametrize("key, top", [("kmax", 512), ("jmax", 10**7), ("ltrunc", 10**7)])
+def test_size_keys_have_upper_bounds(key, top):
+    assert resolve_config({key: top}).to_dict()[key] == top
+    for doc, name in (({key: top + 1}, key), ({"grid": {key: [2, top + 1]}}, f"grid.{key}")):
+        with pytest.raises(ConfigError, match=rf"{name} must be an integer in \[1, {top}\]"):
+            resolve_config(doc)
+
+
 @pytest.mark.parametrize("key, value", [
     ("omega_c", "x"), ("mass", True), ("t_end", [1.0]), ("q0", "far"),
     ("eta", float("nan")), ("eta", float("inf")), ("eta", 0.0), ("eta", -1.0), ("eta", "0.5"),

@@ -77,6 +77,12 @@ class TestFieldAccel:
         a_law = field_accel_law(st, table8, params, 0.0, inner_cutoff=L)
         assert np.abs(a_law - a_new).max() < 10.0 / L
 
+    def test_law_default_cutoff_is_16_kmax(self, table8):
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+        st = make_state(q=1.1, qdot=0.7, Q=[1.0, 0.3], Qdot=[0.2, -0.1])
+        assert np.array_equal(field_accel_law(st, table8, params, 0.2),
+                              field_accel_law(st, table8, params, 0.2, inner_cutoff=32))
+
     def test_rejects_mismatched_state(self, table8):
         params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=3)
         with pytest.raises(ValueError):
@@ -333,7 +339,7 @@ def test_rhs_matches_reference_equations(table8, variant, mirror_model):
     params = MirrorParams(mass=1.3, length=0.9, omega_m=1.7, c=1.1, kmax=kmax)
     g = table8.g[:kmax, :kmax]
     M = table8.d[:kmax, :kmax] if variant == "new" else coef.gram_matrix(kmax, 16 * kmax)
-    rhs = _rhs(_coupling(variant, table8, params, None, 16 * kmax), mirror_model)
+    rhs = _rhs(_coupling(variant, table8, params, None), mirror_model)
     rng = np.random.default_rng(2024)
     for _ in range(200):
         y = np.concatenate([[rng.uniform(0.5, 1.5), rng.normal(scale=0.3)],
@@ -358,7 +364,7 @@ class TestPrescribed:
                                            sample_times=t_eval)
             rec_law = integrate_prescribed("law", motion, st, params_of(K), table,
                                            t_eval[-1], rel_tol=1e-10, abs_tol=1e-12,
-                                           sample_times=t_eval)
+                                           inner_cutoff=K, sample_times=t_eval)
             gaps.append(np.abs(rec_new.y[:, 2:] - rec_law.y[:, 2:]).max())
         assert gaps[1] < gaps[0]
 
@@ -380,10 +386,22 @@ class TestPrescribed:
         motion = harmonic_mirror_motion(1.0, 0.05, 1.0)
         st = ClassicalState(t=0.0, q=1.0, qdot=0.0, Q=np.array([1.0, 0.2]), Qdot=np.zeros(2))
         rec = integrate_prescribed("law", motion, st, params, table, 2.0,
-                                   rel_tol=1e-9, abs_tol=1e-11)
+                                   rel_tol=1e-9, abs_tol=1e-11, inner_cutoff=params.kmax)
         for i in range(len(rec.t)):
             assert rec.energy[i] == energy(rec.state(i), params, table, variant="law",
                                            inner_cutoff=params.kmax)
+
+    def test_law_default_cutoff_is_16_kmax(self):
+        table = coef.build_table(2)
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+        motion = harmonic_mirror_motion(1.0, 0.05, 1.0)
+        st = ClassicalState(t=0.0, q=1.0, qdot=0.0, Q=np.array([1.0, 0.2]), Qdot=np.zeros(2))
+        default, explicit = (
+            integrate_prescribed("law", motion, st, params, table, 2.0, rel_tol=1e-9,
+                                 abs_tol=1e-11, **cutoff)
+            for cutoff in ({}, {"inner_cutoff": 32})
+        )
+        assert np.array_equal(default.y, explicit.y)
 
     def test_state_mode_count_must_match_kmax(self):
         table = coef.build_table(3)
