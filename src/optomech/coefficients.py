@@ -24,6 +24,13 @@ sum beyond a truncation L is 4 k j (-1)^{k+j} / L (the diagonal rule is the
 k = j case); the empirically fitted next-order term is -2 k j / L^2, which is
 what limits the accuracy of tail-corrected residuals (``gram_residual``).
 
+Both sums run over the l (or j) range in fixed-width chunks of 2^14 indices,
+so memory does not grow with L.  Within a chunk the sum is one plain
+expression (``block @ block.T`` for the Gram matrix, ``(g**2).sum()`` for the
+diagonal rule).  The chunks go tail first, from the largest l down, and the
+chunk partials are added with Kahan compensation.  A truncation of at most
+2^14 is one chunk, so its sum is exactly the one-shot expression.
+
 Tables are built eagerly and frozen; everything in this module is a pure
 function of integer indices, so sharing tables across workers is safe.
 """
@@ -66,15 +73,19 @@ def _off_diagonal(form, k, j) -> float | np.ndarray:
     return _lookup(values)
 
 
+# (-1)^{k+j} is taken as (-1)^k (-1)^j, so pow runs over the kmax + L indices
+# and not over the kmax x L block; products with +-1 and 2 are exact, so the
+# values are unchanged.
 def g_coeff(k, j) -> float | np.ndarray:
     """Antisymmetric velocity-coupling coefficient g_{kj}."""
-    return _off_diagonal(lambda k, j: 2.0 * (-1.0) ** (k + j) * k * j / (j * j - k * k), k, j)
+    return _off_diagonal(
+        lambda k, j: 2.0 * (-1.0) ** k * (-1.0) ** j * k * j / (j * j - k * k), k, j)
 
 
 def h_coeff(k, j) -> float | np.ndarray:
     """Acceleration-type coupling coefficient h_{kj} (not symmetric)."""
-    return _off_diagonal(lambda k, j: 8.0 * (-1.0) ** (k + j) * k * j**3 / (k * k - j * j) ** 2,
-                         k, j)
+    return _off_diagonal(
+        lambda k, j: 8.0 * (-1.0) ** k * (-1.0) ** j * k * j**3 / (k * k - j * j) ** 2, k, j)
 
 
 def r_coeff(k) -> float | np.ndarray:
@@ -141,6 +152,30 @@ def build_table(kmax: int) -> CoefficientTable:
     return CoefficientTable(kmax=kmax, g=g, h=h, d=d, r=r)
 
 
+# Column width of one chunk of a sum-rule sum: 128 KiB of float64 per mode row,
+# and every default truncation (10^4) and default law coupling (16 kmax <= 8192)
+# fits in one chunk, so their sums are the one-shot expression.
+_CHUNK = 2**14
+
+
+def _chunked_sum(partial, stop: int):
+    """Sum ``partial(l)`` over fixed-width chunks ``l`` of the indices 1..stop.
+
+    The chunks are aligned at 1 and taken tail first, from the largest l down,
+    so the small far-tail partials are added before the large head ones.  The
+    chunk partials are accumulated with Kahan compensation; a single chunk is
+    returned as computed, and an empty range is one empty chunk.
+    """
+    starts = range(1, max(stop, 1) + 1, _CHUNK)
+    total, comp = partial(np.arange(starts[-1], stop + 1, dtype=float)), 0.0
+    for lo in reversed(starts[:-1]):
+        y = partial(np.arange(lo, lo + _CHUNK, dtype=float)) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
 def verify_g_squared_sum(k: int, jmax: int, tail_correct: bool = True) -> float:
     """Residual of the diagonal sum rule sum_{j != k} g_{kj}^2 -> r_k.
 
@@ -152,8 +187,7 @@ def verify_g_squared_sum(k: int, jmax: int, tail_correct: bool = True) -> float:
         raise ValueError("mode index k must be >= 1")
     if jmax <= k:
         raise ValueError("truncation jmax must exceed k")
-    j = np.arange(1, jmax + 1, dtype=float)
-    partial = (g_coeff(k, j[j != k]) ** 2).sum()
+    partial = _chunked_sum(lambda j: (g_coeff(k, j[j != k]) ** 2).sum(), jmax)
     if tail_correct:
         partial += 4.0 * k * k / jmax
     return float(abs(partial - r_coeff(k)))
@@ -161,9 +195,13 @@ def verify_g_squared_sum(k: int, jmax: int, tail_correct: bool = True) -> float:
 
 def gram_matrix(kmax: int, ltrunc: int) -> np.ndarray:
     """Partial Gram matrix G_{kj} = sum_{l <= ltrunc} g_{kl} g_{jl} for k, j <= kmax."""
-    block = g_coeff(np.arange(1, kmax + 1, dtype=float)[:, None],
-                    np.arange(1, ltrunc + 1, dtype=float))
-    return block @ block.T
+    k = np.arange(1, kmax + 1, dtype=float)[:, None]
+
+    def chunk(l: np.ndarray) -> np.ndarray:
+        block = g_coeff(k, l)
+        return block @ block.T
+
+    return _chunked_sum(chunk, ltrunc)
 
 
 def gram_residual(kmax: int, ltrunc: int, tail_correct: bool = True) -> np.ndarray:

@@ -134,17 +134,19 @@ _CHOICES = {
     "mirror_model": ("newton", "lagrangian"),
 }
 # (minimum, maximum) of each integer key.  The maxima of the size keys make a
-# size no desk machine can hold exit 2 before anything is allocated:
+# run too large or too long for a desk machine exit 2 before it starts:
 # * kmax <= 512: four kmax x kmax tables (coeffs writes kmax^2 rows), the law
 #   coupling's kmax x 16 kmax Gram block (32 MiB at 512), and kmax stays below
 #   the L = 10^3 scaling probe of `checks`;
-# * jmax <= 10^7: the diagonal sum rule holds a few float64 arrays of jmax
-#   entries (80 MB each);
-# * ltrunc <= 10^7: the Gram sum rule's max(kmax, 2) x ltrunc block of g, whose
-#   entry count the CLI bounds again.
+# * jmax <= 10^7 and ltrunc <= 10^7: the sum rules run in fixed-width chunks,
+#   so memory does not grow with these and the bounds cap time (0.35 s per
+#   diagonal rule at 10^7 on 2 cores); the CLI bounds the Gram rule's
+#   max(kmax, 2) * ltrunc terms again;
+# * dim_cap <= 8192: a dense complex D x D Hamiltonian at D = 8192 is 1 GiB,
+#   and n_mech * n_opt may not exceed dim_cap.
 _INT_RANGES = {
     "kmax": (1, 512), "k_eigen": (1, math.inf), "jmax": (1, 10**7), "ltrunc": (1, 10**7),
-    "n_mech": (2, math.inf), "n_opt": (2, math.inf), "dim_cap": (4, math.inf),
+    "n_mech": (2, math.inf), "n_opt": (2, math.inf), "dim_cap": (4, 8192),
 }
 _REAL_KEYS = frozenset({
     "mass", "length", "omega_m", "omega_c", "c", "hbar", "a_amp", "a_phase", "b_amp",

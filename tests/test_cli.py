@@ -28,17 +28,38 @@ def only(dirpath, pattern):
     return hits[0]
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, launcher=()):
     # a fresh interpreter with a timeout, so a hang fails the test instead of the suite
     src = str(Path(optomech.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    return subprocess.run([*launcher, sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
 
 
 def run_subprocess(argv, cwd):
     return run_python(["-m", "optomech.cli", *argv], cwd)
+
+
+# The CLI in a child that caps its own address space at 4 GiB (ulimit -v), so an
+# oversized allocation fails at once instead of taking the machine's memory, and
+# that prints its exit code and its own peak resident size (ru_maxrss).
+_MEASURED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))
+from optomech.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def run_measured_cli(argv, cwd):
+    # ru_maxrss survives exec, so a child started straight from this process
+    # would report at least this process's resident size; a shell forks it from
+    # a small process instead
+    return run_python(["-c", _MEASURED_CLI, *argv], cwd,
+                      launcher=("sh", "-c", '"$@"; exit $?', "sh"))
 
 
 class TestCoeffs:
@@ -72,6 +93,17 @@ class TestVerify:
         assert "gram_identity_max" in names
         assert any(n.startswith("mode_sum_rule_k") for n in names)
         assert all("tolerance" in c for c in doc["checks"])
+
+    def test_large_truncation_runs_in_bounded_memory(self, tmp_path):
+        # the child sums the Gram rule over 8 x 10^6 products; one dense block
+        # of g peaked at 172 MB
+        proc = run_measured_cli(["verify", "--kmax", "8", "--ltrunc", "1000000",
+                                 "--out-dir", str(tmp_path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        maxrss = int(proc.stdout.split()[-1])
+        peak_mb = maxrss * (1 if sys.platform == "darwin" else 1024) / 1e6
+        assert peak_mb < 100.0
+        assert read_json(only(tmp_path, "verify-*.json"))["passed"] is True
 
 
 class TestRates:
@@ -325,6 +357,17 @@ class TestErrors:
                     "--out-dir", str(tmp_path)])
         assert code == 2
         assert "dim_cap" in capsys.readouterr().err
+        assert not list(tmp_path.glob("hamiltonian-*"))
+
+    def test_dim_cap_above_its_bound_is_config_error(self, tmp_path):
+        # a dim_cap without upper bound let this run reach a 14.6 TiB np.kron and
+        # exit 1 with a traceback
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"dim_cap": 1000000, "n_mech": 1000, "n_opt": 1000}))
+        proc = run_measured_cli(["hamiltonian", "--config", str(cfg), "--out-dir", str(tmp_path)],
+                                tmp_path)
+        assert proc.returncode == 2
+        assert "dim_cap" in proc.stderr and "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("hamiltonian-*"))
 
     @pytest.mark.parametrize("text, field", [

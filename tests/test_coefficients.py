@@ -1,5 +1,8 @@
 """Coefficient families and their sum rules."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -170,3 +173,43 @@ class TestGramSumRule:
             coef.verify_gram_identity(1, 100)
         with pytest.raises(ValueError):
             coef.verify_gram_identity(8, 8)
+
+
+class TestChunkedSums:
+    # the sum rules run in 2^14-wide chunks of l, tail first, Kahan-compensated
+    CHUNK = 2**14
+
+    @pytest.mark.parametrize("kmax", [2, 8, 20])
+    def test_one_chunk_gram_is_the_one_shot_product(self, kmax):
+        block = coef.g_coeff(np.arange(1, kmax + 1)[:, None], np.arange(1, self.CHUNK + 1))
+        assert np.array_equal(coef.gram_matrix(kmax, self.CHUNK), block @ block.T)
+
+    @pytest.mark.parametrize("k, jmax", [(1, 2), (3, 10**4), (8, 2**14)])
+    def test_one_chunk_diagonal_rule_is_the_one_shot_sum(self, k, jmax):
+        j = np.arange(1, jmax + 1, dtype=float)
+        one_shot = (coef.g_coeff(k, j[j != k]) ** 2).sum()
+        tail = 4.0 * k * k / jmax
+        assert coef.verify_g_squared_sum(k, jmax, False) == abs(one_shot - coef.r_coeff(k))
+        assert coef.verify_g_squared_sum(k, jmax) == abs(one_shot + tail - coef.r_coeff(k))
+
+    def test_across_chunks_gram_matches_exactly_rounded_sum(self):
+        kmax, L = 3, 3 * self.CHUNK + 17
+        gram = coef.gram_matrix(kmax, L)
+        rows = coef.g_coeff(np.arange(1, kmax + 1)[:, None], np.arange(1, L + 1))
+        for a in range(kmax):
+            for b in range(kmax):
+                ref = math.fsum((rows[a] * rows[b]).tolist())
+                assert abs(gram[a, b] - ref) <= 1e-15 * abs(ref), (a, b)
+
+    @pytest.mark.parametrize("call", [lambda: coef.gram_matrix(8, 10**6),
+                                      lambda: coef.verify_g_squared_sum(1, 2 * 10**6)],
+                             ids=["gram_matrix", "diagonal_rule"])
+    def test_large_truncations_run_in_bounded_memory(self, call):
+        # one dense kmax x L block of g and its temporaries peaked above 60 MiB
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

@@ -128,6 +128,14 @@ def test_size_keys_have_upper_bounds(key, top):
             resolve_config(doc)
 
 
+def test_dim_cap_is_bounded_by_a_1_gib_hamiltonian():
+    assert resolve_config({"dim_cap": 8192}).dim_cap == 8192
+    for doc, name in (({"dim_cap": 8193}, "dim_cap"),
+                      ({"grid": {"dim_cap": [16, 10**6]}}, "grid.dim_cap")):
+        with pytest.raises(ConfigError, match=rf"{name} must be an integer in \[4, 8192\]"):
+            resolve_config(doc)
+
+
 @pytest.mark.parametrize("key, value", [
     ("omega_c", "x"), ("mass", True), ("t_end", [1.0]), ("q0", "far"),
     ("eta", float("nan")), ("eta", float("inf")), ("eta", 0.0), ("eta", -1.0), ("eta", "0.5"),
