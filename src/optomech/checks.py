@@ -8,6 +8,7 @@ computed by the library modules; nothing here does its own physics.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -175,11 +176,8 @@ def _fock_checks(report: CheckReport, params: CavityParams) -> None:
 
 def _hamiltonian_checks(report: CheckReport, params: CavityParams) -> None:
     space, ops = fock.make_space(8, 8)
-    rel_params = CavityParams(
-        mass=params.mass, length=params.length, omega_m=params.omega_m,
-        omega_c=params.omega_c, c=params.c, hbar=params.hbar,
-        a_amp=params.a_amp or 1.0, a_phase=params.a_phase,
-        b_amp=params.b_amp or 1.0, b_phase=math.pi / 4,
+    rel_params = dataclasses.replace(
+        params, a_amp=params.a_amp or 1.0, b_amp=params.b_amp or 1.0, b_phase=math.pi / 4,
         chi0=1.0, thickness=0.01 * params.length,
     )
     builds = {}

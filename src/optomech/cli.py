@@ -4,8 +4,14 @@ Subcommands: coeffs, verify, evolve, rates, hamiltonian, spectrum, checks,
 sweep.  Every number in the outputs comes from a library call; this layer
 only parses, dispatches, and serializes.  Outputs are deterministic: fixed
 config -> byte-identical files, named <subcommand>-<confighash>.<ext> under
---out-dir.  Exit codes: 0 success, 1 failed check or numerical failure,
-2 usage/config error.
+--out-dir (the Fock subcommands put the variant names before the hash).
+Exit codes: 0 success, 1 failed check or numerical failure, 2 usage/config
+error.
+
+Each flag is declared once, in ``_FLAGS``, under the config key it sets (the
+key's default and rule live in ``config``).  ``_SUBCOMMANDS`` names the keys
+each subcommand reads, and a subcommand offers only those flags, so a flag
+it would ignore is a usage error.
 """
 
 from __future__ import annotations
@@ -25,14 +31,36 @@ from . import checks as checks_mod
 from . import coefficients as coef
 from . import fock
 from . import hamiltonians as ham
-from .config import ConfigError, RunConfig, config_hash, load_config_file, resolve_config
+from .config import (_CHOICES, DEFAULTS, ConfigError, RunConfig, config_hash, load_config_file,
+                     resolve_config)
 from .dynamics import ClassicalState, MirrorParams, StiffnessError, integrate
-from .rates import CavityParams, all_rates
+from .rates import CavityParams, RateSet, all_rates
 
-_SCALAR_RATE_FIELDS = (
-    "x_zp", "theta", "R", "alpha", "beta", "gamma", "g0",
-    "g3", "g4_plus", "g4_minus", "G4_plus", "G4_minus", "J", "lam", "w_over_beta",
-)
+_CAVITY_FIELDS = tuple(f.name for f in dataclasses.fields(CavityParams))
+_SCALAR_RATE_FIELDS = tuple(f.name for f in dataclasses.fields(RateSet) if f.name != "w")
+
+# config key -> (flag, argparse keywords); every flag defaults to None, which
+# leaves the config file's value or the key's default in place
+_FLAGS = {
+    "kmax": ("--kmax", {"type": int, "help": "retained field modes"}),
+    "jmax": ("--jmax", {"type": int, "help": "diagonal-rule truncation"}),
+    "ltrunc": ("--ltrunc", {"type": int, "help": "Gram-rule truncation"}),
+    "tail_correct": ("--no-tail", {"action": "store_false",
+                                   "help": "disable the analytic tail correction"}),
+    "variant": ("--variant", {"choices": _CHOICES["variant"]}),
+    "t_end": ("--t-end", {"type": float}),
+    "rel_tol": ("--rel-tol", {"type": float}),
+    "abs_tol": ("--abs-tol", {"type": float}),
+    "mirror_model": ("--mirror-model", {"choices": _CHOICES["mirror_model"]}),
+    "n_mech": ("--n-mech", {"type": int}),
+    "n_opt": ("--n-opt", {"type": int}),
+    "order": ("--order", {"type": int, "help": "expansion order: 0, 1 or 2"}),
+    "eta": ("--eta", {"type": float}),
+    "k_eigen": ("--k-eigen", {"type": int, "help": "number of eigenvalues"}),
+    "r_convention": ("--r-convention", {"choices": _CHOICES["r_convention"],
+                                        "help": "self-rate convention (default exact)"}),
+    "out_format": ("--out-format", {"choices": _CHOICES["out_format"]}),
+}
 
 
 def _fmt(x) -> str:
@@ -63,21 +91,12 @@ def _out_path(args, cfg: RunConfig, subcommand: str, ext: str, suffix: str = "")
 
 
 def _cavity_params(cfg: RunConfig) -> CavityParams:
-    return CavityParams(
-        mass=cfg.mass, length=cfg.length, omega_m=cfg.omega_m, omega_c=cfg.omega_c,
-        c=cfg.c, hbar=cfg.hbar, a_amp=cfg.a_amp, a_phase=cfg.a_phase,
-        b_amp=cfg.b_amp, b_phase=cfg.b_phase, chi0=cfg.chi0, thickness=cfg.thickness,
-    )
+    return CavityParams(**{name: getattr(cfg, name) for name in _CAVITY_FIELDS})
 
 
 def _resolve(args) -> RunConfig:
     file_doc = load_config_file(args.config) if args.config else None
-    overrides = {}
-    for key in vars(args):
-        if key in ("config", "out_dir", "command", "variants", "func"):
-            continue
-        overrides[key] = getattr(args, key)
-    return resolve_config(file_doc, overrides)
+    return resolve_config(file_doc, {k: v for k, v in vars(args).items() if k in _FLAGS})
 
 
 def _cmd_coeffs(args) -> int:
@@ -217,8 +236,12 @@ def _build_variant(cfg: RunConfig, space: fock.FockSpace, variant: str) -> fock.
 
 def _cmd_hamiltonian(args) -> int:
     cfg = _resolve(args)
-    variant = args.variants[0] if args.variants else "new_full"
+    variants = args.variants or ["new_full"]
+    if len(variants) > 1:
+        raise ConfigError(f"hamiltonian builds one variant, got --variant {' '.join(variants)}")
+    variant = variants[0]
     H = _build_variant(cfg, _fock_space(cfg), variant)
+    path = _out_path(args, cfg, "hamiltonian", cfg.out_format, suffix=f"-{variant}")
     if cfg.out_format == "json":
         payload = {
             "variant": variant,
@@ -226,7 +249,6 @@ def _cmd_hamiltonian(args) -> int:
             "real": H.data.real.tolist(),
             "imag": H.data.imag.tolist(),
         }
-        path = _out_path(args, cfg, "hamiltonian", "json")
         _write_json(path, payload)
     else:
         rows = []
@@ -234,7 +256,6 @@ def _cmd_hamiltonian(args) -> int:
         for i in range(n):
             for j in range(n):
                 rows.append((i, j, float(H.data[i, j].real), float(H.data[i, j].imag)))
-        path = _out_path(args, cfg, "hamiltonian", "csv")
         _write_csv(path, ["i", "j", "real", "imag"], rows)
     print(path)
     return 0
@@ -243,6 +264,8 @@ def _cmd_hamiltonian(args) -> int:
 def _cmd_spectrum(args) -> int:
     cfg = _resolve(args)
     variants = args.variants or ["new_full"]
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"each --variant may be given once, got {' '.join(variants)}")
     space = _fock_space(cfg)
     if cfg.k_eigen > space.dim:
         raise ConfigError(f"k_eigen ({cfg.k_eigen}) exceeds the space dimension {space.dim}")
@@ -268,7 +291,7 @@ def _cmd_spectrum(args) -> int:
             summary["matches_perturbation_within_10pct"] = bool(
                 abs(signed / pert - 1.0) <= 0.1
             )
-        path = _out_path(args, cfg, "spectrum", "json", suffix="-diff")
+        path = _out_path(args, cfg, "spectrum", "json", suffix=f"-diff-{va}-{vb}")
         _write_json(path, summary)
         paths.append(path)
     for p in paths:
@@ -324,18 +347,24 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file (flags override its keys)")
-    sp.add_argument("--out-dir", default="out", help="output directory (default: out)")
-    sp.add_argument("--kmax", type=int, default=None, help="retained field modes")
-    sp.add_argument("--out-format", dest="out_format", choices=("csv", "json"), default=None)
-    sp.add_argument("--r-convention", dest="r_convention", choices=("exact", "prose"),
-                    default=None, help="self-rate convention (default exact)")
+# subcommand -> (handler, help, the config keys it reads that have a flag)
+_SUBCOMMANDS = {
+    "coeffs": (_cmd_coeffs, "emit the coefficient table as CSV", ("kmax",)),
+    "verify": (_cmd_verify, "series and Gram sum-rule residual report",
+               ("kmax", "jmax", "ltrunc", "tail_correct")),
+    "evolve": (_cmd_evolve, "integrate the coupled mirror-field system",
+               ("kmax", "variant", "t_end", "rel_tol", "abs_tol", "mirror_model")),
+    "rates": (_cmd_rates, "emit all scalar rates as JSON", ("kmax", "r_convention")),
+    "hamiltonian": (_cmd_hamiltonian, "emit a Hamiltonian variant matrix",
+                    ("n_mech", "n_opt", "order", "eta", "r_convention", "out_format")),
+    "spectrum": (_cmd_spectrum, "lowest eigenvalues of one or more variants",
+                 ("n_mech", "n_opt", "order", "eta", "k_eigen", "r_convention")),
+    "checks": (_cmd_checks, "full identity-check report (JSON)", ("kmax", "jmax", "ltrunc")),
+    "sweep": (_cmd_sweep, "Cartesian parameter sweep of the rate set", ("kmax", "r_convention")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .config import DEFAULTS
-
     defaults_doc = ", ".join(f"{k}={v!r}" for k, v in DEFAULTS.items())
     parser = argparse.ArgumentParser(
         prog="optomech",
@@ -345,65 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("coeffs", help="emit the coefficient table as CSV")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_coeffs)
-
-    sp = sub.add_parser("verify", help="series and Gram sum-rule residual report")
-    _add_common(sp)
-    sp.add_argument("--jmax", type=int, default=None, help="diagonal-rule truncation")
-    sp.add_argument("--ltrunc", type=int, default=None, help="Gram-rule truncation")
-    sp.add_argument("--no-tail", dest="tail_correct", action="store_false", default=None,
-                    help="disable the analytic tail correction")
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("evolve", help="integrate the coupled mirror-field system")
-    _add_common(sp)
-    sp.add_argument("--variant", dest="variant", choices=("new", "law"), default=None)
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    sp.add_argument("--mirror-model", dest="mirror_model",
-                    choices=("newton", "lagrangian"), default=None)
-    sp.set_defaults(func=_cmd_evolve)
-
-    sp = sub.add_parser("rates", help="emit all scalar rates as JSON")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_rates)
-
-    sp = sub.add_parser("hamiltonian", help="emit a Hamiltonian variant matrix")
-    _add_common(sp)
-    sp.add_argument("--variant", dest="variants", action="append",
-                    choices=ham.VARIANTS, help="variant to build")
-    sp.add_argument("--n-mech", dest="n_mech", type=int, default=None)
-    sp.add_argument("--n-opt", dest="n_opt", type=int, default=None)
-    sp.add_argument("--order", type=int, default=None, choices=(0, 1, 2))
-    sp.add_argument("--eta", type=float, default=None)
-    sp.set_defaults(func=_cmd_hamiltonian)
-
-    sp = sub.add_parser("spectrum", help="lowest eigenvalues of one or more variants")
-    _add_common(sp)
-    sp.add_argument("--variant", dest="variants", action="append",
-                    choices=ham.VARIANTS, help="repeatable")
-    sp.add_argument("--n-mech", dest="n_mech", type=int, default=None)
-    sp.add_argument("--n-opt", dest="n_opt", type=int, default=None)
-    sp.add_argument("--order", type=int, default=None, choices=(0, 1, 2))
-    sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--k-eigen", dest="k_eigen", type=int, default=None,
-                    help="number of eigenvalues")
-    sp.set_defaults(func=_cmd_spectrum)
-
-    sp = sub.add_parser("checks", help="full identity-check report (JSON)")
-    _add_common(sp)
-    sp.add_argument("--jmax", type=int, default=None)
-    sp.add_argument("--ltrunc", type=int, default=None)
-    sp.set_defaults(func=_cmd_checks)
-
-    sp = sub.add_parser("sweep", help="Cartesian parameter sweep of the rate set")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_sweep)
-
+    for name, (func, help_text, keys) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="JSON config file (flags override its keys)")
+        sp.add_argument("--out-dir", default="out", help="output directory (default: out)")
+        if name in ("hamiltonian", "spectrum"):
+            sp.add_argument("--variant", dest="variants", action="append", choices=ham.VARIANTS,
+                            help="Hamiltonian variant (default new_full); spectrum takes "
+                            "several, each once")
+        for key in keys:
+            flag, kwargs = _FLAGS[key]
+            sp.add_argument(flag, dest=key, default=None, **kwargs)
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -1,5 +1,10 @@
 """Run configuration: one JSON document, flag overrides win, unknown keys rejected.
 
+Each setting is declared once: its name, type and default as a ``RunConfig``
+field, its validation rule in ``_check_value`` (with the ``_CHOICES``,
+``_INT_RANGES`` and ``_REAL_KEYS`` tables), and its command-line flag, if it
+has one, in ``cli._FLAGS``.
+
 The resolved configuration is hashed (canonical JSON, sha256) to produce
 deterministic output filenames, so identical configs always map to identical
 artifacts.
@@ -12,96 +17,62 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["RunConfig", "DEFAULTS", "load_config_file", "resolve_config", "config_hash"]
 
 SI_C = 299792458.0
 SI_HBAR = 1.054571817e-34
 
-DEFAULTS: dict = {
-    "units": "natural",
-    "mass": 1.0,
-    "length": 100.0,
-    "omega_m": 1.0,
-    "omega_c": 2.0,
-    "c": None,
-    "hbar": None,
-    "a_amp": 1.0,
-    "a_phase": 0.0,
-    "b_amp": 1.0,
-    "b_phase": 0.0,
-    "chi0": 0.0,
-    "thickness": 0.0,
-    "kmax": 4,
-    "n_mech": 8,
-    "n_opt": 8,
-    "dim_cap": 4096,
-    "jmax": 10000,
-    "ltrunc": 10000,
-    "tail_correct": True,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-    "t_end": 10.0,
-    "q_floor": None,
-    "mirror_model": "newton",
-    "variant": "new",
-    "order": 1,
-    "eta": 0.5,
-    "k_eigen": 8,
-    "q0": None,
-    "qdot0": 0.0,
-    "Q0": None,
-    "Qdot0": None,
-    "r_convention": "exact",
-    "out_format": "csv",
-    "grid": {},
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved, validated run configuration (see DEFAULTS for the schema)."""
+    """Resolved, validated run configuration: one field per config key, with
+    that key's default.  ``c`` and ``hbar`` left at None are set from
+    ``units`` by ``resolve_config``."""
 
-    units: str
-    mass: float
-    length: float
-    omega_m: float
-    omega_c: float
-    c: float
-    hbar: float
-    a_amp: float
-    a_phase: float
-    b_amp: float
-    b_phase: float
-    chi0: float
-    thickness: float
-    kmax: int
-    n_mech: int
-    n_opt: int
-    dim_cap: int
-    jmax: int
-    ltrunc: int
-    tail_correct: bool
-    rel_tol: float
-    abs_tol: float
-    t_end: float
-    q_floor: float | None
-    mirror_model: str
-    variant: str
-    order: int
-    eta: float
-    k_eigen: int
-    q0: float | None
-    qdot0: float
-    Q0: list | None
-    Qdot0: list | None
-    r_convention: str
-    out_format: str
-    grid: dict
+    units: str = "natural"
+    mass: float = 1.0
+    length: float = 100.0
+    omega_m: float = 1.0
+    omega_c: float = 2.0
+    c: float | None = None
+    hbar: float | None = None
+    a_amp: float = 1.0
+    a_phase: float = 0.0
+    b_amp: float = 1.0
+    b_phase: float = 0.0
+    chi0: float = 0.0
+    thickness: float = 0.0
+    kmax: int = 4
+    n_mech: int = 8
+    n_opt: int = 8
+    dim_cap: int = 4096
+    jmax: int = 10000
+    ltrunc: int = 10000
+    tail_correct: bool = True
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    t_end: float = 10.0
+    q_floor: float | None = None
+    mirror_model: str = "newton"
+    variant: str = "new"
+    order: int = 1
+    eta: float = 0.5
+    k_eigen: int = 8
+    q0: float | None = None
+    qdot0: float = 0.0
+    Q0: list | None = None
+    Qdot0: list | None = None
+    r_convention: str = "exact"
+    out_format: str = "csv"
+    grid: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+DEFAULTS: dict = RunConfig().to_dict()
 
 
 class ConfigError(ValueError):

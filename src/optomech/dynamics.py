@@ -243,7 +243,7 @@ class _Coupling:
 def _coupling(variant: str, table: CoefficientTable, params: MirrorParams,
               inner_cutoff: int | None) -> _Coupling:
     """Coupling of a variant: M = d for 'new', the Gram matrix summed to
-    ``inner_cutoff`` modes (16 * kmax when None) for 'law'."""
+    ``inner_cutoff`` modes (16 * kmax when None; an integer >= 1) for 'law'."""
     kmax = params.kmax
     if table.kmax < kmax:
         raise ValueError("coefficient table smaller than requested mode count")
@@ -252,6 +252,9 @@ def _coupling(variant: str, table: CoefficientTable, params: MirrorParams,
         return _Coupling(params, g, d, d)
     if variant == "law":
         L = 16 * kmax if inner_cutoff is None else inner_cutoff
+        # gram_matrix sums nothing below 1, which would drop the whole Gram term
+        if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 1:
+            raise ValueError(f"inner_cutoff must be an integer >= 1, got {inner_cutoff!r}")
         return _Coupling(params, g, gram_matrix(kmax, L), d)
     raise ValueError(f"unknown variant {variant!r}; use 'new' or 'law'")
 

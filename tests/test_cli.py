@@ -179,6 +179,18 @@ class TestHamiltonianAndSpectrum:
             data[conv] = only(out, "hamiltonian-*.csv").read_text()
         assert data["exact"] != data["prose"]
 
+    def test_each_variant_writes_its_own_files(self, tmp_path):
+        # the variant never reached the config hash, so these runs overwrote
+        # one hamiltonian-<hash>.csv and one spectrum-diff-<hash>.json
+        small = ["--n-mech", "3", "--n-opt", "3", "--out-dir", str(tmp_path)]
+        for variant in ("H3", "H4"):
+            assert run(["hamiltonian", "--variant", variant, *small]) == 0
+            assert run(["spectrum", "--variant", "H012", "--variant", variant, *small]) == 0
+        h3, h4 = (only(tmp_path, f"hamiltonian-{v}-*.csv").read_text() for v in ("H3", "H4"))
+        assert h3 != h4
+        assert read_json(only(tmp_path, "spectrum-diff-H012-H4-*.json"))["variants"] == ["H012", "H4"]
+        assert len(list(tmp_path.glob("spectrum-diff-*.json"))) == 2
+
     def test_spectrum_csv_shape(self, tmp_path):
         assert run(["spectrum", "--variant", "H012", "--n-mech", "4", "--n-opt", "4",
                     "--k-eigen", "5", "--out-dir", str(tmp_path)]) == 0
@@ -257,6 +269,37 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *((c, "--out-format", "json")
+          for c in ("coeffs", "verify", "evolve", "rates", "spectrum", "checks", "sweep")),
+        *((c, "--r-convention", "prose") for c in ("coeffs", "verify", "evolve", "checks")),
+        *((c, "--kmax", "2") for c in ("hamiltonian", "spectrum")),
+    ])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        # each subcommand offers only the flags it reads; these were accepted,
+        # ignored, and exited 0 with the config file below
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"grid": {"omega_c": [1.0]}}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value, "--config", str(cfg), "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, variants", [
+        ("hamiltonian", ["H3", "H4"]), ("spectrum", ["H3", "H012", "H3"]),
+    ])
+    def test_extra_fock_variant_is_usage_error(self, tmp_path, capsys, command, variants):
+        # hamiltonian dropped every variant after the first; spectrum wrote a
+        # repeated variant's file twice
+        argv = [command, "--n-mech", "3", "--n-opt", "3", "--out-dir", str(tmp_path)]
+        for variant in variants:
+            argv += ["--variant", variant]
+        assert run(argv) == 2
+        assert "--variant" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_invalid_value_is_numerical_failure(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

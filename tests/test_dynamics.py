@@ -83,6 +83,20 @@ class TestFieldAccel:
         assert np.array_equal(field_accel_law(st, table8, params, 0.2),
                               field_accel_law(st, table8, params, 0.2, inner_cutoff=32))
 
+    @pytest.mark.parametrize("cutoff", [0, -5, 2.5, True])
+    @pytest.mark.parametrize("entry", ["field_accel_law", "energy", "integrate"])
+    def test_law_inner_cutoff_must_be_a_positive_integer(self, table8, entry, cutoff):
+        # a cutoff below 1 used to sum an empty Gram term without a word
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+        st = make_state(q=1.1, qdot=0.7, Q=[1.0, 0.3], Qdot=[0.2, -0.1])
+        calls = {
+            "field_accel_law": lambda: field_accel_law(st, table8, params, 0.2, inner_cutoff=cutoff),
+            "energy": lambda: energy(st, params, table8, variant="law", inner_cutoff=cutoff),
+            "integrate": lambda: integrate("law", st, params, table8, 0.1, inner_cutoff=cutoff),
+        }
+        with pytest.raises(ValueError, match="inner_cutoff"):
+            calls[entry]()
+
     def test_rejects_mismatched_state(self, table8):
         params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=3)
         with pytest.raises(ValueError):
