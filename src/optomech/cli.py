@@ -8,6 +8,12 @@ config -> byte-identical files, named <subcommand>-<confighash>.<ext> under
 Exit codes: 0 success, 1 failed check or numerical failure, 2 usage/config
 error.
 
+Each ``_cmd_*`` handler takes the resolved config and returns its artifacts,
+each ``(suffix, ext, content)`` with content a dict for JSON or
+``(header, rows)`` for CSV, and whether its checks passed.  ``_run`` resolves
+the config, calls the handler, then names, writes and prints every artifact,
+so nothing is written unless the whole computation succeeded.
+
 Each flag is declared once, in ``_FLAGS``, under the config key it sets (the
 key's default and rule live in ``config``).  ``_SUBCOMMANDS`` names the keys
 each subcommand reads, and a subcommand offers only those flags, so a flag
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import itertools
 import json
 import numbers
@@ -83,24 +90,11 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _out_path(args, cfg: RunConfig, subcommand: str, ext: str, suffix: str = "") -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = f"{subcommand}{suffix}-{config_hash(cfg)}.{ext}"
-    return out_dir / name
-
-
 def _cavity_params(cfg: RunConfig) -> CavityParams:
     return CavityParams(**{name: getattr(cfg, name) for name in _CAVITY_FIELDS})
 
 
-def _resolve(args) -> RunConfig:
-    file_doc = load_config_file(args.config) if args.config else None
-    return resolve_config(file_doc, {k: v for k, v in vars(args).items() if k in _FLAGS})
-
-
-def _cmd_coeffs(args) -> int:
-    cfg = _resolve(args)
+def _cmd_coeffs(cfg: RunConfig, args):
     table = coef.build_table(cfg.kmax)
     rows = []
     for k in range(1, cfg.kmax + 1):
@@ -109,10 +103,7 @@ def _cmd_coeffs(args) -> int:
                 (k, j, float(table.g[k - 1, j - 1]), float(table.h[k - 1, j - 1]),
                  float(table.d[k - 1, j - 1]), float(table.r[k - 1]))
             )
-    path = _out_path(args, cfg, "coeffs", "csv")
-    _write_csv(path, ["k", "j", "g", "h", "d", "r_k"], rows)
-    print(path)
-    return 0
+    return [("", "csv", (["k", "j", "g", "h", "d", "r_k"], rows))], True
 
 
 def _require_above(cfg: RunConfig, key: str, bound: int, what: str) -> None:
@@ -135,8 +126,7 @@ def _require_gram_block(kmax: int, ltrunc: int) -> None:
                           f"bound of {_GRAM_BLOCK_MAX} terms")
 
 
-def _cmd_verify(args) -> int:
-    cfg = _resolve(args)
+def _cmd_verify(cfg: RunConfig, args):
     k_rule, k_gram = min(cfg.kmax, 8), max(cfg.kmax, 2)
     _require_above(cfg, "jmax", k_rule, "the largest sum-rule mode")
     _require_above(cfg, "ltrunc", k_gram, "kmax")
@@ -154,30 +144,20 @@ def _cmd_verify(args) -> int:
         checks_mod.GRAM_RULE_TOL,
     )
     report.notes["tail_correct"] = str(cfg.tail_correct)
-    path = _out_path(args, cfg, "verify", "json")
-    _write_json(path, report.to_dict())
-    print(path)
-    return 0 if report.passed else 1
+    return [("", "json", report.to_dict())], report.passed
 
 
-def _cmd_rates(args) -> int:
-    cfg = _resolve(args)
+def _cmd_rates(cfg: RunConfig, args):
     p = _cavity_params(cfg)
     rs = all_rates(p, kmax=cfg.kmax, r_convention=cfg.r_convention)
-    payload = {}
-    for name in _SCALAR_RATE_FIELDS:
-        value = getattr(rs, name)
-        payload[name] = value if value is None else float(value)
+    payload = {name: float(getattr(rs, name)) for name in _SCALAR_RATE_FIELDS}
     payload["w"] = rs.w.tolist()
     payload["notes"] = {
         "r_convention": cfg.r_convention,
         "beta_convention": "hbar*omega_c/(mass*omega_m*length^2) (= theta*alpha)",
         "g4_plus_alternative_theta_g3": float(rs.theta * rs.g3),
     }
-    path = _out_path(args, cfg, "rates", "json")
-    _write_json(path, payload)
-    print(path)
-    return 0
+    return [("", "json", payload)], True
 
 
 def _mode_amplitudes(cfg: RunConfig, key: str) -> np.ndarray:
@@ -197,8 +177,7 @@ def _initial_state(cfg: RunConfig) -> ClassicalState:
                           Qdot=_mode_amplitudes(cfg, "Qdot0"))
 
 
-def _cmd_evolve(args) -> int:
-    cfg = _resolve(args)
+def _cmd_evolve(cfg: RunConfig, args):
     params = MirrorParams(mass=cfg.mass, length=cfg.length, omega_m=cfg.omega_m,
                           c=cfg.c, kmax=cfg.kmax)
     table = coef.build_table(cfg.kmax)
@@ -215,10 +194,7 @@ def _cmd_evolve(args) -> int:
         tuple(float(v) for v in (record.t[i], *record.y[i], record.energy[i]))
         for i in range(len(record.t))
     )
-    path = _out_path(args, cfg, "evolve", "csv")
-    _write_csv(path, header, rows)
-    print(path)
-    return 0
+    return [("", "csv", (header, rows))], True
 
 
 def _fock_space(cfg: RunConfig) -> fock.FockSpace:
@@ -228,62 +204,66 @@ def _fock_space(cfg: RunConfig) -> fock.FockSpace:
     return fock.FockSpace(n_mech=cfg.n_mech, n_opt=cfg.n_opt, dim_cap=cfg.dim_cap)
 
 
-def _build_variant(cfg: RunConfig, space: fock.FockSpace, variant: str) -> fock.OperatorMatrix:
-    eta = {"eta": cfg.eta} if variant == "H4_special_eta" else {}
-    return ham.build_hamiltonian(variant, _cavity_params(cfg), space, order=cfg.order,
-                                 r_convention=cfg.r_convention, **eta)
+# the Fock settings a variant may read; a builder reads those among its parameters
+_FOCK_OPTIONS = ("order", "eta", "r_convention")
 
 
-def _cmd_hamiltonian(args) -> int:
-    cfg = _resolve(args)
+def _builder_keys(variant: str) -> set[str]:
+    return set(_FOCK_OPTIONS) & set(inspect.signature(ham.BUILDERS[variant]).parameters)
+
+
+def _requested_variants(args, single: bool) -> list[str]:
     variants = args.variants or ["new_full"]
-    if len(variants) > 1:
-        raise ConfigError(f"hamiltonian builds one variant, got --variant {' '.join(variants)}")
-    variant = variants[0]
+    if single and len(variants) > 1:
+        raise ConfigError(f"{args.command} builds one variant, got --variant {' '.join(variants)}")
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"each --variant may be given once, got {' '.join(variants)}")
+    # a Fock flag that no requested builder reads would change only the hash
+    read = set().union(*(_builder_keys(v) for v in variants))
+    for key in _FOCK_OPTIONS:
+        if getattr(args, key) is not None and key not in read:
+            raise ConfigError(f"{_FLAGS[key][0]} is read by none of the requested variants "
+                              f"({', '.join(variants)})")
+    return variants
+
+
+def _build_variant(cfg: RunConfig, space: fock.FockSpace, variant: str) -> fock.OperatorMatrix:
+    options = {key: getattr(cfg, key) for key in _builder_keys(variant)}
+    return ham.build_hamiltonian(variant, _cavity_params(cfg), space, **options)
+
+
+def _cmd_hamiltonian(cfg: RunConfig, args):
+    variant, = _requested_variants(args, single=True)
     H = _build_variant(cfg, _fock_space(cfg), variant)
-    path = _out_path(args, cfg, "hamiltonian", cfg.out_format, suffix=f"-{variant}")
     if cfg.out_format == "json":
-        payload = {
+        content = {
             "variant": variant,
             "dim": H.space.dim,
             "real": H.data.real.tolist(),
             "imag": H.data.imag.tolist(),
         }
-        _write_json(path, payload)
     else:
         rows = []
         n = H.space.dim
         for i in range(n):
             for j in range(n):
                 rows.append((i, j, float(H.data[i, j].real), float(H.data[i, j].imag)))
-        _write_csv(path, ["i", "j", "real", "imag"], rows)
-    print(path)
-    return 0
+        content = (["i", "j", "real", "imag"], rows)
+    return [(f"-{variant}", cfg.out_format, content)], True
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _resolve(args)
-    variants = args.variants or ["new_full"]
-    if len(set(variants)) < len(variants):
-        raise ConfigError(f"each --variant may be given once, got {' '.join(variants)}")
+def _cmd_spectrum(cfg: RunConfig, args):
+    variants = _requested_variants(args, single=False)
     space = _fock_space(cfg)
     if cfg.k_eigen > space.dim:
         raise ConfigError(f"k_eigen ({cfg.k_eigen}) exceeds the space dimension {space.dim}")
-    paths = []
-    eigs = {}
-    for variant in variants:
-        H = _build_variant(cfg, space, variant)
-        vals = fock.spectrum(H, cfg.k_eigen)
-        eigs[variant] = vals
-        path = _out_path(args, cfg, "spectrum", "csv", suffix=f"-{variant}")
-        _write_csv(path, ["index", "eigenvalue"],
-                   ((i, float(v)) for i, v in enumerate(vals)))
-        paths.append(path)
-    if len(variants) >= 2:
-        va, vb = variants[0], variants[1]
-        shift = float(eigs[va][0] - eigs[vb][0])
-        summary = {"variants": [va, vb], "ground_state_shift": shift}
-        if {"new_full", "law_full"} <= set(variants):
+    eigs = {v: fock.spectrum(_build_variant(cfg, space, v), cfg.k_eigen) for v in variants}
+    artifacts = [(f"-{v}", "csv", (["index", "eigenvalue"], enumerate(map(float, vals))))
+                 for v, vals in eigs.items()]
+    va = variants[0]
+    for vb in variants[1:]:
+        summary = {"variants": [va, vb], "ground_state_shift": float(eigs[va][0] - eigs[vb][0])}
+        if {va, vb} == {"new_full", "law_full"}:
             pert = ham.ground_shift_estimate(_cavity_params(cfg), cfg.r_convention)
             signed = float(eigs["new_full"][0] - eigs["law_full"][0])
             summary["perturbative_estimate"] = pert
@@ -291,16 +271,11 @@ def _cmd_spectrum(args) -> int:
             summary["matches_perturbation_within_10pct"] = bool(
                 abs(signed / pert - 1.0) <= 0.1
             )
-        path = _out_path(args, cfg, "spectrum", "json", suffix=f"-diff-{va}-{vb}")
-        _write_json(path, summary)
-        paths.append(path)
-    for p in paths:
-        print(p)
-    return 0
+        artifacts.append((f"-diff-{va}-{vb}", "json", summary))
+    return artifacts, True
 
 
-def _cmd_checks(args) -> int:
-    cfg = _resolve(args)
+def _cmd_checks(cfg: RunConfig, args):
     kmax = max(cfg.kmax, 2)
     _require_above(cfg, "jmax", checks_mod.SUM_RULE_KMAX, "the largest sum-rule mode")
     _require_above(cfg, "ltrunc", kmax, "kmax")
@@ -308,14 +283,10 @@ def _cmd_checks(args) -> int:
     report = checks_mod.run_checks(
         jmax=cfg.jmax, ltrunc=cfg.ltrunc, kmax=kmax, params=_cavity_params(cfg)
     )
-    path = _out_path(args, cfg, "checks", "json")
-    _write_json(path, report.to_dict())
-    print(path)
     if not report.passed:
         failing = [e.name for e in report.entries if not e.passed]
         print(f"failed checks: {', '.join(failing)}", file=sys.stderr)
-        return 1
-    return 0
+    return [("", "json", report.to_dict())], report.passed
 
 
 def _sweep_point(cfg: RunConfig, names: list[str], values: tuple) -> tuple:
@@ -325,15 +296,10 @@ def _sweep_point(cfg: RunConfig, names: list[str], values: tuple) -> tuple:
         cfg, **{name: v for name, v in zip(names, values) if v is not None}
     )
     rs = all_rates(_cavity_params(point), kmax=point.kmax, r_convention=point.r_convention)
-    scalars = tuple(
-        float(getattr(rs, f)) if getattr(rs, f) is not None else float("nan")
-        for f in _SCALAR_RATE_FIELDS
-    )
-    return values + scalars
+    return values + tuple(float(getattr(rs, f)) for f in _SCALAR_RATE_FIELDS)
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _resolve(args)
+def _cmd_sweep(cfg: RunConfig, args):
     if not cfg.grid:
         raise ConfigError("sweep requires a non-empty 'grid' object in the config")
     names = sorted(cfg.grid)
@@ -341,10 +307,7 @@ def _cmd_sweep(args) -> int:
     points = list(itertools.product(*value_lists))
     rows = [_sweep_point(cfg, names, vals) for vals in points]
     header = names + list(_SCALAR_RATE_FIELDS)
-    path = _out_path(args, cfg, "sweep", "csv")
-    _write_csv(path, header, rows)
-    print(path)
-    return 0
+    return [("", "csv", (header, rows))], True
 
 
 # subcommand -> (handler, help, the config keys it reads that have a flag)
@@ -389,11 +352,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Resolve the config once, run the subcommand's handler, then write each
+    artifact it returns as <subcommand><suffix>-<confighash>.<ext> and print
+    its path; nothing is written unless the handler returned."""
+    file_doc = load_config_file(args.config) if args.config else None
+    cfg = resolve_config(file_doc, {k: v for k, v in vars(args).items() if k in _FLAGS})
+    artifacts, passed = args.func(cfg, args)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    digest = config_hash(cfg)
+    for suffix, ext, content in artifacts:
+        path = out_dir / f"{args.command}{suffix}-{digest}.{ext}"
+        if ext == "json":
+            _write_json(path, content)
+        else:
+            _write_csv(path, *content)
+        print(path)
+    return 0 if passed else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,12 @@ chain, which is what the special-case builder converges to).
 
 Every term is (mechanical factor) x (optical factor), built on the ladders
 ``ops.mech`` and ``ops.opt`` and lifted once with ``ops.lift``.
+
+``BUILDERS`` maps each variant name to its builder and is the one variant
+dispatch; ``VARIANTS`` lists its names in table order.  A builder's keyword
+parameters are the options its variant takes, so ``build_hamiltonian``
+forwards options unchanged and an option the builder does not take raises
+Python's own ``TypeError``.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .fock import (
 from .rates import CavityParams, base_rates, linearized_rates, relativistic_rates
 
 __all__ = [
+    "BUILDERS",
     "VARIANTS",
     "build_hamiltonian",
     "h012",
@@ -67,21 +74,6 @@ __all__ = [
     "delta_relativistic_second",
     "ground_shift_estimate",
 ]
-
-VARIANTS = (
-    "new_full",
-    "law_full",
-    "H012",
-    "H3",
-    "H4",
-    "H5",
-    "H3_linear_optical",
-    "H4_linear_optical",
-    "H4_linear_mechanical",
-    "H4_special_eta",
-    "H4_bogoliubov_form",
-    "delta_relativistic",
-)
 
 
 def _require_single_optical(ops: ModeOperators, variant: str) -> None:
@@ -110,10 +102,10 @@ def h012(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     return ops.wrap(data)
 
 
-def h3(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") -> OperatorMatrix:
+def h3(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Cubic interaction -hbar alpha X (n + 1/2): the standard number-position coupling."""
     _require_single_optical(ops, "H3")
-    rs = base_rates(params, r_convention)
+    rs = base_rates(params)
     data = ops.lift(-params.hbar * rs.alpha * ops.mech.x, ops.opt.n + 0.5 * ops.opt.eye)
     return ops.wrap(data)
 
@@ -396,55 +388,35 @@ def delta_relativistic(params: CavityParams, ops: ModeOperators) -> OperatorMatr
     return ops.wrap(-params.hbar * _relativistic_common(params, ops))
 
 
-def build_hamiltonian(
-    variant: str,
-    params: CavityParams,
-    space: FockSpace,
-    order: int = 1,
-    **options,
-) -> OperatorMatrix:
-    """Dispatch a Hamiltonian variant build on the given space.
+BUILDERS = {
+    "new_full": new_full,
+    "law_full": law_full,
+    "H012": h012,
+    "H3": h3,
+    "H4": h4,
+    "H5": h5,
+    "H3_linear_optical": h3_linear_optical,
+    "H4_linear_optical": h4_linear_optical,
+    "H4_linear_mechanical": h4_linear_mechanical,
+    "H4_special_eta": h4_special_eta,
+    "H4_bogoliubov_form": h4_bogoliubov_form,
+    "delta_relativistic": delta_relativistic,
+}
+VARIANTS = tuple(BUILDERS)
 
-    ``order`` applies to the full builds; variant-specific keywords:
-    ``branch`` (linearized quartic), ``convention`` (optically linearized
-    quartic), ``eta`` (special case), ``printed_quadratic`` (full builds),
-    ``r_convention``.
+
+def build_hamiltonian(
+    variant: str, params: CavityParams, space: FockSpace, **options
+) -> OperatorMatrix:
+    """Build ``variant`` on ``space`` with its builder in ``BUILDERS``.
+
+    The table is the dispatch: ``options`` go to the builder as keywords, so
+    the builder's own parameters name the options a variant takes (``order``
+    and ``printed_quadratic`` for the full builds, ``branch``, ``convention``,
+    ``eta``, ``r_convention`` where R enters).  An unknown variant raises
+    ``ValueError``, an option the builder does not take ``TypeError``.
     """
-    ops = mode_operators(space)
-    r_convention = options.pop("r_convention", "exact")
-    printed_quadratic = options.pop("printed_quadratic", False)
-    if variant == "new_full":
-        out = new_full(params, ops, order, printed_quadratic, r_convention)
-    elif variant == "law_full":
-        out = law_full(params, ops, order, printed_quadratic)
-    elif variant == "H012":
-        out = h012(params, ops)
-    elif variant == "H3":
-        out = h3(params, ops, r_convention)
-    elif variant == "H4":
-        out = h4(params, ops, r_convention)
-    elif variant == "H5":
-        out = h5(params, ops, r_convention)
-    elif variant == "H3_linear_optical":
-        out = h3_linear_optical(params, ops)
-    elif variant == "H4_linear_optical":
-        out = h4_linear_optical(
-            params, ops, options.pop("branch", "plus"), options.pop("convention", "printed"),
-            r_convention,
-        )
-    elif variant == "H4_linear_mechanical":
-        out = h4_linear_mechanical(params, ops, options.pop("branch", "plus"), r_convention)
-    elif variant == "H4_special_eta":
-        eta = options.pop("eta", None)
-        if eta is None:
-            raise TypeError("H4_special_eta requires an eta=... option")
-        out = h4_special_eta(params, ops, eta)
-    elif variant == "H4_bogoliubov_form":
-        out = h4_bogoliubov_form(params, ops, r_convention)
-    elif variant == "delta_relativistic":
-        out = delta_relativistic(params, ops)
-    else:
+    builder = BUILDERS.get(variant)
+    if builder is None:
         raise ValueError(f"unknown Hamiltonian variant {variant!r}")
-    if options:
-        raise TypeError(f"unused options for variant {variant}: {sorted(options)}")
-    return out
+    return builder(params, mode_operators(space), **options)

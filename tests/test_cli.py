@@ -191,6 +191,22 @@ class TestHamiltonianAndSpectrum:
         assert read_json(only(tmp_path, "spectrum-diff-H012-H4-*.json"))["variants"] == ["H012", "H4"]
         assert len(list(tmp_path.glob("spectrum-diff-*.json"))) == 2
 
+    def test_spectrum_diffs_each_later_variant_against_the_first(self, tmp_path):
+        # only the first pair got a diff; the momentum-term fields belong to
+        # the new_full/law_full pair alone
+        small = ["--n-mech", "3", "--n-opt", "3"]
+        out = tmp_path / "orders"
+        assert run(["spectrum", "--variant", "H012", "--variant", "H3", "--variant", "H4",
+                    *small, "--out-dir", str(out)]) == 0
+        diffs = sorted(p.name.rsplit("-", 1)[0] for p in out.glob("spectrum-diff-*.json"))
+        assert diffs == ["spectrum-diff-H012-H3", "spectrum-diff-H012-H4"]
+        out = tmp_path / "full"
+        assert run(["spectrum", "--variant", "new_full", "--variant", "H012",
+                    "--variant", "law_full", *small, "--out-dir", str(out)]) == 0
+        pair = read_json(only(out, "spectrum-diff-new_full-law_full-*.json"))
+        other = read_json(only(out, "spectrum-diff-new_full-H012-*.json"))
+        assert "new_minus_law_shift" in pair and "new_minus_law_shift" not in other
+
     def test_spectrum_csv_shape(self, tmp_path):
         assert run(["spectrum", "--variant", "H012", "--n-mech", "4", "--n-opt", "4",
                     "--k-eigen", "5", "--out-dir", str(tmp_path)]) == 0
@@ -300,6 +316,39 @@ class TestErrors:
         assert run(argv) == 2
         assert "--variant" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["hamiltonian", "--variant", "H3", "--order", "2"], "--order"),
+        (["hamiltonian", "--variant", "H3", "--eta", "3"], "--eta"),
+        (["hamiltonian", "--variant", "H3", "--r-convention", "prose"], "--r-convention"),
+        (["hamiltonian", "--variant", "law_full", "--r-convention", "prose"], "--r-convention"),
+        (["hamiltonian", "--eta", "3"], "--eta"),
+        (["spectrum", "--variant", "H012", "--variant", "H3", "--order", "2"], "--order"),
+    ])
+    def test_fock_flag_read_by_no_variant_is_usage_error(self, tmp_path, capsys, argv, flag):
+        # these exited 0 and wrote the default bytes under a new hash
+        out = tmp_path / "out"
+        assert run([*argv, "--n-mech", "3", "--n-opt", "3", "--out-dir", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_computation_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the first variant's CSV was written before the second eigensolve ran
+        solve = optomech.fock.spectrum
+        calls = []
+
+        def fail_second(H, k=None):
+            calls.append(H)
+            if len(calls) == 2:
+                raise ArithmeticError("eigensolver failed")
+            return solve(H, k)
+
+        monkeypatch.setattr(optomech.fock, "spectrum", fail_second)
+        out = tmp_path / "out"
+        assert run(["spectrum", "--variant", "H012", "--variant", "H3", "--n-mech", "3",
+                    "--n-opt", "3", "--out-dir", str(out)]) == 1
+        assert "eigensolver failed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_value_is_numerical_failure(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

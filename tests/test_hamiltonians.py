@@ -43,9 +43,12 @@ class TestStructure:
             ham.build_hamiltonian("H99", P_WEAK, space)
 
     def test_unused_options_rejected(self, ops8):
+        # H3 took order and law_full r_convention and both ignored them
         space, _ = ops8
-        with pytest.raises(TypeError):
-            ham.build_hamiltonian("H012", P_WEAK, space, eta=2.0)
+        for variant, options in (("H012", {"eta": 2.0}), ("H3", {"order": 2}),
+                                 ("law_full", {"r_convention": "prose"})):
+            with pytest.raises(TypeError):
+                ham.build_hamiltonian(variant, P_WEAK, space, **options)
 
     def test_single_optical_mode_required(self):
         space, _ = fock.make_space(4, 4, n_modes_opt=2)
