@@ -243,11 +243,9 @@ def _cmd_hamiltonian(cfg: RunConfig, args):
             "imag": H.data.imag.tolist(),
         }
     else:
-        rows = []
-        n = H.space.dim
-        for i in range(n):
-            for j in range(n):
-                rows.append((i, j, float(H.data[i, j].real), float(H.data[i, j].imag)))
+        rows = ((i, j, re, im)
+                for i, row in enumerate(H.data)
+                for j, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist())))
         content = (["i", "j", "real", "imag"], rows)
     return [(f"-{variant}", cfg.out_format, content)], True
 

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, determinism, exit codes, config handling."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,11 @@ import numpy as np
 import pytest
 
 import optomech
+from optomech import fock
+from optomech import hamiltonians as ham
 from optomech.cli import main
+from optomech.config import resolve_config
+from optomech.rates import CavityParams
 
 
 def run(argv):
@@ -148,6 +153,21 @@ class TestHamiltonianAndSpectrum:
         lines = path.read_text().splitlines()
         assert lines[0] == "i,j,real,imag"
         assert len(lines) == 1 + 81
+
+    def test_matrix_csv_holds_every_entry_in_row_major_order(self, tmp_path):
+        # drive phases make the imaginary parts nonzero; unequal cutoffs pin i, j
+        doc = {"a_amp": 1.0, "b_amp": 1.0, "a_phase": 0.3, "b_phase": 0.785}
+        cfg = tmp_path / "drive.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["hamiltonian", "--variant", "H4_linear_optical", "--n-mech", "4",
+                    "--n-opt", "3", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        rc = resolve_config(doc, {"n_mech": 4, "n_opt": 3})
+        params = CavityParams(**{f.name: getattr(rc, f.name) for f in dataclasses.fields(CavityParams)})
+        H = ham.build_hamiltonian("H4_linear_optical", params, fock.FockSpace(4, 3)).data
+        assert H.imag.any()
+        want = ["i,j,real,imag"] + [f"{i},{j},{float(H[i, j].real)!r},{float(H[i, j].imag)!r}"
+                                    for i in range(12) for j in range(12)]
+        assert only(tmp_path, "hamiltonian-*.csv").read_text() == "\n".join(want) + "\n"
 
     def test_matrix_json(self, tmp_path):
         assert run(["hamiltonian", "--variant", "H3", "--n-mech", "3",

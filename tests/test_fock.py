@@ -256,13 +256,17 @@ class TestSpectrum:
         complex_built = []
         for variant in ham.VARIANTS:
             options = {"eta": 0.5} if variant == "H4_special_eta" else {}
-            H = ham.build_hamiltonian(variant, p, space, **options).data
+            op = ham.build_hamiltonian(variant, p, space, **options)
+            H = op.data
             if H.imag.any():
                 complex_built.append(variant)
+            # every variant conserves one Z2 parity, so the operator splits
+            assert len(fock._parity_sectors(op)) == 2, variant
             want = np.linalg.eigh(0.5 * (H + H.conj().T))[0]
             norm = max(1.0, np.abs(want).max())
-            got = fock.spectrum(H, 8)
-            assert np.abs(got - want[:8]).max() <= 1e-13 * norm, variant
+            for arg in (H, op):  # one block; parity sectors
+                got = fock.spectrum(arg, 8)
+                assert np.abs(got - want[:8]).max() <= 1e-13 * norm, variant
         # drive phases decide the path: all real without them, five complex with them
         assert len(complex_built) == (0 if phases == (0.0, 0.0) else 5)
 
@@ -304,6 +308,97 @@ class TestSpectrum:
         _, ops = space16
         vals = fock.spectrum(ops.wrap(ops.n_op), 3)
         np.testing.assert_allclose(vals, [0.0, 0.0, 0.0], atol=1e-13)
+
+
+class TestParitySectors:
+    """``spectrum`` on an ``OperatorMatrix`` solves each conserved parity
+    sector as its own block."""
+
+    @staticmethod
+    def _params():
+        return CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=2.3, a_amp=1.0,
+                            b_amp=1.0, a_phase=0.3, b_phase=0.785, chi0=1.0, thickness=0.002)
+
+    @staticmethod
+    def _full_eigh(H):
+        return np.linalg.eigh(0.5 * (H + H.conj().T))[0]
+
+    def test_no_conserved_parity_is_one_block(self, space16):
+        # x flips the mechanical parity, q the optical one, and x + q the product
+        _, ops = space16
+        H = ops.wrap(ops.x + ops.q + ops.m_op)
+        assert len(fock._parity_sectors(H)) == 1
+        assert np.array_equal(fock.spectrum(H, 8), fock.spectrum(H.data, 8))
+        assert np.array_equal(fock.spectrum(H), fock.spectrum(H.data))
+
+    def test_unequal_sectors_return_every_value(self):
+        space, _ = fock.make_space(7, 9)
+        H = ham.build_hamiltonian("new_full", self._params(), space, order=2)
+        sizes = [len(H.data[idx]) for idx in fock._parity_sectors(H)]
+        assert sorted(sizes) == [28, 35]  # optical parity: 7 x 4 odd, 7 x 5 even
+        got = fock.spectrum(H)
+        want = self._full_eigh(H.data)
+        assert len(got) == 63
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    def test_two_optical_modes(self):
+        space, _ = fock.make_space(6, 5, n_modes_opt=2)
+        H = ham.build_hamiltonian("delta_relativistic", self._params(), space)
+        assert len(fock._parity_sectors(H)) == 2
+        want = self._full_eigh(H.data)
+        for k in (1, 8, None):
+            got = fock.spectrum(H, k)
+            assert np.abs(got - want[:k]).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    def test_perturbed_eigenvector_in_one_block_raises(self, space16, monkeypatch):
+        # mechanical sectors: the even one holds 0, 1, 1, ..., the odd one 0.5, 1.5, ...
+        _, ops = space16
+        H = ops.wrap(ops.n_op + 0.5 * ops.m_op)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def perturb_second_block(a):
+            vals, vecs = eigh(a)
+            calls.append(len(a))
+            if len(calls) % 2 == 0:
+                vecs = vecs.copy()
+                vecs[1, 0] += 1e-6
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturb_second_block)
+        with pytest.raises(ArithmeticError, match="residual"):
+            fock.spectrum(H, 3)
+        assert calls == [128, 128]
+        assert len(fock.spectrum(H, 1)) == 1  # the odd block returns no pair
+
+    def test_repeated_vector_in_one_block_raises(self, space16, monkeypatch):
+        # n_op's ground level is 8-fold degenerate in each mechanical sector
+        _, ops = space16
+        eigh = np.linalg.eigh
+
+        def repeated(a):
+            vals, vecs = eigh(a)
+            vecs = vecs.copy()
+            vecs[:, 1] = vecs[:, 0]
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", repeated)
+        with pytest.raises(ArithmeticError, match="orthonormality"):
+            fock.spectrum(ops.wrap(ops.n_op), 3)
+
+    @pytest.mark.parametrize("imag", [0.0, 0.1])  # real and complex path
+    def test_non_hermitian_entry_in_one_off_block_rejected(self, space16, imag):
+        # H[odd, even] != 0 with H[even, odd] = 0 for the mechanical parity: a
+        # split that tested one off-block would drop the entry unseen
+        space, ops = space16
+        data = ops.n_op + 0.5 * ops.m_op + 1j * imag * (ops.a @ ops.a - ops.adag @ ops.adag)
+        assert data.imag.any() == (imag != 0.0)
+        odd, even = 1 * space.n_opt, 0  # |m=1, n=0>, |m=0, n=0>
+        data[odd, even] = 1e-3
+        H = ops.wrap(data)
+        assert len(fock._parity_sectors(H)) == 2  # a later label keeps both in one block
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock.spectrum(H, 3)
 
 
 def test_coherent_state_normalization():
