@@ -48,7 +48,6 @@ from .rates import (
     SqueezeResult,
     all_rates,
     base_rates,
-    linearized_rates,
     relativistic_rates,
     special_case_frequency,
     squeeze_parameters,
@@ -91,7 +90,6 @@ __all__ = [
     "SqueezeResult",
     "all_rates",
     "base_rates",
-    "linearized_rates",
     "relativistic_rates",
     "special_case_frequency",
     "squeeze_parameters",

@@ -41,7 +41,7 @@ from . import hamiltonians as ham
 from .config import (_CHOICES, DEFAULTS, ConfigError, RunConfig, config_hash, load_config_file,
                      resolve_config)
 from .dynamics import ClassicalState, MirrorParams, StiffnessError, integrate
-from .rates import CavityParams, RateSet, all_rates
+from .rates import CavityParams, RateSet, all_rates, base_rates
 
 _CAVITY_FIELDS = tuple(f.name for f in dataclasses.fields(CavityParams))
 _SCALAR_RATE_FIELDS = tuple(f.name for f in dataclasses.fields(RateSet) if f.name != "w")
@@ -293,14 +293,22 @@ def _sweep_point(cfg: RunConfig, names: list[str], values: tuple) -> tuple:
     point = dataclasses.replace(
         cfg, **{name: v for name, v in zip(names, values) if v is not None}
     )
-    rs = all_rates(_cavity_params(point), kmax=point.kmax, r_convention=point.r_convention)
+    rs = base_rates(_cavity_params(point), point.r_convention)
     return values + tuple(float(getattr(rs, f)) for f in _SCALAR_RATE_FIELDS)
+
+
+# the keys a sweep point reads; any other grid key would only relabel rows
+_SWEEP_KEYS = frozenset(_CAVITY_FIELDS) | {"r_convention"}
 
 
 def _cmd_sweep(cfg: RunConfig, args):
     if not cfg.grid:
         raise ConfigError("sweep requires a non-empty 'grid' object in the config")
     names = sorted(cfg.grid)
+    unread = [f"grid.{name}" for name in names if name not in _SWEEP_KEYS]
+    if unread:
+        raise ConfigError(f"sweep reads only the cavity parameters and r_convention; "
+                          f"unread grid keys: {', '.join(unread)}")
     value_lists = [cfg.grid[n] for n in names]
     points = list(itertools.product(*value_lists))
     rows = [_sweep_point(cfg, names, vals) for vals in points]
@@ -321,7 +329,7 @@ _SUBCOMMANDS = {
     "spectrum": (_cmd_spectrum, "lowest eigenvalues of one or more variants",
                  ("n_mech", "n_opt", "order", "eta", "k_eigen", "r_convention")),
     "checks": (_cmd_checks, "full identity-check report (JSON)", ("kmax", "jmax", "ltrunc")),
-    "sweep": (_cmd_sweep, "Cartesian parameter sweep of the rate set", ("kmax", "r_convention")),
+    "sweep": (_cmd_sweep, "Cartesian parameter sweep of the rate set", ("r_convention",)),
 }
 
 

@@ -51,7 +51,7 @@ from .fock import (
     mode_operators,
     symmetrize_matrices,
 )
-from .rates import CavityParams, base_rates, linearized_rates, relativistic_rates
+from .rates import CavityParams, base_rates, relativistic_rates
 
 __all__ = [
     "BUILDERS",
@@ -163,7 +163,7 @@ def _dressing_polys(theta: float, ops: ModeOperators, order: int, printed_quadra
     frequency (1+u)^{-2} (optionally with the printed +4 quadratic term), all
     three as mechanical factors."""
     u_pows = [ops.mech.eye]
-    for _ in range(2 * order):
+    for _ in range(order):
         u_pows.append(u_pows[-1] @ (theta * ops.mech.x))
 
     def poly(coeffs):
@@ -234,7 +234,7 @@ def new_full(
 def h3_linear_optical(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Optically linearized cubic term -hbar g3 (b^dag + b)(e^{i phi} a^dag + e^{-i phi} a)."""
     _require_single_optical(ops, "H3_linear_optical")
-    rs = linearized_rates(params, base_rates(params))
+    rs = base_rates(params)
     data = ops.lift(-params.hbar * rs.g3 * (ops.mech.adag + ops.mech.a),
                     _drive_quadrature(ops, params.a_phase))
     return ops.wrap(data)
@@ -258,7 +258,7 @@ def h4_linear_optical(
     docstring.
     """
     _require_single_optical(ops, "H4_linear_optical")
-    rs = linearized_rates(params, base_rates(params, r_convention))
+    rs = base_rates(params, r_convention)
     m, o = ops.mech, ops.opt
     if convention == "printed":
         if branch == "plus":
@@ -287,7 +287,7 @@ def h4_linear_mechanical(
     """Mechanically linearized quartic term: hbar G4+ (b^dag + b)(e^{i phi} a^dag
     + e^{-i phi} a) or hbar G4- (b^dag - b)(a^dag + a)."""
     _require_single_optical(ops, "H4_linear_mechanical")
-    rs = linearized_rates(params, base_rates(params, r_convention))
+    rs = base_rates(params, r_convention)
     m, o = ops.mech, ops.opt
     if branch == "plus":
         data = ops.lift(params.hbar * rs.G4_plus * (m.adag + m.a),
@@ -340,7 +340,7 @@ def h4_bogoliubov_form(
     (hbar/2)[G4+ (b^dag+b)(a^dag+a) + G4- (b^dag-b)(a^dag-a)].
     """
     _require_single_optical(ops, "H4_bogoliubov_form")
-    rs = linearized_rates(params, base_rates(params, r_convention))
+    rs = base_rates(params, r_convention)
     G4p, G4m = rs.G4_plus, rs.G4_minus
     G4 = math.sqrt(max(G4p * G4m, 0.0))
     if G4 == 0.0:
@@ -358,7 +358,7 @@ def _relativistic_common(params: CavityParams, ops: ModeOperators) -> np.ndarray
     n_modes = ops.space.n_modes_opt
     if n_modes > 2:
         raise ValueError("relativistic correction is built for at most two optical modes")
-    w, _ = relativistic_rates(params, n_modes)
+    w = relativistic_rates(params, n_modes)
     bb = (ops.mech.adag - ops.mech.a) @ (ops.mech.adag - ops.mech.a)
     quad = ops.opt.adag + ops.opt.a
     acc = np.zeros((ops.space.dim,) * 2, dtype=complex)

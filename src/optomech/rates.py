@@ -15,7 +15,9 @@ susceptibility and thickness).  Conventions used throughout:
   alternative 0.95 is available through ``r_convention="prose"`` for
   comparison runs, never silently.
 
-Everything here is a pure function of the parameter set.
+Everything here is a pure function of the parameter set.  ``base_rates``
+is the one constructor of a ``RateSet``: it builds every scalar rate, and
+only the kmax x kmax matrix ``w`` waits for ``all_rates``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "R_PROSE",
     "resolve_R",
     "base_rates",
-    "linearized_rates",
     "all_rates",
     "squeeze_parameters",
     "special_case_frequency",
@@ -96,7 +97,10 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class RateSet:
-    """Derived rates; linearized and relativistic fields stay None until computed.
+    """Derived rates of one parameter set, built by ``base_rates``.
+
+    Every scalar field is set there; ``w`` is the only field that depends on
+    kmax and stays None until ``all_rates`` fills it.
 
     Invariants: beta == theta * alpha and gamma == theta * beta exactly as
     built; g4_minus = R (Omega/omega)^2 g4_plus; w_{kj} = sqrt(kj) * w_{11}.
@@ -109,82 +113,71 @@ class RateSet:
     beta: float
     gamma: float
     g0: float
-    g3: float | None = None
-    g4_plus: float | None = None
-    g4_minus: float | None = None
-    G4_plus: float | None = None
-    G4_minus: float | None = None
-    J: float | None = None
-    lam: float | None = None
+    g3: float
+    g4_plus: float
+    g4_minus: float
+    G4_plus: float
+    G4_minus: float
+    J: float
+    lam: float
+    w_over_beta: float
     w: np.ndarray | None = None
-    w_over_beta: float | None = None
 
 
 def base_rates(p: CavityParams, r_convention: str = "exact") -> RateSet:
-    """Single-photon multi-particle rates and the dimensionless ladder theta.
+    """Every scalar rate of the parameter set.
 
-    alpha = (omega/l) x_zp, beta = theta*alpha, gamma = theta*beta,
-    g0 = alpha/sqrt(2).
+    Single-photon rates: alpha = (omega/l) x_zp, beta = theta*alpha,
+    gamma = theta*beta, g0 = alpha/sqrt(2).
+    Linearized about the steady-state amplitudes: g3 = g0 |a|;
+    g4+ = (beta/2) |a|; g4- = R (Omega/omega)^2 g4+; G4+ = 2 |b| g4+ cos(theta_b);
+    G4- = 2 |b| g4- sin(theta_b); J = lambda = 2 beta |a|.
+    Relativistic: w/beta = chi0 pi d Omega^2 / (4 c omega), the single-mode
+    ratio of the momentum-field rate w_11 to the quadratic rate.
     """
     x_zp = math.sqrt(p.hbar / (p.mass * p.omega_m))
     theta = x_zp / p.length
+    R = resolve_R(r_convention)
     alpha = p.omega_c / p.length * x_zp
     beta = theta * alpha
-    gamma = theta * beta
+    g0 = alpha / math.sqrt(2.0)
+    g4_plus = 0.5 * beta * p.a_amp
+    g4_minus = R * (p.omega_m / p.omega_c) ** 2 * g4_plus
     return RateSet(
         x_zp=x_zp,
         theta=theta,
-        R=resolve_R(r_convention),
+        R=R,
         alpha=alpha,
         beta=beta,
-        gamma=gamma,
-        g0=alpha / math.sqrt(2.0),
-    )
-
-
-def linearized_rates(p: CavityParams, base: RateSet) -> RateSet:
-    """Coupling frequencies after linearizing about the steady-state amplitudes.
-
-    g3 = g0 |a|; g4+ = (beta/2) |a|; g4- = R (Omega/omega)^2 g4+;
-    G4+ = 2 |b| g4+ cos(theta_b); G4- = 2 |b| g4- sin(theta_b);
-    J = lambda = 2 beta |a|.
-    """
-    g3 = base.g0 * p.a_amp
-    g4_plus = 0.5 * base.beta * p.a_amp
-    g4_minus = base.R * (p.omega_m / p.omega_c) ** 2 * g4_plus
-    return replace(
-        base,
-        g3=g3,
+        gamma=theta * beta,
+        g0=g0,
+        g3=g0 * p.a_amp,
         g4_plus=g4_plus,
         g4_minus=g4_minus,
         G4_plus=2.0 * p.b_amp * g4_plus * math.cos(p.b_phase),
         G4_minus=2.0 * p.b_amp * g4_minus * math.sin(p.b_phase),
-        J=2.0 * base.beta * p.a_amp,
-        lam=2.0 * base.beta * p.a_amp,
+        J=2.0 * beta * p.a_amp,
+        lam=2.0 * beta * p.a_amp,
+        w_over_beta=p.chi0 * math.pi * p.thickness * p.omega_m**2 / (4.0 * p.c * p.omega_c),
     )
 
 
-def relativistic_rates(p: CavityParams, kmax: int) -> tuple[np.ndarray, float]:
-    """Relativistic momentum-field coupling rate matrix w and the ratio w/beta.
+def relativistic_rates(p: CavityParams, kmax: int) -> np.ndarray:
+    """Relativistic momentum-field coupling rate matrix w.
 
-    w_{kj} = sqrt(jk) chi0 pi hbar d Omega / (4 m c l^2); the single-mode
-    ratio to the quadratic rate is w/beta = chi0 pi d Omega^2 / (4 c omega).
-    Vanishes for chi0 = 0 and in the c -> infinity limit.
+    w_{kj} = sqrt(jk) chi0 pi hbar d Omega / (4 m c l^2).  Vanishes for
+    chi0 = 0 and in the c -> infinity limit.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     w11 = p.chi0 * math.pi * p.hbar * p.thickness * p.omega_m / (4.0 * p.mass * p.c * p.length**2)
     k = np.arange(1, kmax + 1)
-    w = np.sqrt(np.outer(k, k).astype(float)) * w11
-    w_over_beta = p.chi0 * math.pi * p.thickness * p.omega_m**2 / (4.0 * p.c * p.omega_c)
-    return w, w_over_beta
+    return np.sqrt(np.outer(k, k).astype(float)) * w11
 
 
 def all_rates(p: CavityParams, kmax: int = 1, r_convention: str = "exact") -> RateSet:
-    """Full rate set: base, linearized, and relativistic fields populated."""
-    rs = linearized_rates(p, base_rates(p, r_convention))
-    w, w_over_beta = relativistic_rates(p, kmax)
-    return replace(rs, w=w, w_over_beta=w_over_beta)
+    """Every scalar rate of ``base_rates`` plus the kmax x kmax matrix w."""
+    return replace(base_rates(p, r_convention), w=relativistic_rates(p, kmax))
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ def test_criterion_10_relativistic_structure():
 
     from optomech.rates import relativistic_rates
 
-    w, _ = relativistic_rates(p, 6)
+    w = relativistic_rates(p, 6)
     kk = np.arange(1, 7)
     # w_{kj} = sqrt(kj) * w_{11} exactly (bitwise, via the product form)
     ratios_exact = np.array_equal(w, np.sqrt(np.outer(kk, kk).astype(float)) * w[0, 0])

@@ -264,6 +264,17 @@ class TestChecks:
         for entry in doc["checks"]:
             assert set(entry) == {"name", "value", "tolerance", "passed"}
 
+    @pytest.mark.parametrize("phase", [0.3, 2.0])
+    def test_drive_phase_passes(self, tmp_path, phase):
+        # the eta = 1/2 two-phonon comparison was built with the drive phase,
+        # where the reduction does not hold, and failed at 8.76e-3
+        cfg = tmp_path / "phase.json"
+        cfg.write_text(json.dumps({"a_phase": phase}))
+        assert run(["checks", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        doc = read_json(only(tmp_path, "checks-*.json"))
+        assert doc["passed"] is True
+        assert all(entry["passed"] for entry in doc["checks"])
+
 
 class TestSweep:
     def test_grid_rows(self, tmp_path):
@@ -310,7 +321,7 @@ class TestErrors:
         *((c, "--out-format", "json")
           for c in ("coeffs", "verify", "evolve", "rates", "spectrum", "checks", "sweep")),
         *((c, "--r-convention", "prose") for c in ("coeffs", "verify", "evolve", "checks")),
-        *((c, "--kmax", "2") for c in ("hamiltonian", "spectrum")),
+        *((c, "--kmax", "2") for c in ("hamiltonian", "spectrum", "sweep")),
     ])
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
         # each subcommand offers only the flags it reads; these were accepted,
@@ -498,6 +509,18 @@ class TestErrors:
         cfg.write_text(json.dumps({"grid": {"omega_c": [1.0, "x"]}}))
         assert run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "grid.omega_c" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sweep-*"))
+
+    @pytest.mark.parametrize("key, values", [
+        ("units", ["natural", "SI"]), ("kmax", [1, 7]), ("t_end", [1.0, 2.0]),
+    ])
+    def test_unread_grid_key_is_config_error(self, tmp_path, capsys, key, values):
+        # sweep reads only the cavity parameters and r_convention; these keys
+        # relabelled rows of identical (or natural-unit) rates and exited 0
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"grid": {"omega_c": [1.0, 2.0], key: values}}))
+        assert run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert f"grid.{key}" in capsys.readouterr().err
         assert not list(tmp_path.glob("sweep-*"))
 
 

@@ -1,5 +1,6 @@
 """Scalar rates, squeeze parameters, and their scaling structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from optomech.rates import (
     CavityParams,
     R_EXACT,
     R_PROSE,
+    RateSet,
     all_rates,
     base_rates,
-    linearized_rates,
     relativistic_rates,
     special_case_frequency,
     squeeze_parameters,
@@ -85,20 +86,20 @@ class TestBaseRates:
 class TestLinearizedRates:
     def test_no_drive_no_rates(self):
         p = CavityParams(mass=1, length=1, omega_m=1, omega_c=10, a_amp=0.0, b_amp=3.0)
-        rs = linearized_rates(p, base_rates(p))
+        rs = base_rates(p)
         assert rs.g3 == 0.0 and rs.g4_plus == 0.0 and rs.g4_minus == 0.0
         assert rs.G4_plus == 0.0 and rs.G4_minus == 0.0 and rs.J == 0.0
 
     def test_zero_mech_phase_kills_minus_branch(self):
         p = CavityParams(mass=2, length=3, omega_m=0.7, omega_c=5, a_amp=1.2,
                          b_amp=4.0, b_phase=0.0)
-        rs = linearized_rates(p, base_rates(p))
+        rs = base_rates(p)
         assert rs.G4_minus == 0.0
         assert rs.G4_plus == pytest.approx(2 * 4.0 * rs.g4_plus, rel=1e-15)
 
     def test_quartic_example(self):
         p = CavityParams(mass=1, length=1, omega_m=1, omega_c=10, a_amp=2.0)
-        rs = linearized_rates(p, base_rates(p))
+        rs = base_rates(p)
         assert rs.g4_plus == pytest.approx(10.0, rel=1e-15)
         assert rs.g4_minus == pytest.approx(0.0885, abs=5e-5)
         assert rs.J == rs.lam == pytest.approx(2 * rs.beta * 2.0, rel=1e-15)
@@ -160,24 +161,25 @@ class TestSpecialCase:
 
 class TestRelativisticRates:
     def test_transparent_mirror(self):
-        w, ratio = relativistic_rates(CavityParams(chi0=0.0, thickness=0.1), 3)
+        p = CavityParams(chi0=0.0, thickness=0.1)
+        w, ratio = relativistic_rates(p, 3), base_rates(p).w_over_beta
         assert np.all(w == 0.0) and ratio == 0.0
 
     def test_infinite_light_speed(self):
-        w, _ = relativistic_rates(
+        w = relativistic_rates(
             CavityParams(chi0=1.0, thickness=0.01, c=1e12, omega_m=1.0), 2
         )
         assert np.abs(w).max() < 1e-12
 
     def test_ratio_to_quadratic_rate(self):
         p = CavityParams(chi0=1.0, thickness=0.01, omega_m=1.0, omega_c=1.0, c=1.0, length=1.0)
-        _, ratio = relativistic_rates(p, 1)
+        ratio = base_rates(p).w_over_beta
         assert ratio == pytest.approx(math.pi * 0.01 / 4.0, rel=1e-12)
         assert ratio == pytest.approx(0.007854, abs=1e-6)
 
     def test_sqrt_kj_structure_exact(self):
         p = CavityParams(chi0=0.8, thickness=0.02, omega_m=1.3)
-        w, _ = relativistic_rates(p, 6)
+        w = relativistic_rates(p, 6)
         kk = np.arange(1, 7)
         expected = np.sqrt(np.outer(kk, kk).astype(float)) * w[0, 0]
         assert np.array_equal(w, expected)
@@ -194,6 +196,28 @@ def test_all_rates_populates_everything():
     assert rs.w.shape == (3, 3)
     assert rs.w_over_beta > 0
     assert rs.g3 is not None and rs.J is not None
+
+
+@pytest.mark.parametrize("p", [
+    CavityParams(),
+    CavityParams(mass=2, length=3, omega_m=0.7, omega_c=5, a_amp=1.2, b_amp=4.0, b_phase=0.3),
+    CavityParams(mass=1, length=1, omega_m=1, omega_c=2, a_amp=1, a_phase=0.3, b_amp=1,
+                 b_phase=0.3, chi0=0.5, thickness=0.01),
+    CavityParams(mass=1e-3, length=1e2, omega_m=3e2, omega_c=1e-1, c=3e8, hbar=1e-2,
+                 chi0=2.0, thickness=1e-4),
+])
+@pytest.mark.parametrize("r_convention", ["exact", "prose"])
+def test_base_rates_builds_every_scalar_and_all_rates_adds_only_w(p, r_convention):
+    # base_rates is the one constructor: no scalar field waits for a later stage
+    base = base_rates(p, r_convention)
+    scalars = [f.name for f in dataclasses.fields(RateSet) if f.name != "w"]
+    assert all(getattr(base, name) is not None for name in scalars)
+    assert base.w is None
+    for kmax in (1, 4):
+        full = all_rates(p, kmax=kmax, r_convention=r_convention)
+        assert {name: getattr(full, name) for name in scalars} == \
+            {name: getattr(base, name) for name in scalars}
+        assert np.array_equal(full.w, relativistic_rates(p, kmax))
 
 
 def test_theta_low_optical_flagged_scaling():
