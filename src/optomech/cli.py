@@ -14,10 +14,10 @@ each ``(suffix, ext, content)`` with content a dict for JSON or
 the config, calls the handler, then names, writes and prints every artifact,
 so nothing is written unless the whole computation succeeded.
 
-Each flag is declared once, in ``_FLAGS``, under the config key it sets (the
-key's default and rule live in ``config``).  ``_SUBCOMMANDS`` names the keys
-each subcommand reads, and a subcommand offers only those flags, so a flag
-it would ignore is a usage error.
+Each flag is declared once, in ``_FLAGS``, under the config key it sets.  The
+third field of ``_SUBCOMMANDS`` is each subcommand's read set, the config keys
+whose values can change its artifacts: it offers their flags, a flag outside
+the set is a usage error, and the artifact names hash only those keys.
 """
 
 from __future__ import annotations
@@ -204,7 +204,8 @@ def _fock_space(cfg: RunConfig) -> fock.FockSpace:
     return fock.FockSpace(n_mech=cfg.n_mech, n_opt=cfg.n_opt, dim_cap=cfg.dim_cap)
 
 
-# the Fock settings a variant may read; a builder reads those among its parameters
+# the Fock settings a variant may read; a builder reads those among its
+# parameters, and they join the read set of hamiltonian and spectrum
 _FOCK_OPTIONS = ("order", "eta", "r_convention")
 
 
@@ -212,18 +213,12 @@ def _builder_keys(variant: str) -> set[str]:
     return set(_FOCK_OPTIONS) & set(inspect.signature(ham.BUILDERS[variant]).parameters)
 
 
-def _requested_variants(args, single: bool) -> list[str]:
+def _requested_variants(args) -> list[str]:
     variants = args.variants or ["new_full"]
-    if single and len(variants) > 1:
-        raise ConfigError(f"{args.command} builds one variant, got --variant {' '.join(variants)}")
+    if args.command == "hamiltonian" and len(variants) > 1:
+        raise ConfigError(f"hamiltonian builds one variant, got --variant {' '.join(variants)}")
     if len(set(variants)) < len(variants):
         raise ConfigError(f"each --variant may be given once, got {' '.join(variants)}")
-    # a Fock flag that no requested builder reads would change only the hash
-    read = set().union(*(_builder_keys(v) for v in variants))
-    for key in _FOCK_OPTIONS:
-        if getattr(args, key) is not None and key not in read:
-            raise ConfigError(f"{_FLAGS[key][0]} is read by none of the requested variants "
-                              f"({', '.join(variants)})")
     return variants
 
 
@@ -233,7 +228,7 @@ def _build_variant(cfg: RunConfig, space: fock.FockSpace, variant: str) -> fock.
 
 
 def _cmd_hamiltonian(cfg: RunConfig, args):
-    variant, = _requested_variants(args, single=True)
+    variant, = args.variants
     H = _build_variant(cfg, _fock_space(cfg), variant)
     if cfg.out_format == "json":
         content = {
@@ -251,7 +246,7 @@ def _cmd_hamiltonian(cfg: RunConfig, args):
 
 
 def _cmd_spectrum(cfg: RunConfig, args):
-    variants = _requested_variants(args, single=False)
+    variants = args.variants
     space = _fock_space(cfg)
     if cfg.k_eigen > space.dim:
         raise ConfigError(f"k_eigen ({cfg.k_eigen}) exceeds the space dimension {space.dim}")
@@ -297,15 +292,11 @@ def _sweep_point(cfg: RunConfig, names: list[str], values: tuple) -> tuple:
     return values + tuple(float(getattr(rs, f)) for f in _SCALAR_RATE_FIELDS)
 
 
-# the keys a sweep point reads; any other grid key would only relabel rows
-_SWEEP_KEYS = frozenset(_CAVITY_FIELDS) | {"r_convention"}
-
-
 def _cmd_sweep(cfg: RunConfig, args):
     if not cfg.grid:
         raise ConfigError("sweep requires a non-empty 'grid' object in the config")
     names = sorted(cfg.grid)
-    unread = [f"grid.{name}" for name in names if name not in _SWEEP_KEYS]
+    unread = [f"grid.{n}" for n in names if n == "grid" or n not in _SUBCOMMANDS["sweep"][2]]
     if unread:
         raise ConfigError(f"sweep reads only the cavity parameters and r_convention; "
                           f"unread grid keys: {', '.join(unread)}")
@@ -316,20 +307,25 @@ def _cmd_sweep(cfg: RunConfig, args):
     return [("", "csv", (header, rows))], True
 
 
-# subcommand -> (handler, help, the config keys it reads that have a flag)
+# subcommand -> (handler, help, read set); dim_cap only bounds a run and units is
+# resolved into c and hbar, so neither is in any set
 _SUBCOMMANDS = {
     "coeffs": (_cmd_coeffs, "emit the coefficient table as CSV", ("kmax",)),
     "verify": (_cmd_verify, "series and Gram sum-rule residual report",
                ("kmax", "jmax", "ltrunc", "tail_correct")),
     "evolve": (_cmd_evolve, "integrate the coupled mirror-field system",
-               ("kmax", "variant", "t_end", "rel_tol", "abs_tol", "mirror_model")),
-    "rates": (_cmd_rates, "emit all scalar rates as JSON", ("kmax", "r_convention")),
+               ("kmax", "variant", "t_end", "rel_tol", "abs_tol", "mirror_model", "q_floor",
+                "mass", "length", "omega_m", "c", "q0", "qdot0", "Q0", "Qdot0")),
+    "rates": (_cmd_rates, "emit all scalar rates as JSON",
+              ("kmax", "r_convention", *_CAVITY_FIELDS)),
     "hamiltonian": (_cmd_hamiltonian, "emit a Hamiltonian variant matrix",
-                    ("n_mech", "n_opt", "order", "eta", "r_convention", "out_format")),
+                    ("n_mech", "n_opt", "out_format", *_CAVITY_FIELDS)),
     "spectrum": (_cmd_spectrum, "lowest eigenvalues of one or more variants",
-                 ("n_mech", "n_opt", "order", "eta", "k_eigen", "r_convention")),
-    "checks": (_cmd_checks, "full identity-check report (JSON)", ("kmax", "jmax", "ltrunc")),
-    "sweep": (_cmd_sweep, "Cartesian parameter sweep of the rate set", ("r_convention",)),
+                 ("n_mech", "n_opt", "k_eigen", *_CAVITY_FIELDS)),
+    "checks": (_cmd_checks, "full identity-check report (JSON)",
+               ("kmax", "jmax", "ltrunc", *_CAVITY_FIELDS)),
+    "sweep": (_cmd_sweep, "Cartesian parameter sweep of the rate set",
+              ("r_convention", "grid", *_CAVITY_FIELDS)),
 }
 
 
@@ -351,9 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--variant", dest="variants", action="append", choices=ham.VARIANTS,
                             help="Hamiltonian variant (default new_full); spectrum takes "
                             "several, each once")
-        for key in keys:
-            flag, kwargs = _FLAGS[key]
-            sp.add_argument(flag, dest=key, default=None, **kwargs)
+            keys += _FOCK_OPTIONS
+        for key, (flag, kwargs) in _FLAGS.items():
+            if key in keys:
+                sp.add_argument(flag, dest=key, default=None, **kwargs)
         sp.set_defaults(func=func)
     return parser
 
@@ -362,12 +359,21 @@ def _run(args) -> int:
     """Resolve the config once, run the subcommand's handler, then write each
     artifact it returns as <subcommand><suffix>-<confighash>.<ext> and print
     its path; nothing is written unless the handler returned."""
+    keys = set(_SUBCOMMANDS[args.command][2])
+    if "variants" in args:
+        args.variants = _requested_variants(args)
+        keys |= set().union(*map(_builder_keys, args.variants))
+    flags = {k: v for k, v in vars(args).items() if k in _FLAGS and v is not None}
+    unread = [_FLAGS[k][0] for k in flags if k not in keys]
+    if unread:
+        run = " --variant ".join([args.command, *getattr(args, "variants", [])])
+        raise ConfigError(f"{run} does not read {', '.join(unread)}")
     file_doc = load_config_file(args.config) if args.config else None
-    cfg = resolve_config(file_doc, {k: v for k, v in vars(args).items() if k in _FLAGS})
+    cfg = resolve_config(file_doc, flags)
     artifacts, passed = args.func(cfg, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = config_hash(cfg)
+    digest = config_hash(cfg, keys)
     for suffix, ext, content in artifacts:
         path = out_dir / f"{args.command}{suffix}-{digest}.{ext}"
         if ext == "json":

@@ -1,13 +1,11 @@
 """Run configuration: one JSON document, flag overrides win, unknown keys rejected.
 
 Each setting is declared once: its name, type and default as a ``RunConfig``
-field, its validation rule in ``_check_value`` (with the ``_CHOICES``,
-``_INT_RANGES`` and ``_REAL_KEYS`` tables), and its command-line flag, if it
-has one, in ``cli._FLAGS``.
-
-The resolved configuration is hashed (canonical JSON, sha256) to produce
-deterministic output filenames, so identical configs always map to identical
-artifacts.
+field (the ``float`` fields are the real-valued keys), its validation rule in
+``_check_value`` with the ``_CHOICES`` and ``_INT_RANGES`` tables, and its
+command-line flag, if it has one, in ``cli._FLAGS``.  ``cli._SUBCOMMANDS``
+declares the keys each subcommand reads, and ``config_hash`` hashes only those
+(canonical JSON, sha256) to name the subcommand's artifacts deterministically.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import hashlib
 import json
 import math
 import numbers
+import typing
 from dataclasses import dataclass, field
 
 __all__ = ["RunConfig", "DEFAULTS", "load_config_file", "resolve_config", "config_hash"]
@@ -119,11 +118,8 @@ _INT_RANGES = {
     "kmax": (1, 512), "k_eigen": (1, math.inf), "jmax": (1, 10**7), "ltrunc": (1, 10**7),
     "n_mech": (2, math.inf), "n_opt": (2, math.inf), "dim_cap": (4, 8192),
 }
-_REAL_KEYS = frozenset({
-    "mass", "length", "omega_m", "omega_c", "c", "hbar", "a_amp", "a_phase", "b_amp",
-    "b_phase", "chi0", "thickness", "rel_tol", "abs_tol", "t_end", "q_floor", "eta", "q0",
-    "qdot0",
-})
+_REAL_KEYS = frozenset(name for name, hint in typing.get_type_hints(RunConfig).items()
+                       if float in (hint, *typing.get_args(hint)))
 
 
 def _check_value(key: str, value, name: str) -> None:
@@ -183,7 +179,7 @@ def resolve_config(file_doc: dict | None = None, overrides: dict | None = None) 
     return RunConfig(**merged)
 
 
-def config_hash(cfg: RunConfig) -> str:
-    """Deterministic short hash of the resolved configuration."""
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+def config_hash(cfg: RunConfig, keys) -> str:
+    """Deterministic short hash of the values of ``keys`` in ``cfg``."""
+    canon = json.dumps({k: getattr(cfg, k) for k in keys}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]

@@ -414,9 +414,13 @@ def build_hamiltonian(
     the builder's own parameters name the options a variant takes (``order``
     and ``printed_quadratic`` for the full builds, ``branch``, ``convention``,
     ``eta``, ``r_convention`` where R enters).  An unknown variant raises
-    ``ValueError``, an option the builder does not take ``TypeError``.
+    ``ValueError``, an option the builder does not take ``TypeError``, and a
+    built matrix with a NaN or infinite entry ``ArithmeticError``.
     """
     builder = BUILDERS.get(variant)
     if builder is None:
         raise ValueError(f"unknown Hamiltonian variant {variant!r}")
-    return builder(params, mode_operators(space), **options)
+    H = builder(params, mode_operators(space), **options)
+    if not np.isfinite(H.data).all():
+        raise ArithmeticError(f"the {variant} Hamiltonian has a non-finite entry")
+    return H

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import optomech
+from optomech import checks as checks_mod
 from optomech import fock
 from optomech import hamiltonians as ham
 from optomech.cli import main
@@ -65,6 +67,33 @@ def run_measured_cli(argv, cwd):
     # a small process instead
     return run_python(["-c", _MEASURED_CLI, *argv], cwd,
                       launcher=("sh", "-c", '"$@"; exit $?', "sh"))
+
+
+# SI units at omega_c/omega_m = 1e9: the arctanh argument of H4_bogoliubov_form's
+# squeeze ratio rounds to exactly 1, so that build holds NaN
+_SI_NAN_DOC = {"units": "SI", "mass": 1e-9, "length": 1e-3, "omega_m": 1e6, "omega_c": 1e15,
+               "a_amp": 10, "b_amp": 1, "b_phase": 0.7}
+
+
+def _poison_second_call(func, poison):
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(func(*args, **kwargs))
+        return poison(calls[-1]) if len(calls) == 2 else calls[-1]
+    return wrapped
+
+
+# checks entry -> (owner, attribute, poison of its second result): each puts a
+# NaN into one residual of the entry's fold
+_NAN_INJECTIONS = {
+    "hermiticity_relative_max": (fock.OperatorMatrix, "hermiticity_defect", lambda d: math.nan),
+    "squeeze_cross_check_max": (checks_mod, "squeeze_parameters",
+                                lambda sq: dataclasses.replace(sq, rho_arctanh=math.nan)),
+    "bogoliubov_commutator_interior": (
+        fock, "bogoliubov_pair",
+        lambda pair: (fock.OperatorMatrix(pair[0].space, pair[0].data * math.nan), pair[1])),
+}
 
 
 class TestCoeffs:
@@ -276,6 +305,17 @@ class TestChecks:
         assert all(entry["passed"] for entry in doc["checks"])
 
 
+    @pytest.mark.parametrize("entry", sorted(_NAN_INJECTIONS))
+    def test_nan_residual_fails_its_entry(self, tmp_path, monkeypatch, entry):
+        # max(worst, x) dropped a NaN x, so the entry and the report passed
+        owner, name, poison = _NAN_INJECTIONS[entry]
+        monkeypatch.setattr(owner, name, _poison_second_call(getattr(owner, name), poison))
+        assert run(["checks", "--out-dir", str(tmp_path)]) == 1
+        doc = read_json(only(tmp_path, "checks-*.json"))
+        assert doc["passed"] is False
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == [entry]
+
+
 class TestSweep:
     def test_grid_rows(self, tmp_path):
         cfg = tmp_path / "s.json"
@@ -475,6 +515,20 @@ class TestErrors:
         assert key in capsys.readouterr().err
         assert not list(tmp_path.glob(f"{command}-*"))
 
+    @pytest.mark.parametrize("argv", [
+        ["hamiltonian", "--variant", "H4_bogoliubov_form", "--n-mech", "3", "--n-opt", "3"],
+        ["checks"],
+    ])
+    def test_non_finite_hamiltonian_is_numerical_failure(self, tmp_path, capsys, argv):
+        # hamiltonian exited 0 with 81 nan entries; checks exited 0 with passed: true
+        cfg = tmp_path / "si.json"
+        cfg.write_text(json.dumps(_SI_NAN_DOC))
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "H4_bogoliubov_form" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_above_cap_is_config_error(self, tmp_path, capsys):
         code = run(["hamiltonian", "--n-mech", "100", "--n-opt", "100",
                     "--out-dir", str(tmp_path)])
@@ -569,3 +623,40 @@ class TestDeterministicNaming:
         run(["coeffs", "--kmax", "2", "--out-dir", str(tmp_path)])
         run(["coeffs", "--kmax", "3", "--out-dir", str(tmp_path)])
         assert len(list(tmp_path.glob("coeffs-*.csv"))) == 2
+        # a builder option and read keys that have no flag rename the file too
+        cfg = tmp_path / "read.json"
+        for argv, changed, doc in (
+            (["hamiltonian", "--n-mech", "3", "--n-opt", "3"], ["--order", "2"], {}),
+            (["rates"], [], {"mass": 2.0}),
+            (["evolve", "--kmax", "1", "--t-end", "1"], [], {"q0": 120.0}),
+        ):
+            cfg.write_text(json.dumps(doc))
+            out = ["--out-dir", str(tmp_path / argv[0])]
+            assert run([*argv, *out]) == 0
+            assert run([*argv, *changed, "--config", str(cfg), *out]) == 0
+            assert len(list((tmp_path / argv[0]).iterdir())) == 2, argv
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["coeffs", "--kmax", "2"], {"out_format": "json"}),
+        (["verify", "--kmax", "2", "--ltrunc", "1000"], {"mass": 2.0}),
+        (["evolve", "--kmax", "1", "--t-end", "1"], {"omega_c": 3.0}),
+        (["rates"], {"n_mech": 5}),
+        (["rates"], {"units": "SI", "c": 1.0, "hbar": 1.0}),
+        (["hamiltonian", "--variant", "H3", "--n-mech", "3", "--n-opt", "3"], {"order": 2}),
+        (["hamiltonian", "--n-mech", "3", "--n-opt", "3"], {"dim_cap": 16}),
+        (["spectrum", "--variant", "H012", "--n-mech", "3", "--n-opt", "3", "--k-eigen", "3"],
+         {"r_convention": "prose"}),
+        (["checks"], {"t_end": 5.0}),
+        (["sweep"], {"kmax": 2}),
+    ])
+    def test_unread_config_key_keeps_names_and_bytes(self, tmp_path, argv, doc):
+        # the hash covered every config key, so each of these wrote the plain
+        # run's bytes a second time under another name
+        base = {"grid": {"omega_c": [1.0, 2.0]}} if argv[0] == "sweep" else {}
+        outputs = []
+        for name, extra in (("plain", {}), ("unread", doc)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**base, **extra}))
+            run([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / name)])
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert outputs[0] and outputs[0] == outputs[1]

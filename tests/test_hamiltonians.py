@@ -50,6 +50,16 @@ class TestStructure:
             with pytest.raises(TypeError):
                 ham.build_hamiltonian(variant, P_WEAK, space, **options)
 
+    def test_non_finite_build_raises(self):
+        # at omega_c/omega_m = 1e9 the squeeze ratio's arctanh argument rounds to
+        # exactly 1, and the build held NaN in every entry
+        space, _ = fock.make_space(3, 3)
+        p = CavityParams(mass=1e-9, length=1e-3, omega_m=1e6, omega_c=1e15, c=299792458.0,
+                         hbar=1.054571817e-34, a_amp=10.0, b_amp=1.0, b_phase=0.7)
+        with pytest.warns(RuntimeWarning), pytest.raises(ArithmeticError,
+                                                         match="H4_bogoliubov_form"):
+            ham.build_hamiltonian("H4_bogoliubov_form", p, space)
+
     def test_single_optical_mode_required(self):
         space, _ = fock.make_space(4, 4, n_modes_opt=2)
         with pytest.raises(ValueError):
