@@ -279,6 +279,8 @@ def _cmd_checks(cfg: RunConfig, args):
     if not report.passed:
         failing = [e.name for e in report.entries if not e.passed]
         print(f"failed checks: {', '.join(failing)}", file=sys.stderr)
+        if "failed_builds" in report.notes:
+            print(f"failed builds: {report.notes['failed_builds']}", file=sys.stderr)
     return [("", "json", report.to_dict())], report.passed
 
 

@@ -2,12 +2,15 @@
 
 Operators are built from single-mode factors: ``ModeOperators`` holds the
 mechanical ladder and one optical ladder shared by every optical mode, and
-``ModeOperators.lift`` assembles dense complex product-space matrices from
-them (mechanical factor first; the total dimension is capped).  Product-space
-attributes such as ``ops.x`` are lifted on first use.  Ladder truncation
-corrupts the top levels, so operator identities are asserted on the
-"interior block" that excludes the top levels of each subsystem; helpers for
-that projection live here.
+``ModeOperators.assemble`` writes a sum of (mechanical factor) x (optical
+factors) terms as one dense complex product-space matrix (mechanical factor
+first; the total dimension is capped), filling the slice of each nonzero
+optical entry once, so no D x D Kronecker product or D x D sum of terms is
+formed.  ``lift`` is its one-term case, and product-space attributes such
+as ``ops.x`` are lifted on first use.  Ladder truncation corrupts the top
+levels, so operator identities are asserted on the "interior block" that
+excludes the top levels of each subsystem; helpers for that projection live
+here.
 
 ``spectrum`` solves an ``OperatorMatrix`` one Z2 parity sector at a time.
 Every basis state is labelled by its mechanical parity (-1)^m, its optical
@@ -36,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -159,13 +162,43 @@ class ModeOperators:
     def lift(self, mech: np.ndarray | None = None, *opt: np.ndarray | None) -> np.ndarray:
         """Product-space matrix of single-mode factors: the mechanical factor,
         then one factor per optical mode in order; ``None`` or a missing
-        trailing factor is the identity."""
-        n_modes = self.space.n_modes_opt
-        if len(opt) > n_modes:
-            raise ValueError(f"{len(opt)} optical factors for {n_modes} optical mode(s)")
-        factors = (mech,) + opt + (None,) * (n_modes - len(opt))
-        eyes = (self.mech.eye,) + (self.opt.eye,) * n_modes
-        return reduce(np.kron, [e if f is None else f for f, e in zip(factors, eyes)])
+        trailing factor is the identity.  The one-term case of ``assemble``."""
+        return self.assemble([(mech, *opt)])
+
+    def assemble(self, terms: Iterable[Sequence[np.ndarray | None]]) -> np.ndarray:
+        """Sum of product-space terms, each a ``(mech, *opt)`` factor tuple as
+        ``lift`` takes it.
+
+        A term's optical factors are combined by a small kron into one N x N
+        factor O_i (N = dim / n_mech).  Viewing the D x D output as
+        (n_mech, N, n_mech, N), each optical entry (n, n') that is nonzero in
+        some term gets its n_mech x n_mech slice sum_i M_i O_i[n, n'] written
+        once, summed in term order from zero over the terms with a nonzero
+        O_i[n, n'].  Ladder factors have at most three nonzeros per row, so a
+        build writes about 3 N slices and allocates nothing D x D but its
+        output.  ``assemble([])`` is the zero matrix.
+        """
+        n_modes, n_mech, dim = self.space.n_modes_opt, self.space.n_mech, self.space.dim
+        n_opt = dim // n_mech
+        pairs = []
+        for mech, *opt in terms:
+            if len(opt) > n_modes:
+                raise ValueError(f"{len(opt)} optical factors for {n_modes} optical mode(s)")
+            opt += [None] * (n_modes - len(opt))
+            pairs.append((self.mech.eye if mech is None else mech,
+                          reduce(np.kron, [self.opt.eye if f is None else f for f in opt])))
+        out = np.zeros((dim, dim), dtype=complex)
+        blocks = out.reshape(n_mech, n_opt, n_mech, n_opt)
+        support = np.zeros((n_opt, n_opt), dtype=bool)
+        for _, o in pairs:
+            support |= o != 0
+        for n, n2 in zip(*np.nonzero(support)):
+            acc = 0.0
+            for mech, o in pairs:
+                if o[n, n2]:
+                    acc = acc + mech * o[n, n2]
+            blocks[:, n, :, n2] = acc
+        return out
 
     def _each_optical_mode(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(self.lift(None, *(None,) * i, op) for i in range(self.space.n_modes_opt))

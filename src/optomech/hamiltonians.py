@@ -27,7 +27,12 @@ quadratic term two conventions exist in print that are mutually inconsistent
 chain, which is what the special-case builder converges to).
 
 Every term is (mechanical factor) x (optical factor), built on the ladders
-``ops.mech`` and ``ops.opt`` and lifted once with ``ops.lift``.
+``ops.mech`` and ``ops.opt``.  A builder lists its terms as ``(mech, opt)``
+factor pairs with its scalars folded into the small mechanical factors and
+calls ``ops.assemble`` once, which writes the product-space matrix in one
+pass over the nonzero optical entries; no D x D Kronecker product or sum of
+D x D terms is formed.  ``h5`` alone scales its assembled bracket in place,
+so that each entry rounds as hbar gamma (A - B).
 
 ``BUILDERS`` maps each variant name to its builder and is the one variant
 dispatch; ``VARIANTS`` lists its names in table order.  A builder's keyword
@@ -87,19 +92,20 @@ def _drive_quadrature(ops: ModeOperators, phase: float) -> np.ndarray:
     return ph * ops.opt.adag + np.conj(ph) * ops.opt.a
 
 
-def _free_mirror(params: CavityParams, ops: ModeOperators) -> np.ndarray:
-    """hbar Omega (P_mech^2 + X^2)/2."""
+def _free_mirror(params: CavityParams, ops: ModeOperators) -> tuple:
+    """The term hbar Omega (P_mech^2 + X^2)/2."""
     m = ops.mech
-    return 0.5 * params.hbar * params.omega_m * ops.lift(m.p @ m.p + m.x @ m.x)
+    return (0.5 * params.hbar * params.omega_m * (m.p @ m.p + m.x @ m.x),)
 
 
 def h012(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Free part: hbar Omega (P_mech^2 + X^2)/2 + hbar omega (P^2 + Q^2)/2."""
     _require_single_optical(ops, "H012")
     o = ops.opt
-    data = _free_mirror(params, ops) + \
-        0.5 * params.hbar * params.omega_c * ops.lift(None, o.p @ o.p + o.x @ o.x)
-    return ops.wrap(data)
+    return ops.wrap(ops.assemble([
+        _free_mirror(params, ops),
+        (0.5 * params.hbar * params.omega_c * ops.mech.eye, o.p @ o.p + o.x @ o.x),
+    ]))
 
 
 def h3(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
@@ -120,11 +126,11 @@ def h4(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") ->
     rs = base_rates(params, r_convention)
     ratio2 = (params.omega_m / params.omega_c) ** 2
     m, o = ops.mech, ops.opt
-    data = 0.5 * params.hbar * rs.beta * (
-        ops.lift(m.x @ m.x, o.p @ o.p + o.x @ o.x)
-        - ops.lift(rs.R * ratio2 * (m.p @ m.p), o.x @ o.x)
-    )
-    return ops.wrap(data)
+    scale = 0.5 * params.hbar * rs.beta
+    return ops.wrap(ops.assemble([
+        (scale * (m.x @ m.x), o.p @ o.p + o.x @ o.x),
+        (-scale * rs.R * ratio2 * (m.p @ m.p), o.x @ o.x),
+    ]))
 
 
 def h5(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") -> OperatorMatrix:
@@ -134,10 +140,13 @@ def h5(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") ->
     ratio2 = (params.omega_m / params.omega_c) ** 2
     m, o = ops.mech, ops.opt
     sym_ppx = symmetrize_matrices([m.p, m.p, m.x], labels=["p", "p", "x"])
-    data = params.hbar * rs.gamma * (
-        ops.lift(rs.R * ratio2 * sym_ppx, o.x @ o.x)
-        - ops.lift(m.x @ m.x @ m.x, o.n + 0.5 * o.eye)
-    )
+    # hbar gamma scales the assembled bracket, so each entry rounds as
+    # hbar gamma (A - B), the form the quintic identities are written in
+    data = ops.assemble([
+        (rs.R * ratio2 * sym_ppx, o.x @ o.x),
+        (-(m.x @ m.x @ m.x), o.n + 0.5 * o.eye),
+    ])
+    data *= params.hbar * rs.gamma
     return ops.wrap(data)
 
 
@@ -177,6 +186,22 @@ def _dressing_polys(theta: float, ops: ModeOperators, order: int, printed_quadra
     return poly(c_p), poly(c_q), poly(_inverse_square_series(order, printed_quadratic))
 
 
+def _momentum_terms(
+    params: CavityParams, ops: ModeOperators, order: int, printed_quadratic: bool,
+    r_convention: str,
+) -> list[tuple]:
+    """The momentum-field coupling term of ``momentum_coupling_term``."""
+    rs = base_rates(params, r_convention)
+    m = ops.mech
+    acc = np.zeros_like(m.eye)
+    for i, ci in enumerate(_inverse_square_series(order, printed_quadratic)):
+        word = [m.p, m.p] + [m.x] * i
+        labels = ["p", "p"] + ["x"] * i
+        acc = acc + ci * rs.theta**i * symmetrize_matrices(word, labels=labels)
+    ratio2 = (params.omega_m / params.omega_c) ** 2
+    return [(-0.5 * params.hbar * rs.beta * rs.R * ratio2 * acc, ops.opt.x @ ops.opt.x)]
+
+
 def momentum_coupling_term(
     params: CavityParams,
     ops: ModeOperators,
@@ -188,16 +213,23 @@ def momentum_coupling_term(
     -(hbar beta / 2) R (Omega/omega)^2 sum_i c_i theta^i S{P_mech^2 X^i} Q^2,
     with c_i the truncated inverse-square series (1, -2, +3)."""
     _require_single_optical(ops, "momentum_coupling_term")
-    rs = base_rates(params, r_convention)
-    m = ops.mech
-    acc = np.zeros_like(m.eye)
-    for i, ci in enumerate(_inverse_square_series(order, printed_quadratic)):
-        word = [m.p, m.p] + [m.x] * i
-        labels = ["p", "p"] + ["x"] * i
-        acc = acc + ci * rs.theta**i * symmetrize_matrices(word, labels=labels)
-    ratio2 = (params.omega_m / params.omega_c) ** 2
-    data = ops.lift(-0.5 * params.hbar * rs.beta * rs.R * ratio2 * acc, ops.opt.x @ ops.opt.x)
-    return ops.wrap(data)
+    return ops.wrap(ops.assemble(
+        _momentum_terms(params, ops, order, printed_quadratic, r_convention)))
+
+
+def _law_terms(
+    params: CavityParams, ops: ModeOperators, order: int, printed_quadratic: bool
+) -> list[tuple]:
+    """The terms of ``law_full``: free mirror, dressed P^2 and dressed Q^2."""
+    rs = base_rates(params)
+    f_p, f_q, g_w = _dressing_polys(rs.theta, ops, order, printed_quadratic)
+    o = ops.opt
+    scale = 0.5 * params.hbar * params.omega_c
+    return [
+        _free_mirror(params, ops),
+        (scale * (f_p @ f_p), o.p @ o.p),
+        (scale * (g_w @ f_q @ f_q), o.x @ o.x),
+    ]
 
 
 def law_full(
@@ -208,13 +240,7 @@ def law_full(
 ) -> OperatorMatrix:
     """Single-mode Hamiltonian without the momentum-field coupling term."""
     _require_single_optical(ops, "law_full")
-    rs = base_rates(params)
-    f_p, f_q, g_w = _dressing_polys(rs.theta, ops, order, printed_quadratic)
-    o = ops.opt
-    data = _free_mirror(params, ops) + 0.5 * params.hbar * params.omega_c * (
-        ops.lift(f_p @ f_p, o.p @ o.p) + ops.lift(g_w @ f_q @ f_q, o.x @ o.x)
-    )
-    return ops.wrap(data)
+    return ops.wrap(ops.assemble(_law_terms(params, ops, order, printed_quadratic)))
 
 
 def new_full(
@@ -224,11 +250,12 @@ def new_full(
     printed_quadratic: bool = False,
     r_convention: str = "exact",
 ) -> OperatorMatrix:
-    """Corrected single-mode Hamiltonian: the no-momentum build plus the
-    symmetrized momentum-field coupling at the same expansion order."""
-    base = law_full(params, ops, order, printed_quadratic)
-    mom = momentum_coupling_term(params, ops, order, printed_quadratic, r_convention)
-    return ops.wrap(base.data + mom.data)
+    """Corrected single-mode Hamiltonian: the terms of the no-momentum build
+    plus the symmetrized momentum-field coupling at the same expansion order."""
+    _require_single_optical(ops, "new_full")
+    return ops.wrap(ops.assemble(
+        _law_terms(params, ops, order, printed_quadratic)
+        + _momentum_terms(params, ops, order, printed_quadratic, r_convention)))
 
 
 def h3_linear_optical(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
@@ -320,13 +347,13 @@ def h4_special_eta(
     m = ops.mech
     b2 = m.adag @ m.adag + m.a @ m.a
     inv2 = 0.5 / eta
-    data = 2.0 * params.hbar * rs.beta * params.a_amp * (
-        ops.lift(inv2 * b2, Dc)
-        + ops.lift((1.0 + inv2) * m.n, D)
-        + ops.lift(b2, D)
-        - ops.lift((2.0 * inv2) * m.n, Dc)
-    )
-    return ops.wrap(data)
+    scale = 2.0 * params.hbar * rs.beta * params.a_amp
+    return ops.wrap(ops.assemble([
+        (scale * inv2 * b2, Dc),
+        (scale * (1.0 + inv2) * m.n, D),
+        (scale * b2, D),
+        (-scale * (2.0 * inv2) * m.n, Dc),
+    ]))
 
 
 def h4_bogoliubov_form(
@@ -337,55 +364,59 @@ def h4_bogoliubov_form(
     B mixes the mechanical ladder with cosh/sinh weights of the squeeze ratio
     rho = arctanh((G4+ - G4- e^{i phi})/(G4+ + G4- e^{i phi})); G4 is the
     geometric mean of the mixing rates.  For real rho this equals
-    (hbar/2)[G4+ (b^dag+b)(a^dag+a) + G4- (b^dag-b)(a^dag-a)].
+    (hbar/2)[G4+ (b^dag+b)(a^dag+a) + G4- (b^dag-b)(a^dag-a)].  An arctanh
+    argument that rounds to +-1, its branch point, raises ``ArithmeticError``.
     """
     _require_single_optical(ops, "H4_bogoliubov_form")
     rs = base_rates(params, r_convention)
     G4p, G4m = rs.G4_plus, rs.G4_minus
     G4 = math.sqrt(max(G4p * G4m, 0.0))
     if G4 == 0.0:
-        return ops.wrap(np.zeros((ops.space.dim,) * 2, dtype=complex))
+        return ops.wrap(ops.assemble([]))
     ph = cmath.exp(1j * params.a_phase)
-    rho = np.arctanh((G4p - G4m * ph) / (G4p + G4m * ph))
-    B = ops.mech.adag * np.cosh(rho) + ops.mech.a * np.sinh(rho)
-    half = ops.lift(B.conj().T, params.hbar * G4 * ops.opt.a)
-    data = half + half.conj().T
-    return ops.wrap(data)
+    ratio = (G4p - G4m * ph) / (G4p + G4m * ph)
+    if ratio == 1 or ratio == -1:
+        raise ArithmeticError(f"the H4_bogoliubov_form squeeze ratio rounds to {ratio.real:+.0f}, "
+                              f"the branch point of arctanh (G4+ = {G4p:.6g}, G4- = {G4m:.6g})")
+    rho = np.arctanh(ratio)
+    B = params.hbar * G4 * (ops.mech.adag * np.cosh(rho) + ops.mech.a * np.sinh(rho))
+    return ops.wrap(ops.assemble([(B.conj().T, ops.opt.a), (B, ops.opt.adag)]))
 
 
-def _relativistic_common(params: CavityParams, ops: ModeOperators) -> np.ndarray:
-    """(b^dag - b)^2 sum_{kj} w_{kj} (a_k^dag + a_k)(a_j^dag + a_j)."""
+def _relativistic_terms(params: CavityParams, ops: ModeOperators, scale: float) -> list[tuple]:
+    """scale (b^dag - b)^2 sum_{kj} w_{kj} (a_k^dag + a_k)(a_j^dag + a_j), one
+    term per mode pair (k, j) with scale w_kj folded into the mechanical factor."""
     n_modes = ops.space.n_modes_opt
     if n_modes > 2:
         raise ValueError("relativistic correction is built for at most two optical modes")
     w = relativistic_rates(params, n_modes)
     bb = (ops.mech.adag - ops.mech.a) @ (ops.mech.adag - ops.mech.a)
     quad = ops.opt.adag + ops.opt.a
-    acc = np.zeros((ops.space.dim,) * 2, dtype=complex)
+    terms = []
     for k in range(n_modes):
         for j in range(n_modes):
-            # w_kj quad_k on mode k, then quad_j on mode j (quad^2 when k == j)
+            # quad_k on mode k, then quad_j on mode j (quad^2 when k == j)
             slots = [None] * n_modes
-            slots[k] = w[k, j] * quad
-            slots[j] = quad if slots[j] is None else slots[j] @ quad
-            acc = acc + ops.lift(bb, *slots)
-    return acc
+            slots[k] = quad
+            slots[j] = quad @ quad if j == k else quad
+            terms.append((scale * w[k, j] * bb, *slots))
+    return terms
 
 
 def delta_relativistic_first(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """First-order relativistic correction: -2 hbar (b^dag - b)^2 sum w_kj (...)(...)."""
-    return ops.wrap(-2.0 * params.hbar * _relativistic_common(params, ops))
+    return ops.wrap(ops.assemble(_relativistic_terms(params, ops, -2.0 * params.hbar)))
 
 
 def delta_relativistic_second(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Second-order relativistic correction, identically -1/2 of the first order."""
-    return ops.wrap(params.hbar * _relativistic_common(params, ops))
+    return ops.wrap(ops.assemble(_relativistic_terms(params, ops, params.hbar)))
 
 
 def delta_relativistic(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Total relativistic correction -hbar (b^dag - b)^2 sum w_kj (...)(...);
     vanishes for chi0 = 0 and as c -> infinity."""
-    return ops.wrap(-params.hbar * _relativistic_common(params, ops))
+    return ops.wrap(ops.assemble(_relativistic_terms(params, ops, -params.hbar)))
 
 
 BUILDERS = {

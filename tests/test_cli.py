@@ -520,14 +520,29 @@ class TestErrors:
         ["checks"],
     ])
     def test_non_finite_hamiltonian_is_numerical_failure(self, tmp_path, capsys, argv):
-        # hamiltonian exited 0 with 81 nan entries; checks exited 0 with passed: true
+        # hamiltonian exited 0 with 81 nan entries; checks exited 0 with passed: true.
+        # Neither may warn: hamiltonian writes nothing, checks writes its report
         cfg = tmp_path / "si.json"
         cfg.write_text(json.dumps(_SI_NAN_DOC))
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):
-            assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert "H4_bogoliubov_form" in capsys.readouterr().err
-        assert not out.exists()
+        assert out.exists() == (argv[0] == "checks")
+
+    def test_failed_build_still_reports_every_check(self, tmp_path):
+        # checks stopped at the first variant it could not build and wrote no report
+        cfg = tmp_path / "si.json"
+        cfg.write_text(json.dumps(_SI_NAN_DOC))
+        assert run(["checks", "--config", str(cfg), "--out-dir", str(tmp_path / "si")]) == 1
+        assert run(["checks", "--out-dir", str(tmp_path / "plain")]) == 0
+        doc = read_json(only(tmp_path / "si", "checks-*.json"))
+        plain = read_json(only(tmp_path / "plain", "checks-*.json"))
+        assert [c["name"] for c in doc["checks"]] == [c["name"] for c in plain["checks"]]
+        failing = {c["name"]: c["value"] for c in doc["checks"] if not c["passed"]}
+        assert failing == {"hermiticity_relative_max": math.inf}
+        assert doc["passed"] is False
+        assert "H4_bogoliubov_form" in doc["notes"]["failed_builds"]
+        assert "failed_builds" not in plain["notes"]
 
     def test_dimension_above_cap_is_config_error(self, tmp_path, capsys):
         code = run(["hamiltonian", "--n-mech", "100", "--n-opt", "100",

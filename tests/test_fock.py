@@ -69,6 +69,30 @@ class TestLadder:
         with pytest.raises(ValueError):
             ops.lift(None, o.a, o.a, o.a)
 
+    def test_assemble_of_no_terms_is_zero(self):
+        space, ops = fock.make_space(3, 4, n_modes_opt=2)
+        zero = ops.assemble([])
+        assert zero.shape == (space.dim, space.dim) and zero.dtype == complex
+        assert not zero.any()
+
+    def test_assemble_equals_sum_of_lifts(self):
+        # terms that share optical entries are summed in term order
+        _, ops = fock.make_space(3, 4, n_modes_opt=2)
+        m, o = ops.mech, ops.opt
+        terms = [(m.x, o.a), (None, o.n, o.x), (m.n,), (0.3j * m.a, None, o.adag @ o.adag)]
+        assert np.array_equal(ops.assemble(terms), sum(ops.lift(*t) for t in terms))
+
+    @pytest.mark.parametrize("n_modes_opt", [1, 2])
+    def test_dense_optical_factor_equals_nested_kron(self, n_modes_opt):
+        from scipy.linalg import expm
+
+        _, ops = fock.make_space(4, 5, n_modes_opt=n_modes_opt)
+        amp = 0.6 - 0.3j
+        dense = expm(amp * ops.opt.adag - np.conj(amp) * ops.opt.a)
+        assert np.count_nonzero(dense) == dense.size
+        optical = dense if n_modes_opt == 1 else np.kron(dense, ops.opt.eye)
+        assert np.array_equal(fock.displacement(ops, amp), np.kron(ops.mech.eye, optical))
+
     def test_two_optical_modes(self):
         space, ops = fock.make_space(4, 4, n_modes_opt=2)
         assert space.dim == 64

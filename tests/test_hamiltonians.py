@@ -1,6 +1,8 @@
 """Hamiltonian variant builders: structure, decomposition, and cross-identities."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,18 +54,65 @@ class TestStructure:
 
     def test_non_finite_build_raises(self):
         # at omega_c/omega_m = 1e9 the squeeze ratio's arctanh argument rounds to
-        # exactly 1, and the build held NaN in every entry
+        # exactly 1; the build warned and held NaN in every entry, and now raises
+        # at the branch point without a RuntimeWarning
         space, _ = fock.make_space(3, 3)
         p = CavityParams(mass=1e-9, length=1e-3, omega_m=1e6, omega_c=1e15, c=299792458.0,
                          hbar=1.054571817e-34, a_amp=10.0, b_amp=1.0, b_phase=0.7)
-        with pytest.warns(RuntimeWarning), pytest.raises(ArithmeticError,
-                                                         match="H4_bogoliubov_form"):
+        with pytest.raises(ArithmeticError, match="H4_bogoliubov_form .* branch point"):
             ham.build_hamiltonian("H4_bogoliubov_form", p, space)
 
     def test_single_optical_mode_required(self):
         space, _ = fock.make_space(4, 4, n_modes_opt=2)
         with pytest.raises(ValueError):
             ham.build_hamiltonian("new_full", P_WEAK, space)
+
+
+def kron_sum(ops, terms):
+    """Reference for ``ModeOperators.assemble``: the sum over terms of
+    np.kron(mechanical factor, nested np.kron of the optical factors)."""
+    acc = np.zeros((ops.space.dim,) * 2, dtype=complex)
+    for mech, *opt in terms:
+        opt += [None] * (ops.space.n_modes_opt - len(opt))
+        optical = functools.reduce(np.kron, [ops.opt.eye if f is None else f for f in opt])
+        acc = acc + np.kron(ops.mech.eye if mech is None else mech, optical)
+    return acc
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("variant", ham.VARIANTS)
+    @pytest.mark.parametrize("omega_c", [2.0, 1.0])  # generic, and degenerate omega_m = omega_c
+    @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.4, 0.8)])
+    def test_every_variant_matches_kron_sum(self, monkeypatch, variant, omega_c, phases):
+        p = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=omega_c,
+                         a_amp=0.7, a_phase=phases[0], b_amp=1.3, b_phase=phases[1],
+                         chi0=1.0, thickness=1.0)
+        space = fock.FockSpace(6, 7)  # unequal cutoffs catch a swapped reshape
+        options = {"new_full": {"order": 2}, "law_full": {"order": 2},
+                   "H4_special_eta": {"eta": 0.7}}.get(variant, {})
+        H = ham.build_hamiltonian(variant, p, space, **options).data
+        monkeypatch.setattr(fock.ModeOperators, "assemble", kron_sum)
+        ref = ham.build_hamiltonian(variant, p, space, **options).data
+        assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_two_optical_modes_equal_nested_kron_exactly(self, monkeypatch):
+        _, ops = fock.make_space(6, 5, n_modes_opt=2)
+        p = CavityParams(mass=1.0, length=1.0, omega_m=1.0, omega_c=1.0, chi0=1.0, thickness=0.1)
+        H = ham.delta_relativistic(p, ops).data
+        assert np.abs(H).max() > 0.0
+        monkeypatch.setattr(fock.ModeOperators, "assemble", kron_sum)
+        assert np.array_equal(H, ham.delta_relativistic(p, ops).data)
+
+    def test_new_full_build_holds_one_dense_matrix(self):
+        # summing D x D Kronecker products peaked at 4.0 dense matrices
+        space = fock.FockSpace(32, 32)
+        tracemalloc.start()
+        try:
+            ham.build_hamiltonian("new_full", P_WEAK, space, order=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 16 * space.dim**2
 
 
 class TestFreeAndCubic:
