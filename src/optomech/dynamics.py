@@ -50,9 +50,13 @@ the batch: ``energy()`` with the record's variant and inner cutoff, and
 ``h_canonical()``, equal them exactly.  The canonical split reads d only, so
 ``h_canonical`` does not depend on the variant.
 
-Integration uses an adaptive 8(5,3) Runge-Kutta scheme with local
-interpolation; no symplectic structure is claimed (the system is
-non-separable), so energy drift is monitored, not enforced.
+Integration runs DOP853, the adaptive 8(5,3) Runge-Kutta pair of Hairer,
+Norsett & Wanner (Sec. II.10) with its 7th-order dense output, in this module
+on numpy alone (tableau in ``_dop853``).  Its float operations are those of
+scipy's ``DOP853``, so trajectories match that solver bit for bit, and it
+counts accepted steps, rejected attempts and right-hand-side evaluations
+exactly.  No symplectic structure is claimed (the system is non-separable),
+so energy drift is monitored, not enforced.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _dop853
 from .coefficients import CoefficientTable, gram_matrix
 
 __all__ = [
@@ -82,11 +87,13 @@ __all__ = [
     "harmonic_mirror_motion",
 ]
 
-# DOP853 cost model used for step bookkeeping: two start-up evaluations,
-# twelve per attempted step, three extra per dense interpolant.
-_STARTUP_EVALS = 2
-_EVALS_PER_ATTEMPT = 12
-_EVALS_PER_DENSE = 3
+# DOP853 (see _drive_solver): the tableau as arrays, the nodes as Python floats
+_A = [np.array(row) for row in _dop853.A]
+_C = _dop853.C
+_B, _E3, _E5, _D = (np.array(v) for v in (_dop853.B, _dop853.E3, _dop853.E5, _dop853.D))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8  # -1 / (order of the error estimate + 1)
+_RTOL_FLOOR = 100 * np.finfo(float).eps  # below it the error estimate is roundoff
 
 
 @dataclass(frozen=True)
@@ -323,6 +330,10 @@ def h_canonical(state: ClassicalState, params: MirrorParams, table: CoefficientT
 
 @dataclass(frozen=True)
 class IntegratorStats:
+    """Exact counts of one DOP853 run: accepted steps, rejected step attempts
+    and right-hand-side evaluations (2 to start, 12 per attempt, 3 per step
+    that feeds ``sample_times``), with the tolerances it ran at."""
+
     steps: int
     rejected_steps: int
     nfev: int
@@ -364,67 +375,133 @@ def _validate_run(t_end: float, rel_tol: float, abs_tol: float) -> None:
     for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (0.0 < v <= 1e-2):
             raise ValueError(f"{name} must lie in (0, 1e-2], got {v}")
+    if rel_tol < _RTOL_FLOOR:
+        raise ValueError(f"rel_tol must be >= 100 * machine epsilon = {_RTOL_FLOOR:.6g}, "
+                         f"got {rel_tol}")
 
 
-def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop):
-    """Run the adaptive solver, returning (t, y, stats, stopped).
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size**0.5
 
-    With ``sample_times`` the output is interpolated onto that grid via the
-    solver's dense output; otherwise the natural accepted steps are returned.
+
+def _initial_step(rhs, y0, f0, t_end, rel_tol, abs_tol):
+    """Starting step of Hairer, Norsett & Wanner, Sec. II.4, for an error
+    estimate of order 7; costs one evaluation."""
+    scale = abs_tol + np.abs(y0) * rel_tol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, t_end)
+
+
+def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """RMS norm of the 5th-order error estimate, damped by the 3rd-order one."""
+    err5 = np.linalg.norm(np.dot(KT, _E5) / scale) ** 2
+    err3 = np.linalg.norm(np.dot(KT, _E3) / scale) ** 2
+    if err5 == 0 and err3 == 0:
+        return 0.0
+    return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
+
+
+def _dense_rows(rhs, K, t_old, y_old, h, y, f, x):
+    """The 7th-order interpolant of the step of size h from (t_old, y_old) to
+    (y, f) at step fractions ``x``, one row each; runs stages 13..15 into K."""
+    for s in range(_dop853.N_STAGES + 1, len(_C)):
+        K[s] = rhs(t_old + _C[s] * h, y_old + np.dot(K[:s].T, _A[s]) * h)
+    dy = y - y_old
+    F = (dy, h * K[0] - dy, 2 * dy - h * (f + K[0]), *(h * np.dot(_D, K)))
+    x = x[:, None]
+    out = np.zeros((len(x), len(y)))
+    for i, row in enumerate(reversed(F)):  # Horner in x and 1 - x alternately
+        out += row
+        out *= x if i % 2 == 0 else 1 - x
+    out += y_old
+    return out
+
+
+def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop, motion=None):
+    """Run DOP853 from t = 0 to ``t_end``, returning (t, y, stats, stopped).
+
+    The steps are those of Hairer, Norsett & Wanner, Sec. II.10, in the float
+    operations of scipy's ``DOP853`` (so a run matches it bit for bit): RMS
+    error norm, safety factor 0.9, step factor within [0.2, 10] and no growth
+    right after a rejection, last step clipped to ``t_end``.  With
+    ``sample_times`` the output is the dense interpolant on that grid,
+    otherwise the accepted steps.  ``stop(y)`` is asked after every accepted
+    step; a step below 10 ulp of t raises ``StiffnessError`` with the last
+    accepted state, whose q, qdot come from ``motion`` when y = [Q, Qdot].
     """
-    # imported here so that only integrating callers pay for scipy.integrate
-    from scipy.integrate import DOP853
-
-    solver = DOP853(rhs, 0.0, np.asarray(y0, dtype=float), t_bound=float(t_end),
-                    rtol=rel_tol, atol=abs_tol)
-    ts = [0.0]
-    ys = [np.array(y0, dtype=float)]
-    accepted = 0
-    n_dense = 0
-    stopped = False
     grid = None if sample_times is None else np.asarray(sample_times, dtype=float)
-    gi = 0
-    if grid is not None:
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or grid[0] < 0 or grid[-1] > t_end:
-            raise ValueError("sample_times must be strictly increasing within [0, t_end]")
-        ts, ys = [], []
-        if grid[0] == 0.0:
-            ts.append(0.0)
-            ys.append(np.array(y0, dtype=float))
-            gi = 1
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise _make_stiffness_error(ts, ys, y0)
+    if grid is not None and (grid.ndim != 1 or np.any(np.diff(grid) <= 0) or grid[0] < 0
+                             or grid[-1] > t_end):
+        raise ValueError("sample_times must be strictly increasing within [0, t_end]")
+    t, y = 0.0, np.array(y0, dtype=float)
+    gi = 0 if grid is None else int(grid[0] == 0.0)  # a grid point at t = 0 takes y0 itself
+    ts, ys = ([t], [y]) if grid is None or gi else ([], [])
+    K = np.empty((len(_C), len(y)))  # stage derivatives; the last 3 rows feed dense output
+    stages = [(s, _C[s], _A[s], K[:s].T) for s in range(1, _dop853.N_STAGES)]
+    KT_B, KT_E = K[:_dop853.N_STAGES].T, K[:_dop853.N_STAGES + 1].T
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, y, f, t_end, rel_tol, abs_tol)
+    accepted = rejected = 0
+    nfev = 2
+    stopped = False
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise _stiffness_error(t, y, motion)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, c, a, kt in stages:
+                K[s] = rhs(t + c * h, y + np.dot(kt, a) * h)
+            y_new = y + h * np.dot(KT_B, _B)
+            f_new = rhs(t + h, y_new)
+            K[_dop853.N_STAGES] = f_new
+            nfev += _dop853.N_STAGES
+            err = _error_norm(KT_E, h, abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR,
+                                                          _SAFETY * err**_ERROR_EXPONENT)
+                h_abs *= min(1, factor) if step_rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
         accepted += 1
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
         if grid is None:
-            ts.append(solver.t)
-            ys.append(solver.y.copy())
-        elif gi < len(grid) and grid[gi] <= solver.t:
-            dense = solver.dense_output()
-            n_dense += 1
-            while gi < len(grid) and grid[gi] <= solver.t:
-                ts.append(float(grid[gi]))
-                ys.append(np.asarray(dense(grid[gi]), dtype=float))
-                gi += 1
-        if stop is not None and stop(solver.y):
+            ts.append(t)
+            ys.append(y)
+        elif gi < len(grid) and grid[gi] <= t:
+            end = int(np.searchsorted(grid, t, side="right"))
+            ys.extend(_dense_rows(rhs, K, t_old, y_old, h, y, f, (grid[gi:end] - t_old) / h))
+            ts.extend(grid[gi:end].tolist())
+            nfev += 3
+            gi = end
+        if stop is not None and stop(y):
             stopped = True
             break
-    attempts = (solver.nfev - _STARTUP_EVALS - _EVALS_PER_DENSE * n_dense) // _EVALS_PER_ATTEMPT
-    rejected = max(0, attempts - accepted)
-    stats = IntegratorStats(accepted, rejected, solver.nfev, rel_tol, abs_tol)
+        if t == t_end:
+            break
+    stats = IntegratorStats(accepted, rejected, nfev, rel_tol, abs_tol)
     return np.array(ts), np.array(ys), stats, stopped
 
 
-def _make_stiffness_error(ts, ys, y0):
-    if ts:
-        t_last, y_last = ts[-1], ys[-1]
-    else:
-        t_last, y_last = 0.0, np.asarray(y0, dtype=float)
-    k = (len(y_last) - 2) // 2
-    state = ClassicalState(t=float(t_last), q=y_last[0], qdot=y_last[1],
-                           Q=y_last[2 : 2 + k], Qdot=y_last[2 + k :])
-    return StiffnessError(f"step size underflow at t = {t_last}", state)
+def _stiffness_error(t, y, motion):
+    if motion is not None:
+        y = np.concatenate(([motion.q(t), motion.qdot(t)], y))
+    k = (len(y) - 2) // 2
+    state = ClassicalState(t=float(t), q=y[0], qdot=y[1], Q=y[2 : 2 + k], Qdot=y[2 + k :])
+    return StiffnessError(f"step size underflow at t = {t}", state)
 
 
 def _record(t, y, stats, cp, variant, mirror_model, floor_hit=False):
@@ -450,6 +527,18 @@ def _rhs(cp: _Coupling, mirror_model: str):
         R = rows(y[2:])
         qddot = mirror(q, qdot, R)
         return np.concatenate(((qdot, qddot), R[1], field(q, qdot, qddot, R)))
+
+    return rhs
+
+
+def _prescribed_rhs(cp: _Coupling, motion: MirrorMotion):
+    """Right-hand side f(t, y) of the field equations, y = [Q, Qdot], with the
+    mirror on the prescribed ``motion``."""
+
+    def rhs(t, y):
+        R = cp.rows(y)
+        qddot = cp.field_accel(motion.q(t), motion.qdot(t), motion.qddot(t), R)
+        return np.concatenate((R[1], qddot))
 
     return rhs
 
@@ -507,14 +596,9 @@ def integrate_prescribed(
     _check_state(state0, params)
     _validate_run(t_end, rel_tol, abs_tol)
     cp = _coupling(variant, table, params, inner_cutoff)
-
-    def rhs(t, y):
-        R = cp.rows(y)
-        qddot = cp.field_accel(motion.q(t), motion.qdot(t), motion.qddot(t), R)
-        return np.concatenate((R[1], qddot))
-
     y0 = np.concatenate([state0.Q, state0.Qdot])
-    t, yf, stats, _ = _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop=None)
+    t, yf, stats, _ = _drive_solver(_prescribed_rhs(cp, motion), y0, t_end, rel_tol, abs_tol,
+                                    sample_times, stop=None, motion=motion)
     q = np.array([motion.q(tv) for tv in t])
     qdot = np.array([motion.qdot(tv) for tv in t])
     y = np.column_stack([q, qdot, yf])

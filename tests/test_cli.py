@@ -447,6 +447,13 @@ class TestErrors:
         assert "t_end" in capsys.readouterr().err
         assert not list(tmp_path.glob("evolve-*"))
 
+    def test_rel_tol_below_solver_floor_is_numerical_failure(self, tmp_path, capsys):
+        # it used to run at rel_tol = 2.2e-14 under an artifact name hashing 1e-16
+        argv = ["evolve", "--kmax", "1", "--t-end", "1", "--rel-tol", "1e-16"]
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert "rel_tol" in capsys.readouterr().err
+        assert not list(tmp_path.glob("evolve-*"))
+
     def test_non_finite_t_end_exits_instead_of_hanging(self, tmp_path):
         for t_end in ("nan", "inf"):
             proc = run_subprocess(["evolve", "--t-end", t_end, "--out-dir", str(tmp_path)],
@@ -611,7 +618,7 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
 
-def test_only_evolve_loads_scipy(tmp_path):
+def test_no_subcommand_loads_scipy(tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"grid": {"omega_c": [1.0, 2.0]}}))
     small = ["--n-mech", "4", "--n-opt", "4"]
@@ -623,8 +630,31 @@ def test_only_evolve_loads_scipy(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == {argv[0]: 0 for argv in calls}
     loaded = report["loaded"]
-    assert "scipy.integrate" in loaded.pop("evolve")
-    assert loaded == {step: [] for step in loaded}
+    assert loaded == {step: [] for step in ["import optomech", "import optomech.cli",
+                                            *(argv[0] for argv in calls)]}
+
+
+_DYNAMICS_PROBE = """
+import sys
+import numpy as np
+from optomech.coefficients import build_table
+from optomech.dynamics import (ClassicalState, MirrorParams, harmonic_mirror_motion, integrate,
+                               integrate_prescribed)
+params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+state = ClassicalState(t=0.0, q=1.01, qdot=0.0, Q=np.array([0.1, 0.0]), Qdot=np.zeros(2))
+table = build_table(2)
+integrate("law", state, params, table, 1.0, mirror_model="lagrangian",
+          sample_times=np.linspace(0.0, 1.0, 5))
+integrate_prescribed("new", harmonic_mirror_motion(1.0, 0.01, 1.0), state, params, table, 1.0)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_integrating_loads_no_scipy(tmp_path):
+    # the DOP853 solver is numpy-only; a fresh interpreter, since tests import scipy here
+    proc = run_python(["-c", _DYNAMICS_PROBE], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestDeterministicNaming:

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate._ivp.rk as scipy_rk
 
 from optomech import coefficients as coef
 from optomech.dynamics import (
     ClassicalState,
+    MirrorMotion,
     MirrorParams,
     StiffnessError,
     energy,
@@ -20,7 +20,7 @@ from optomech.dynamics import (
     integrate_prescribed,
     mirror_accel,
 )
-from optomech.dynamics import _coupling, _rhs
+from optomech.dynamics import _coupling, _prescribed_rhs, _rhs
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +243,16 @@ class TestIntegrate:
             integrate("new", st, params, table8, 1.0, rel_tol=0.5)
         with pytest.raises(ValueError):
             integrate("new", st, params, table8, 1.0, abs_tol=0.0)
+        # below 100 eps the error estimate is roundoff; 1e-16 used to run
+        # silently at rel_tol = 2.2e-14 while the record said 1e-16
+        floor = 100 * np.finfo(float).eps
+        motion = harmonic_mirror_motion(1.0, 0.01, 1.0)
+        for rel_tol in (1e-16, np.nextafter(floor, 0.0)):
+            with pytest.raises(ValueError, match="rel_tol"):
+                integrate("new", st, params, table8, 1.0, rel_tol=rel_tol)
+            with pytest.raises(ValueError, match="rel_tol"):
+                integrate_prescribed("new", motion, st, params, table8, 1.0, rel_tol=rel_tol)
+        assert integrate("new", st, params, table8, 0.1, rel_tol=floor).stats.rel_tol == floor
 
     # non-finite t_end is tested through a CLI subprocess with a timeout: without
     # its validation the solver spins forever, which would hang the suite here
@@ -285,28 +295,6 @@ class TestIntegrate:
         assert rec.stats.rejected_steps >= 0
         assert rec.stats.nfev > rec.stats.steps
         assert rec.stats.rel_tol == 1e-9
-
-    @pytest.mark.parametrize("sampled", [False, True])
-    def test_step_counts_match_solver_attempts(self, monkeypatch, sampled):
-        # the rejected-step count is inferred from nfev through the DOP853 cost
-        # model; count the solver's actual step attempts and compare
-        attempts = []
-        rk_step = scipy_rk.rk_step
-
-        def counting_rk_step(*args, **kwargs):
-            attempts.append(1)
-            return rk_step(*args, **kwargs)
-
-        monkeypatch.setattr(scipy_rk, "rk_step", counting_rk_step)
-        table = coef.build_table(4)
-        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=4)
-        st = make_state(q=1.005, Q=[0.02, 0.0, 0.0, 0.0])
-        t_end = 10 * 2 * np.pi
-        grid = np.linspace(0.0, t_end, 201) if sampled else None
-        rec = integrate("new", st, params, table, t_end, rel_tol=1e-10, abs_tol=1e-13,
-                        mirror_model="lagrangian", sample_times=grid)
-        assert rec.stats.rejected_steps > 0
-        assert rec.stats.steps + rec.stats.rejected_steps == len(attempts)
 
     @pytest.mark.parametrize("mirror_model", ["newton", "lagrangian"])
     def test_recorded_diagnostics_equal_state_functions(self, table8, mirror_model):
@@ -417,6 +405,19 @@ class TestPrescribed:
         )
         assert np.array_equal(default.y, explicit.y)
 
+    def test_step_underflow_reports_the_prescribed_mirror(self):
+        # the last state used to read Q_1 as the mirror position, so a negative
+        # Q_1 raised "invalid state" instead of StiffnessError
+        table = coef.build_table(2)
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+        motion = MirrorMotion(q=lambda t: 1.0 if t < 0.5 else math.nan,
+                              qdot=lambda t: 0.0, qddot=lambda t: 0.0)
+        with pytest.raises(StiffnessError) as exc:
+            integrate_prescribed("new", motion, make_state(Q=[-0.5, 0.0]), params, table, 1.0)
+        last = exc.value.last_state
+        assert 0.49 < last.t < 0.5
+        assert (last.q, last.qdot, len(last.Q), len(last.Qdot)) == (1.0, 0.0, 2, 2)
+
     def test_state_mode_count_must_match_kmax(self):
         table = coef.build_table(3)
         params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=3)
@@ -424,3 +425,109 @@ class TestPrescribed:
         st = make_state(Q=[1.0, 0.0])
         with pytest.raises(ValueError, match="state holds 2 modes, params.kmax = 3"):
             integrate_prescribed("new", motion, st, params, table, 1.0)
+
+
+def _scipy_reference(monkeypatch, rhs, y0, t_end, rel_tol, abs_tol, grid=None, stop=None):
+    """scipy's DOP853 driven on ``rhs`` the way ``_drive_solver`` runs: returns
+    (t, y, accepted steps, rejected attempts, nfev), counting every rk_step."""
+    from scipy.integrate._ivp import rk
+
+    attempts = []
+    rk_step = rk.rk_step
+
+    def counting_rk_step(*args):
+        attempts.append(1)
+        return rk_step(*args)
+
+    monkeypatch.setattr(rk, "rk_step", counting_rk_step)
+    solver = rk.DOP853(rhs, 0.0, y0, t_bound=t_end, rtol=rel_tol, atol=abs_tol)
+    pending = [] if grid is None else list(grid)
+    ts, ys = [], []
+    if grid is None or pending[0] == 0.0:  # the initial state, not interpolated
+        ts, ys, pending = [0.0], [y0], pending[1:]
+    steps = 0
+    while solver.status == "running":
+        solver.step()
+        assert solver.status != "failed"
+        steps += 1
+        if grid is None:
+            ts.append(solver.t)
+            ys.append(solver.y.copy())
+        elif pending and pending[0] <= solver.t:
+            dense = solver.dense_output()
+            while pending and pending[0] <= solver.t:
+                ts.append(pending[0])
+                ys.append(dense(pending.pop(0)))
+        if stop is not None and stop(solver.y):
+            break
+    return np.array(ts), np.array(ys), steps, len(attempts) - steps, solver.nfev
+
+
+def _assert_matches_reference(rec, ref, fields):
+    t, y, steps, rejected, nfev = ref
+    assert np.array_equal(rec.t, t)
+    assert np.array_equal(rec.y[:, 2:] if fields else rec.y, y)
+    assert (rec.stats.steps, rec.stats.rejected_steps, rec.stats.nfev) == (steps, rejected, nfev)
+
+
+class TestScipyReference:
+    """The in-house DOP853 takes scipy's steps bit for bit, with exact counts."""
+
+    def test_tableau_equals_scipy(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        from optomech import _dop853
+
+        A = np.zeros((ref.N_STAGES_EXTENDED, ref.N_STAGES_EXTENDED))
+        for s, row in enumerate(_dop853.A):
+            A[s, :s] = row
+        assert np.array_equal(A, ref.A)
+        for name in ("C", "B", "E3", "E5", "D"):
+            assert np.array_equal(np.array(getattr(_dop853, name)), getattr(ref, name)), name
+        assert _dop853.N_STAGES == ref.N_STAGES
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_integrate(self, monkeypatch, sampled):
+        table = coef.build_table(4)
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=4)
+        st = make_state(q=1.005, Q=[0.02, 0.0, 0.0, 0.0])
+        t_end = 10 * 2 * np.pi
+        grid = np.linspace(0.0, t_end, 201) if sampled else None
+        rec = integrate("new", st, params, table, t_end, rel_tol=1e-10, abs_tol=1e-13,
+                        mirror_model="lagrangian", sample_times=grid)
+        rhs = _rhs(_coupling("new", table, params, None), "lagrangian")
+        ref = _scipy_reference(monkeypatch, rhs, rec.y[0], t_end, 1e-10, 1e-13, grid)
+        assert rec.stats.rejected_steps > 0
+        _assert_matches_reference(rec, ref, fields=False)
+
+    def test_q_floor_stop(self, monkeypatch, table8):
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+        st = make_state(q=1.0, qdot=-0.5, Q=[0.1, 0.0])
+        grid = np.linspace(0.1, 50.0, 333)
+        rec = integrate("law", st, params, table8, 50.0, rel_tol=1e-8, abs_tol=1e-10,
+                        q_floor=0.9, sample_times=grid)
+        rhs = _rhs(_coupling("law", table8, params, None), "newton")
+        y0 = np.concatenate([[st.q, st.qdot], st.Q, st.Qdot])
+        ref = _scipy_reference(monkeypatch, rhs, y0, 50.0, 1e-8, 1e-10, grid,
+                               stop=lambda y: y[0] <= 0.9)
+        assert rec.floor_hit
+        _assert_matches_reference(rec, ref, fields=False)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_integrate_prescribed(self, monkeypatch, sampled):
+        K = 8
+        table = coef.build_table(K)
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=K)
+        motion = harmonic_mirror_motion(1.0, 0.01, 1.0)
+        Q0 = np.zeros(K)
+        Q0[0] = 1.0
+        st = ClassicalState(t=0.0, q=1.0, qdot=0.0, Q=Q0, Qdot=np.zeros(K))
+        t_end = 3 * 2 * np.pi
+        grid = np.linspace(0.0, t_end, 601) if sampled else None
+        rec = integrate_prescribed("law", motion, st, params, table, t_end, rel_tol=1e-10,
+                                   abs_tol=1e-12, inner_cutoff=K, sample_times=grid)
+        rhs = _prescribed_rhs(_coupling("law", table, params, K), motion)
+        ref = _scipy_reference(monkeypatch, rhs, np.concatenate([Q0, np.zeros(K)]), t_end,
+                               1e-10, 1e-12, grid)
+        assert rec.stats.rejected_steps > 0
+        _assert_matches_reference(rec, ref, fields=True)
