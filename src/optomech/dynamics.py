@@ -431,9 +431,9 @@ def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop, motion=N
     error norm, safety factor 0.9, step factor within [0.2, 10] and no growth
     right after a rejection, last step clipped to ``t_end``.  With
     ``sample_times`` the output is the dense interpolant on that grid,
-    otherwise the accepted steps.  ``stop(y)`` is asked after every accepted
-    step; a step below 10 ulp of t raises ``StiffnessError`` with the last
-    accepted state, whose q, qdot come from ``motion`` when y = [Q, Qdot].
+    otherwise the accepted steps.  ``stop(t, y)`` is asked after every
+    accepted step; a step below 10 ulp of t raises ``StiffnessError`` with the
+    last accepted state, whose q, qdot come from ``motion`` when y = [Q, Qdot].
     """
     grid = None if sample_times is None else np.asarray(sample_times, dtype=float)
     if grid is not None and (grid.ndim != 1 or np.any(np.diff(grid) <= 0) or grid[0] < 0
@@ -487,7 +487,7 @@ def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop, motion=N
             ts.extend(grid[gi:end].tolist())
             nfev += 3
             gi = end
-        if stop is not None and stop(y):
+        if stop is not None and stop(t, y):
             stopped = True
             break
         if t == t_end:
@@ -571,7 +571,7 @@ def integrate(
     rhs = _rhs(cp, mirror_model)
     floor = params.length / 100.0 if q_floor is None else q_floor
     t, y, stats, stopped = _drive_solver(rhs, _state_vector(state0), t_end, rel_tol, abs_tol,
-                                         sample_times, stop=lambda yv: yv[0] <= floor)
+                                         sample_times, stop=lambda tv, yv: yv[0] <= floor)
     return _record(t, y, stats, cp, variant, mirror_model, stopped)
 
 
@@ -591,15 +591,19 @@ def integrate_prescribed(
 
     The state rows store the prescribed q, qdot alongside the fields so the
     record layout matches ``integrate``, and 'law' takes the same inner Gram
-    cutoff.
+    cutoff.  As in ``integrate``, the run stops with ``floor_hit`` once the
+    prescribed q reaches length/100.
     """
     _check_state(state0, params)
     _validate_run(t_end, rel_tol, abs_tol)
     cp = _coupling(variant, table, params, inner_cutoff)
     y0 = np.concatenate([state0.Q, state0.Qdot])
-    t, yf, stats, _ = _drive_solver(_prescribed_rhs(cp, motion), y0, t_end, rel_tol, abs_tol,
-                                    sample_times, stop=None, motion=motion)
+    floor = params.length / 100.0
+    t, yf, stats, stopped = _drive_solver(_prescribed_rhs(cp, motion), y0, t_end, rel_tol,
+                                          abs_tol, sample_times,
+                                          stop=lambda tv, yv: motion.q(tv) <= floor,
+                                          motion=motion)
     q = np.array([motion.q(tv) for tv in t])
     qdot = np.array([motion.qdot(tv) for tv in t])
     y = np.column_stack([q, qdot, yf])
-    return _record(t, y, stats, cp, variant, "prescribed")
+    return _record(t, y, stats, cp, variant, "prescribed", stopped)

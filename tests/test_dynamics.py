@@ -1,6 +1,8 @@
 """Classical mirror-field dynamics: accelerations, energies, integration."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -26,6 +28,23 @@ from optomech.dynamics import _coupling, _prescribed_rhs, _rhs
 @pytest.fixture(scope="module")
 def table8():
     return coef.build_table(8)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` inside the block after ``seconds``, so that a run
+    that does not stop fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_state(q=1.0, qdot=0.0, Q=(0.0,), Qdot=None):
@@ -404,6 +423,18 @@ class TestPrescribed:
             for cutoff in ({}, {"inner_cutoff": 32})
         )
         assert np.array_equal(default.y, explicit.y)
+
+    def test_motion_reaching_the_floor_stops(self):
+        # q = 1 + sin t reaches 0 at t = 3 pi / 2, where the field frequencies
+        # pi k / q diverge; the run went on without bound instead of stopping
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+        motion = harmonic_mirror_motion(1.0, 1.0, 1.0)
+        with deadline(10):
+            rec = integrate_prescribed("new", motion, make_state(Q=[0.1, 0.0]), params,
+                                       coef.build_table(2), 10.0)
+        assert rec.floor_hit
+        assert rec.y[-1, 0] <= params.length / 100 < rec.y[-2, 0]
+        assert rec.t[-1] < 3 * np.pi / 2
 
     def test_step_underflow_reports_the_prescribed_mirror(self):
         # the last state used to read Q_1 as the mirror position, so a negative

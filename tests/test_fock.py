@@ -82,16 +82,28 @@ class TestLadder:
         terms = [(m.x, o.a), (None, o.n, o.x), (m.n,), (0.3j * m.a, None, o.adag @ o.adag)]
         assert np.array_equal(ops.assemble(terms), sum(ops.lift(*t) for t in terms))
 
-    @pytest.mark.parametrize("n_modes_opt", [1, 2])
-    def test_dense_optical_factor_equals_nested_kron(self, n_modes_opt):
+    # the 5-level cases keep their ids "1" and "2"
+    @pytest.mark.parametrize("n_modes_opt, n_opt", [(1, 5), (2, 5), (1, 8), (2, 8), (1, 16),
+                                                    (1, 64)],
+                             ids=["1", "2", "1-n8", "2-n8", "1-n16", "1-n64"])
+    def test_dense_optical_factor_equals_nested_kron(self, n_modes_opt, n_opt):
         from scipy.linalg import expm
 
-        _, ops = fock.make_space(4, 5, n_modes_opt=n_modes_opt)
-        amp = 0.6 - 0.3j
-        dense = expm(amp * ops.opt.adag - np.conj(amp) * ops.opt.a)
-        assert np.count_nonzero(dense) == dense.size
-        optical = dense if n_modes_opt == 1 else np.kron(dense, ops.opt.eye)
-        assert np.array_equal(fock.displacement(ops, amp), np.kron(ops.mech.eye, optical))
+        _, ops = fock.make_space(4, n_opt, n_modes_opt=n_modes_opt)
+        eye = ops.opt.eye
+        first_mode = slice(0, n_opt**n_modes_opt, n_opt ** (n_modes_opt - 1))  # the others at 0
+        for amp in (0.6 - 0.3j, 1.5 + 1.6j, 2.2j):
+            generator = amp * ops.opt.adag - np.conj(amp) * ops.opt.a
+            w, V = np.linalg.eigh(1j * generator)
+            dense = (V * np.exp(-1j * w)) @ V.conj().T
+            assert np.count_nonzero(dense) == dense.size
+            optical = dense if n_modes_opt == 1 else np.kron(dense, eye)
+            assert np.array_equal(fock.displacement(ops, amp), np.kron(ops.mech.eye, optical))
+            # the single-mode factor against the Pade exponential, and as a unitary
+            inverse = fock.displacement(ops, -amp)[first_mode, first_mode]
+            assert np.abs(dense - expm(generator)).max() < 1e-13
+            assert np.abs(dense @ dense.conj().T - eye).max() < 1e-13
+            assert np.abs(dense @ inverse - eye).max() < 1e-13
 
     def test_two_optical_modes(self):
         space, ops = fock.make_space(4, 4, n_modes_opt=2)
