@@ -186,6 +186,10 @@ def _cmd_evolve(cfg: RunConfig, args):
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, mirror_model=cfg.mirror_model,
         q_floor=cfg.q_floor,
     )
+    if record.floor_hit:
+        print(f"evolve: the mirror reached q_floor (q = {record.y[-1, 0]:.6g}) at "
+              f"t = {record.t[-1]:.6g}, before t_end = {cfg.t_end:.6g}; the trajectory "
+              "stops there", file=sys.stderr)
     header = ["t", "q", "qdot"]
     header += [f"Q_{k}" for k in range(1, cfg.kmax + 1)]
     header += [f"Qdot_{k}" for k in range(1, cfg.kmax + 1)]

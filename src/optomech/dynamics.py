@@ -32,6 +32,10 @@ six rows are Q, Qdot, gQ, MQ, g Qdot and (c pi k)^2 Q.  The field
 accelerations are [0, 0, qddot/q - u^2, u^2, 2u, -1/q^2] @ R, the Newton
 force reads sum_k (-1)^k k Q_k from row Q, and R[:3] @ R[2:].T holds every
 dot product of the Euler-Lagrange mirror equation, solved on Python floats.
+R, the coefficient row and the dot products go into buffers that the coupling
+of one run owns and overwrites on every evaluation, so an evaluation allocates
+only its result: each right-hand side returns a fresh array and keeps no
+reference to its input.
 
 The Legendre energy reported along trajectories is
 
@@ -55,8 +59,10 @@ Norsett & Wanner (Sec. II.10) with its 7th-order dense output, in this module
 on numpy alone (tableau in ``_dop853``).  Its float operations are those of
 scipy's ``DOP853``, so trajectories match that solver bit for bit, and it
 counts accepted steps, rejected attempts and right-hand-side evaluations
-exactly.  No symplectic structure is claimed (the system is non-separable),
-so energy drift is monitored, not enforced.
+exactly.  The loop forms its stage points and error estimates in reused
+buffers and runs step control on Python floats.  No symplectic structure is
+claimed (the system is non-separable), so energy drift is monitored, not
+enforced.
 """
 
 from __future__ import annotations
@@ -203,19 +209,33 @@ class _Coupling:
         eye, zero = np.eye(k), np.zeros((k, k))
         self.B = np.block([[eye, zero], [zero, eye], [g, zero], [M, zero], [zero, g],
                            [np.diag(self.c2k2), zero]])
+        # the buffers of one right-hand side evaluation, overwritten by the next
+        self._flat = np.empty(6 * k)
+        self._R = self._flat.reshape(6, k)
+        self._coef = np.zeros(6)
+        self._dots = np.empty((3, 4))
 
     def rows(self, z: np.ndarray) -> np.ndarray:
-        """R = B @ z for z = [Q; Qdot]: rows Q, Qdot, gQ, MQ, g Qdot, (c pi k)^2 Q."""
-        return np.dot(self.B, z).reshape(6, self.kmax)
+        """R = B @ z for z = [Q; Qdot]: rows Q, Qdot, gQ, MQ, g Qdot, (c pi k)^2 Q,
+        in the coupling's buffer (valid until the next call)."""
+        self.B.dot(z, self._flat)
+        return self._R
 
-    def field_accel(self, q: float, qdot: float, qddot: float, R: np.ndarray) -> np.ndarray:
-        """Field equation of the module docstring, as one combination of R."""
+    def field_accel(self, q: float, qdot: float, qddot: float, R: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """Field equation of the module docstring, as one combination of R,
+        written into ``out`` when given and into a fresh array otherwise."""
         u = qdot / q
-        return np.dot((0.0, 0.0, qddot / q - u * u, u * u, 2.0 * u, -1.0 / (q * q)), R)
+        coef = self._coef  # [0, 0, qddot/q - u^2, u^2, 2u, -1/q^2]
+        coef[2] = qddot / q - u * u
+        coef[3] = u * u
+        coef[4] = 2.0 * u
+        coef[5] = -1.0 / (q * q)
+        return coef.dot(R, out)
 
     def newton_accel(self, q: float, qdot: float, R: np.ndarray) -> float:
         """qddot = [-m Omega^2 (q - l) + (c pi / q)^2 (sum_k (-1)^k k Q_k)^2 / q] / m."""
-        s = float(np.dot(self.signs, R[0]))
+        s = float(self.signs.dot(R[0]))
         return (-self.spring * (q - self.length) + self.c2pi2 * s * s / (q * q * q)) / self.mass
 
     def lagrangian_accel(self, q: float, qdot: float, R: np.ndarray) -> float:
@@ -226,7 +246,8 @@ class _Coupling:
             (m + (D - gQ.gQ)/q^2) qddot = -m Omega^2 (q - l) + omega^2.Q^2/q
                 + qdot^2 D/q^3 - 2 qdot Qdot.MQ/q^2 + gQ.F/q
         """
-        (_, D, _, W), (_, half_Ddot, _, _), (gg, gM, ggd, gW) = np.dot(R[:3], R[2:].T).tolist()
+        dots = R[:3].dot(R[2:].T, self._dots).tolist()
+        (_, D, _, W), (_, half_Ddot, _, _), (gg, gM, ggd, gW) = dots
         u = qdot / q
         q2 = q * q
         gF = u * u * (gM - gg) + 2.0 * u * ggd - gW / q2
@@ -386,7 +407,7 @@ def _rms(x: np.ndarray) -> float:
 
 def _initial_step(rhs, y0, f0, t_end, rel_tol, abs_tol):
     """Starting step of Hairer, Norsett & Wanner, Sec. II.4, for an error
-    estimate of order 7; costs one evaluation."""
+    estimate of order 7, as a Python float; costs one evaluation."""
     scale = abs_tol + np.abs(y0) * rel_tol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
@@ -395,16 +416,29 @@ def _initial_step(rhs, y0, f0, t_end, rel_tol, abs_tol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, t_end)
+    return float(min(100 * h0, h1, t_end))
 
 
-def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
-    """RMS norm of the 5th-order error estimate, damped by the 3rd-order one."""
-    err5 = np.linalg.norm(np.dot(KT, _E5) / scale) ** 2
-    err3 = np.linalg.norm(np.dot(KT, _E3) / scale) ** 2
+def _squared_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) ** 2 bit for bit: the rounded norm, squared by pow
+    (which is not always x * x), with numpy's inf where the square overflows."""
+    return float(np.sqrt(x.dot(x)) ** 2)
+
+
+def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray, buf: np.ndarray) -> float:
+    """RMS norm of the 5th-order error estimate, damped by the 3rd-order one;
+    ``buf`` takes each estimate in turn."""
+    KT.dot(_E5, buf)
+    buf /= scale
+    err5 = _squared_norm(buf)
+    KT.dot(_E3, buf)
+    buf /= scale
+    err3 = _squared_norm(buf)
     if err5 == 0 and err3 == 0:
         return 0.0
-    return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
+    denom = math.sqrt((err5 + 0.01 * err3) * len(scale))
+    # denom is 0 only if err5 is 0 and 0.01 * err3 underflows: numpy's 0 / 0 is nan
+    return abs(h) * err5 / denom if denom else math.nan
 
 
 def _dense_rows(rhs, K, t_old, y_old, h, y, f, x):
@@ -442,16 +476,19 @@ def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop, motion=N
     t, y = 0.0, np.array(y0, dtype=float)
     gi = 0 if grid is None else int(grid[0] == 0.0)  # a grid point at t = 0 takes y0 itself
     ts, ys = ([t], [y]) if grid is None or gi else ([], [])
-    K = np.empty((len(_C), len(y)))  # stage derivatives; the last 3 rows feed dense output
-    stages = [(s, _C[s], _A[s], K[:s].T) for s in range(1, _dop853.N_STAGES)]
+    n = len(y)
+    K = np.empty((len(_C), n))  # stage derivatives; the last 3 rows feed dense output
+    stages = [(s, _C[s], _A[s], K[:s].T.dot) for s in range(1, _dop853.N_STAGES)]
     KT_B, KT_E = K[:_dop853.N_STAGES].T, K[:_dop853.N_STAGES + 1].T
+    y_stage, scale, y_abs, err_buf = (np.empty(n) for _ in range(4))
+    h_arr = np.empty(())  # h as a 0-d array: an array operand is cheaper than a float
     f = rhs(t, y)
     h_abs = _initial_step(rhs, y, f, t_end, rel_tol, abs_tol)
     accepted = rejected = 0
     nfev = 2
     stopped = False
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
@@ -459,15 +496,27 @@ def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop, motion=N
                 raise _stiffness_error(t, y, motion)
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
+            h_arr[()] = h
             K[0] = f
-            for s, c, a, kt in stages:
-                K[s] = rhs(t + c * h, y + np.dot(kt, a) * h)
-            y_new = y + h * np.dot(KT_B, _B)
+            for s, c, a, kt_dot in stages:  # y_stage = y + (K[:s].T @ a) * h
+                kt_dot(a, y_stage)
+                y_stage *= h_arr
+                y_stage += y
+                K[s] = rhs(t + c * h, y_stage)
+            y_new = KT_B.dot(_B)  # y + h * (K.T @ B)
+            y_new *= h_arr
+            y_new += y
             f_new = rhs(t + h, y_new)
             K[_dop853.N_STAGES] = f_new
             nfev += _dop853.N_STAGES
-            err = _error_norm(KT_E, h, abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol)
+            # scale = abs_tol + max(|y|, |y_new|) * rel_tol
+            np.abs(y, out=scale)
+            np.abs(y_new, out=y_abs)
+            np.maximum(scale, y_abs, out=scale)
+            scale *= rel_tol
+            scale += abs_tol
+            err = _error_norm(KT_E, h, scale, err_buf)
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR,
                                                           _SAFETY * err**_ERROR_EXPONENT)
@@ -493,7 +542,8 @@ def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop, motion=N
         if t == t_end:
             break
     stats = IntegratorStats(accepted, rejected, nfev, rel_tol, abs_tol)
-    return np.array(ts), np.array(ys), stats, stopped
+    # (0, n) when the run stops before the first grid point
+    return np.array(ts), np.array(ys).reshape(len(ts), n), stats, stopped
 
 
 def _stiffness_error(t, y, motion):
@@ -521,12 +571,18 @@ def _rhs(cp: _Coupling, mirror_model: str):
     else:
         raise ValueError(f"unknown mirror_model {mirror_model!r}")
     rows, field = cp.rows, cp.field_accel
+    k = cp.kmax
 
     def rhs(t, y):
         q, qdot = y[:2].tolist()
         R = rows(y[2:])
         qddot = mirror(q, qdot, R)
-        return np.concatenate(((qdot, qddot), R[1], field(q, qdot, qddot, R)))
+        out = np.empty(2 + 2 * k)
+        out[0] = qdot
+        out[1] = qddot
+        out[2 : 2 + k] = R[1]
+        field(q, qdot, qddot, R, out[2 + k :])
+        return out
 
     return rhs
 
@@ -535,10 +591,15 @@ def _prescribed_rhs(cp: _Coupling, motion: MirrorMotion):
     """Right-hand side f(t, y) of the field equations, y = [Q, Qdot], with the
     mirror on the prescribed ``motion``."""
 
+    rows, field = cp.rows, cp.field_accel
+    k = cp.kmax
+
     def rhs(t, y):
-        R = cp.rows(y)
-        qddot = cp.field_accel(motion.q(t), motion.qdot(t), motion.qddot(t), R)
-        return np.concatenate((R[1], qddot))
+        R = rows(y)
+        out = np.empty(2 * k)
+        out[:k] = R[1]
+        field(float(motion.q(t)), float(motion.qdot(t)), float(motion.qddot(t)), R, out[k:])
+        return out
 
     return rhs
 

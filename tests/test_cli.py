@@ -161,10 +161,11 @@ class TestRates:
 
 
 class TestEvolve:
-    def test_trajectory_csv(self, tmp_path):
+    def test_trajectory_csv(self, tmp_path, capsys):
         assert run(["evolve", "--kmax", "2", "--t-end", "2.0",
                     "--rel-tol", "1e-8", "--abs-tol", "1e-10",
                     "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""  # the run reached t_end
         path = only(tmp_path, "evolve-*.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "t,q,qdot,Q_1,Q_2,Qdot_1,Qdot_2,energy"
@@ -172,6 +173,25 @@ class TestEvolve:
         assert first[0] == 0.0
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("q_floor", [100.5, None])
+    def test_floor_stop_is_reported(self, tmp_path, capsys, q_floor):
+        # a run cut short at q_floor used to exit 0 with a truncated CSV and no word
+        doc = {"kmax": 2, "qdot0": -0.5, "t_end": 50.0}
+        if q_floor is not None:
+            doc["q_floor"] = q_floor
+        config = tmp_path / "evolve.json"
+        config.write_text(json.dumps(doc))
+        assert run(["evolve", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        t_last, q_last = map(float, only(tmp_path / "out", "evolve-*.csv").read_text()
+                             .splitlines()[-1].split(",")[:2])
+        if q_floor is None:  # the default floor, length/100, is not reached
+            assert err == "" and t_last == 50.0
+            return
+        assert t_last < 1.0 and q_last <= q_floor
+        assert err == (f"evolve: the mirror reached q_floor (q = {q_last:.6g}) at "
+                       f"t = {t_last:.6g}, before t_end = 50; the trajectory stops there\n")
 
 
 class TestHamiltonianAndSpectrum:

@@ -240,6 +240,18 @@ class TestIntegrate:
         assert rec.floor_hit
         assert rec.t[-1] < 50.0
 
+    def test_floor_before_the_first_sample_gives_an_empty_record(self, table8):
+        # the mirror reaches the floor near t = 0.2, before the first grid point;
+        # the record used to be built from a 1-d empty array and raised IndexError
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+        st = make_state(q=1.0, qdot=-0.5, Q=[0.1, 0.0])
+        rec = integrate("law", st, params, table8, 50.0, q_floor=0.9, sample_times=[40.0, 50.0])
+        assert rec.floor_hit
+        assert rec.t.shape == rec.energy.shape == rec.h_canonical.shape == (0,)
+        assert rec.y.shape == (0, 2 + 2 * params.kmax)
+        # no dense output ran, so the counts are those of the unsampled run
+        assert rec.stats == integrate("law", st, params, table8, 50.0, q_floor=0.9).stats
+
     def test_adiabatic_invariant_slow_mirror(self):
         # slow mirror, weak field: instantaneous field action stays within 1%
         table = coef.build_table(1)
@@ -369,6 +381,30 @@ def test_rhs_matches_reference_equations(table8, variant, mirror_model):
         assert np.abs(rhs(0.0, y) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("variant", ["new", "law"])
+def test_newton_rhs_matches_reference_accelerations(table8, variant):
+    # the right-hand side reuses its coupling's buffers: it must equal the public
+    # accelerations exactly, and neither its result nor theirs may change later
+    kmax = 8
+    params = MirrorParams(mass=1.3, length=0.9, omega_m=1.7, c=1.1, kmax=kmax)
+    field_accel = field_accel_new if variant == "new" else field_accel_law
+    rhs = _rhs(_coupling(variant, table8, params, None), "newton")
+    rng = np.random.default_rng(2025)
+    results = []
+    for _ in range(2):
+        y = np.concatenate([[rng.uniform(0.5, 1.5), rng.normal(scale=0.3)],
+                            rng.normal(scale=0.1, size=kmax), rng.normal(scale=0.3, size=kmax)])
+        state = ClassicalState(t=0.0, q=y[0], qdot=y[1], Q=y[2 : 2 + kmax], Qdot=y[2 + kmax :])
+        qddot = mirror_accel(state, params)
+        field = field_accel(state, table8, params, qddot)
+        f = rhs(0.0, y)
+        assert np.array_equal(f, np.concatenate([[state.qdot, qddot], state.Qdot, field]))
+        results.append((f, f.copy(), field, field.copy()))
+    (f1, f1_kept, field1, field1_kept), (f2, _, _, _) = results
+    assert not np.array_equal(f1, f2)
+    assert np.array_equal(f1, f1_kept) and np.array_equal(field1, field1_kept)
+
+
 class TestPrescribed:
     def test_matched_cutoff_gap_shrinks(self):
         params_of = lambda k: MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=k)
@@ -435,6 +471,18 @@ class TestPrescribed:
         assert rec.floor_hit
         assert rec.y[-1, 0] <= params.length / 100 < rec.y[-2, 0]
         assert rec.t[-1] < 3 * np.pi / 2
+
+    def test_floor_before_the_first_sample_gives_an_empty_record(self):
+        # q = 1 + sin t reaches the floor near t = 4.57, before the grid starts
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=2)
+        args = ("new", harmonic_mirror_motion(1.0, 1.0, 1.0), make_state(Q=[0.1, 0.0]),
+                params, coef.build_table(2), 10.0)
+        with deadline(10):
+            rec = integrate_prescribed(*args, sample_times=[8.0, 10.0])
+        assert rec.floor_hit
+        assert rec.t.shape == rec.energy.shape == rec.h_canonical.shape == (0,)
+        assert rec.y.shape == (0, 2 + 2 * params.kmax)
+        assert rec.stats == integrate_prescribed(*args).stats
 
     def test_step_underflow_reports_the_prescribed_mirror(self):
         # the last state used to read Q_1 as the mirror position, so a negative
