@@ -1,19 +1,32 @@
-"""Butcher tableau of DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand
-and Prince, with its 7th-order dense-output coefficients.
+"""DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and Prince with its
+7th-order dense output, on numpy alone.
 
 Source: E. Hairer, S. P. Norsett and G. Wanner, *Solving Ordinary Differential
 Equations I: Nonstiff Problems*, 2nd ed. (Springer, 1993), Sec. II.10, and the
-authors' Fortran code DOP853.  The float64 values are those of scipy's
+authors' Fortran code DOP853.  The float64 tableau is scipy's
 ``scipy.integrate._ivp.dop853_coefficients`` (scipy, BSD 3-Clause licence,
-Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers), written
-here in shortest round-trip form so that ``dynamics`` does not import scipy.
+Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers) in shortest
+round-trip form, and ``solve`` does the float operations of scipy's ``DOP853``
+in its order, so a run matches that solver bit for bit.
 
 Stage s (s = 1..11) evaluates f at t + C[s] h and y + h sum_j A[s][j] K_j;
-A[12] = B are the 8th-order weights of the step.  Stages 13..15 (C, A rows
-13..15) run only for dense output, whose polynomial takes its last four
-coefficient rows from D.  E5 and E3 weight the 12 stages plus f at the new
-point into the 5th- and 3rd-order error estimates.
+A[12] = B are the 8th-order weights of the step.  Stages 13..15 run only for
+dense output, whose polynomial takes its last four coefficient rows from D.
+E5 and E3 weight the 12 stages and f at the new point into the 5th- and
+3rd-order error estimates.
+
+Step control: RMS norm of the 5th-order error estimate damped by the 3rd-order
+one, safety factor 0.9, step factor within [0.2, 10] and no growth right after
+a rejection, last step clipped to ``t_end``, starting step of Sec. II.4, and
+``rel_tol`` >= 100 eps, below which the estimate is roundoff.  Stage points and
+error estimates go into reused buffers; step control runs on Python floats.
+Evaluations are counted exactly: 2 to start, 12 per attempt and 3 per step
+that feeds ``sample_times``, where the output is the dense interpolant.
 """
+
+import math
+
+import numpy as np
 
 N_STAGES = 12
 
@@ -86,3 +99,164 @@ D = (
      29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
      -149.72683625798564),
 )
+
+# the tableau as arrays, the nodes as Python floats
+_A = [np.array(row) for row in A]
+_B, _E3, _E5, _D = (np.array(v) for v in (B, E3, E5, D))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8  # -1 / (order of the error estimate + 1)
+_RTOL_FLOOR = 100 * np.finfo(float).eps  # below it the error estimate is roundoff
+
+
+class StepSizeUnderflow(ArithmeticError):
+    """The step fell below 10 ulp of t; carries the last accepted (t, y)."""
+
+    def __init__(self, t: float, y: np.ndarray):
+        super().__init__(f"step size underflow at t = {t}")
+        self.t, self.y = t, y
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _initial_step(rhs, y0, f0, t_end, rel_tol, abs_tol):
+    """Starting step of Hairer, Norsett & Wanner, Sec. II.4, for an error
+    estimate of order 7, as a Python float; costs one evaluation."""
+    scale = abs_tol + np.abs(y0) * rel_tol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return float(min(100 * h0, h1, t_end))
+
+
+def _squared_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) ** 2 bit for bit: the rounded norm, squared by pow
+    (which is not always x * x), with numpy's inf where the square overflows."""
+    return float(np.sqrt(x.dot(x)) ** 2)
+
+
+def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray, buf: np.ndarray) -> float:
+    """RMS norm of the 5th-order error estimate, damped by the 3rd-order one;
+    ``buf`` takes each estimate in turn."""
+    KT.dot(_E5, buf)
+    buf /= scale
+    err5 = _squared_norm(buf)
+    KT.dot(_E3, buf)
+    buf /= scale
+    err3 = _squared_norm(buf)
+    if err5 == 0 and err3 == 0:
+        return 0.0
+    denom = math.sqrt((err5 + 0.01 * err3) * len(scale))
+    # denom is 0 only if err5 is 0 and 0.01 * err3 underflows: numpy's 0 / 0 is nan
+    return abs(h) * err5 / denom if denom else math.nan
+
+
+def _dense_rows(rhs, K, t_old, y_old, h, y, f, x):
+    """The 7th-order interpolant of the step of size h from (t_old, y_old) to
+    (y, f) at step fractions ``x``, one row each; runs stages 13..15 into K."""
+    for s in range(N_STAGES + 1, len(C)):
+        K[s] = rhs(t_old + C[s] * h, y_old + np.dot(K[:s].T, _A[s]) * h)
+    dy = y - y_old
+    F = (dy, h * K[0] - dy, 2 * dy - h * (f + K[0]), *(h * np.dot(_D, K)))
+    x = x[:, None]
+    out = np.zeros((len(x), len(y)))
+    for i, row in enumerate(reversed(F)):  # Horner in x and 1 - x alternately
+        out += row
+        out *= x if i % 2 == 0 else 1 - x
+    out += y_old
+    return out
+
+
+def solve(rhs, y0, t_end, rel_tol, abs_tol, sample_times=None, stop=None):
+    """Run DOP853 on y' = rhs(t, y) from t = 0 to ``t_end`` (or until ``stop(t, y)``
+    after an accepted step), returning (t, y, steps, rejected, nfev, stopped);
+    y holds the accepted steps, or the rows at ``sample_times`` when given."""
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not (0.0 < v <= 1e-2):
+            raise ValueError(f"{name} must lie in (0, 1e-2], got {v}")
+    if rel_tol < _RTOL_FLOOR:
+        raise ValueError(f"rel_tol must be >= 100 * machine epsilon = {_RTOL_FLOOR:.6g}, "
+                         f"got {rel_tol}")
+    grid = None if sample_times is None else np.asarray(sample_times, dtype=float)
+    # phrased so that a NaN point fails a comparison
+    if grid is not None and (grid.ndim != 1 or not grid.size or not np.all(np.diff(grid) > 0)
+                             or not 0 <= grid[0] <= grid[-1] <= t_end):
+        raise ValueError("sample_times must be a non-empty, finite, strictly increasing "
+                         "grid within [0, t_end]")
+    t, y = 0.0, np.array(y0, dtype=float)
+    gi = 0 if grid is None else int(grid[0] == 0.0)  # a grid point at t = 0 takes y0 itself
+    ts, ys = ([t], [y]) if grid is None or gi else ([], [])
+    n = len(y)
+    K = np.empty((len(C), n))  # stage derivatives; the last 3 rows feed dense output
+    stages = [(s, C[s], _A[s], K[:s].T.dot) for s in range(1, N_STAGES)]
+    KT_B, KT_E = K[:N_STAGES].T, K[:N_STAGES + 1].T
+    y_stage, scale, y_abs, err_buf = (np.empty(n) for _ in range(4))
+    h_arr = np.empty(())  # h as a 0-d array: an array operand is cheaper than a float
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, y, f, t_end, rel_tol, abs_tol)
+    accepted = rejected = 0
+    nfev = 2
+    stopped = False
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(t, y)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            h_arr[()] = h
+            K[0] = f
+            for s, c, a, kt_dot in stages:  # y_stage = y + (K[:s].T @ a) * h
+                kt_dot(a, y_stage)
+                y_stage *= h_arr
+                y_stage += y
+                K[s] = rhs(t + c * h, y_stage)
+            y_new = KT_B.dot(_B)  # y + h * (K.T @ B)
+            y_new *= h_arr
+            y_new += y
+            f_new = rhs(t + h, y_new)
+            K[N_STAGES] = f_new
+            nfev += N_STAGES
+            # scale = abs_tol + max(|y|, |y_new|) * rel_tol
+            np.abs(y, out=scale)
+            np.abs(y_new, out=y_abs)
+            np.maximum(scale, y_abs, out=scale)
+            scale *= rel_tol
+            scale += abs_tol
+            err = _error_norm(KT_E, h, scale, err_buf)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR,
+                                                          _SAFETY * err**_ERROR_EXPONENT)
+                h_abs *= min(1, factor) if step_rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        accepted += 1
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        if grid is None:
+            ts.append(t)
+            ys.append(y)
+        elif gi < len(grid) and grid[gi] <= t:
+            end = int(np.searchsorted(grid, t, side="right"))
+            ys.extend(_dense_rows(rhs, K, t_old, y_old, h, y, f, (grid[gi:end] - t_old) / h))
+            ts.extend(grid[gi:end].tolist())
+            nfev += 3
+            gi = end
+        if stop is not None and stop(t, y):
+            stopped = True
+            break
+        if t == t_end:
+            break
+    # (0, n) when the run stops before the first grid point
+    return np.array(ts), np.array(ys).reshape(len(ts), n), accepted, rejected, nfev, stopped

@@ -32,10 +32,8 @@ six rows are Q, Qdot, gQ, MQ, g Qdot and (c pi k)^2 Q.  The field
 accelerations are [0, 0, qddot/q - u^2, u^2, 2u, -1/q^2] @ R, the Newton
 force reads sum_k (-1)^k k Q_k from row Q, and R[:3] @ R[2:].T holds every
 dot product of the Euler-Lagrange mirror equation, solved on Python floats.
-R, the coefficient row and the dot products go into buffers that the coupling
-of one run owns and overwrites on every evaluation, so an evaluation allocates
-only its result: each right-hand side returns a fresh array and keeps no
-reference to its input.
+R, the coefficient row and the dot products live in buffers of the run's
+coupling, so an evaluation allocates only its fresh result.
 
 The Legendre energy reported along trajectories is
 
@@ -54,13 +52,9 @@ the batch: ``energy()`` with the record's variant and inner cutoff, and
 ``h_canonical()``, equal them exactly.  The canonical split reads d only, so
 ``h_canonical`` does not depend on the variant.
 
-Integration runs DOP853, the adaptive 8(5,3) Runge-Kutta pair of Hairer,
-Norsett & Wanner (Sec. II.10) with its 7th-order dense output, in this module
-on numpy alone (tableau in ``_dop853``).  Its float operations are those of
-scipy's ``DOP853``, so trajectories match that solver bit for bit, and it
-counts accepted steps, rejected attempts and right-hand-side evaluations
-exactly.  The loop forms its stage points and error estimates in reused
-buffers and runs step control on Python floats.  No symplectic structure is
+Both integrators run one DOP853 path, the adaptive 8(5,3) Runge-Kutta pair of
+Hairer, Norsett & Wanner (Sec. II.10) in ``_dop853``, which matches scipy's
+``DOP853`` bit for bit and counts its work exactly.  No symplectic structure is
 claimed (the system is non-separable), so energy drift is monitored, not
 enforced.
 """
@@ -92,15 +86,6 @@ __all__ = [
     "integrate_prescribed",
     "harmonic_mirror_motion",
 ]
-
-# DOP853 (see _drive_solver): the tableau as arrays, the nodes as Python floats
-_A = [np.array(row) for row in _dop853.A]
-_C = _dop853.C
-_B, _E3, _E5, _D = (np.array(v) for v in (_dop853.B, _dop853.E3, _dop853.E5, _dop853.D))
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_ERROR_EXPONENT = -1 / 8  # -1 / (order of the error estimate + 1)
-_RTOL_FLOOR = 100 * np.finfo(float).eps  # below it the error estimate is roundoff
-
 
 @dataclass(frozen=True)
 class MirrorParams:
@@ -193,19 +178,31 @@ def _rowmatvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return acc
 
 
-class _Coupling:
-    """Couplings g, M, d of one variant at kmax modes and the mirror constants,
-    with the block matrix B whose one matvec feeds the right-hand side."""
+class _Mirror:
+    """Mirror and cavity constants at kmax modes, with the Newton mirror force."""
 
-    def __init__(self, params: MirrorParams, g: np.ndarray, M: np.ndarray, d: np.ndarray):
-        k = params.kmax
-        kk = np.arange(1, k + 1, dtype=float)
-        self.kmax, self.g, self.M, self.d = k, g, M, d
-        self.mass, self.length = params.mass, params.length
+    def __init__(self, params: MirrorParams):
+        kk = np.arange(1, params.kmax + 1, dtype=float)
+        self.kmax, self.mass, self.length = params.kmax, params.mass, params.length
         self.spring = params.mass * params.omega_m**2
         self.c2pi2 = (params.c * np.pi) ** 2
         self.c2k2 = (params.c * np.pi * kk) ** 2
         self.signs = (-1.0) ** kk * kk
+
+    def newton_accel(self, q: float, qdot: float, R: np.ndarray) -> float:
+        """The Newton mirror equation of ``mirror_accel``, with Q the first row of R."""
+        s = float(self.signs.dot(R[0]))
+        return (-self.spring * (q - self.length) + self.c2pi2 * s * s / (q * q * q)) / self.mass
+
+
+class _Coupling(_Mirror):
+    """Couplings g, M, d of one variant at kmax modes and the mirror constants,
+    with the block matrix B whose one matvec feeds the right-hand side."""
+
+    def __init__(self, params: MirrorParams, g: np.ndarray, M: np.ndarray, d: np.ndarray):
+        super().__init__(params)
+        k = self.kmax
+        self.g, self.M, self.d = g, M, d
         eye, zero = np.eye(k), np.zeros((k, k))
         self.B = np.block([[eye, zero], [zero, eye], [g, zero], [M, zero], [zero, g],
                            [np.diag(self.c2k2), zero]])
@@ -232,11 +229,6 @@ class _Coupling:
         coef[4] = 2.0 * u
         coef[5] = -1.0 / (q * q)
         return coef.dot(R, out)
-
-    def newton_accel(self, q: float, qdot: float, R: np.ndarray) -> float:
-        """qddot = [-m Omega^2 (q - l) + (c pi / q)^2 (sum_k (-1)^k k Q_k)^2 / q] / m."""
-        s = float(self.signs.dot(R[0]))
-        return (-self.spring * (q - self.length) + self.c2pi2 * s * s / (q * q * q)) / self.mass
 
     def lagrangian_accel(self, q: float, qdot: float, R: np.ndarray) -> float:
         """Euler-Lagrange mirror equation of the truncated Lagrangian, linear in the
@@ -320,9 +312,7 @@ def mirror_accel(state: ClassicalState, params: MirrorParams) -> float:
     equations; that ordering is exact, not iterative.
     """
     _check_state(state, params)
-    zero = np.zeros((params.kmax, params.kmax))  # the Newton force reads no coupling
-    cp = _Coupling(params, zero, zero, zero)
-    return float(cp.newton_accel(state.q, state.qdot, cp.rows(_state_vector(state)[2:])))
+    return float(_Mirror(params).newton_accel(state.q, state.qdot, state.Q[None]))
 
 
 def energy(state: ClassicalState, params: MirrorParams, table: CoefficientTable,
@@ -351,9 +341,8 @@ def h_canonical(state: ClassicalState, params: MirrorParams, table: CoefficientT
 
 @dataclass(frozen=True)
 class IntegratorStats:
-    """Exact counts of one DOP853 run: accepted steps, rejected step attempts
-    and right-hand-side evaluations (2 to start, 12 per attempt, 3 per step
-    that feeds ``sample_times``), with the tolerances it ran at."""
+    """Exact counts of one DOP853 run (see ``_dop853``): accepted steps, rejected
+    step attempts and right-hand-side evaluations, with the tolerances it ran at."""
 
     steps: int
     rejected_steps: int
@@ -383,195 +372,20 @@ class TrajectoryRecord:
     kmax: int = 1
 
     def state(self, i: int) -> ClassicalState:
-        k = self.kmax
-        row = self.y[i]
-        return ClassicalState(
-            t=float(self.t[i]), q=row[0], qdot=row[1], Q=row[2 : 2 + k], Qdot=row[2 + k :]
-        )
+        return _row_state(self.t[i], self.y[i], self.kmax)
 
 
-def _validate_run(t_end: float, rel_tol: float, abs_tol: float) -> None:
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-    for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not (0.0 < v <= 1e-2):
-            raise ValueError(f"{name} must lie in (0, 1e-2], got {v}")
-    if rel_tol < _RTOL_FLOOR:
-        raise ValueError(f"rel_tol must be >= 100 * machine epsilon = {_RTOL_FLOOR:.6g}, "
-                         f"got {rel_tol}")
-
-
-def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size**0.5
-
-
-def _initial_step(rhs, y0, f0, t_end, rel_tol, abs_tol):
-    """Starting step of Hairer, Norsett & Wanner, Sec. II.4, for an error
-    estimate of order 7, as a Python float; costs one evaluation."""
-    scale = abs_tol + np.abs(y0) * rel_tol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return float(min(100 * h0, h1, t_end))
-
-
-def _squared_norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x) ** 2 bit for bit: the rounded norm, squared by pow
-    (which is not always x * x), with numpy's inf where the square overflows."""
-    return float(np.sqrt(x.dot(x)) ** 2)
-
-
-def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray, buf: np.ndarray) -> float:
-    """RMS norm of the 5th-order error estimate, damped by the 3rd-order one;
-    ``buf`` takes each estimate in turn."""
-    KT.dot(_E5, buf)
-    buf /= scale
-    err5 = _squared_norm(buf)
-    KT.dot(_E3, buf)
-    buf /= scale
-    err3 = _squared_norm(buf)
-    if err5 == 0 and err3 == 0:
-        return 0.0
-    denom = math.sqrt((err5 + 0.01 * err3) * len(scale))
-    # denom is 0 only if err5 is 0 and 0.01 * err3 underflows: numpy's 0 / 0 is nan
-    return abs(h) * err5 / denom if denom else math.nan
-
-
-def _dense_rows(rhs, K, t_old, y_old, h, y, f, x):
-    """The 7th-order interpolant of the step of size h from (t_old, y_old) to
-    (y, f) at step fractions ``x``, one row each; runs stages 13..15 into K."""
-    for s in range(_dop853.N_STAGES + 1, len(_C)):
-        K[s] = rhs(t_old + _C[s] * h, y_old + np.dot(K[:s].T, _A[s]) * h)
-    dy = y - y_old
-    F = (dy, h * K[0] - dy, 2 * dy - h * (f + K[0]), *(h * np.dot(_D, K)))
-    x = x[:, None]
-    out = np.zeros((len(x), len(y)))
-    for i, row in enumerate(reversed(F)):  # Horner in x and 1 - x alternately
-        out += row
-        out *= x if i % 2 == 0 else 1 - x
-    out += y_old
-    return out
-
-
-def _drive_solver(rhs, y0, t_end, rel_tol, abs_tol, sample_times, stop, motion=None):
-    """Run DOP853 from t = 0 to ``t_end``, returning (t, y, stats, stopped).
-
-    The steps are those of Hairer, Norsett & Wanner, Sec. II.10, in the float
-    operations of scipy's ``DOP853`` (so a run matches it bit for bit): RMS
-    error norm, safety factor 0.9, step factor within [0.2, 10] and no growth
-    right after a rejection, last step clipped to ``t_end``.  With
-    ``sample_times`` the output is the dense interpolant on that grid,
-    otherwise the accepted steps.  ``stop(t, y)`` is asked after every
-    accepted step; a step below 10 ulp of t raises ``StiffnessError`` with the
-    last accepted state, whose q, qdot come from ``motion`` when y = [Q, Qdot].
-    """
-    grid = None if sample_times is None else np.asarray(sample_times, dtype=float)
-    if grid is not None and (grid.ndim != 1 or np.any(np.diff(grid) <= 0) or grid[0] < 0
-                             or grid[-1] > t_end):
-        raise ValueError("sample_times must be strictly increasing within [0, t_end]")
-    t, y = 0.0, np.array(y0, dtype=float)
-    gi = 0 if grid is None else int(grid[0] == 0.0)  # a grid point at t = 0 takes y0 itself
-    ts, ys = ([t], [y]) if grid is None or gi else ([], [])
-    n = len(y)
-    K = np.empty((len(_C), n))  # stage derivatives; the last 3 rows feed dense output
-    stages = [(s, _C[s], _A[s], K[:s].T.dot) for s in range(1, _dop853.N_STAGES)]
-    KT_B, KT_E = K[:_dop853.N_STAGES].T, K[:_dop853.N_STAGES + 1].T
-    y_stage, scale, y_abs, err_buf = (np.empty(n) for _ in range(4))
-    h_arr = np.empty(())  # h as a 0-d array: an array operand is cheaper than a float
-    f = rhs(t, y)
-    h_abs = _initial_step(rhs, y, f, t_end, rel_tol, abs_tol)
-    accepted = rejected = 0
-    nfev = 2
-    stopped = False
-    while True:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        step_rejected = False
-        while True:
-            if h_abs < min_step:
-                raise _stiffness_error(t, y, motion)
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = abs(h)
-            h_arr[()] = h
-            K[0] = f
-            for s, c, a, kt_dot in stages:  # y_stage = y + (K[:s].T @ a) * h
-                kt_dot(a, y_stage)
-                y_stage *= h_arr
-                y_stage += y
-                K[s] = rhs(t + c * h, y_stage)
-            y_new = KT_B.dot(_B)  # y + h * (K.T @ B)
-            y_new *= h_arr
-            y_new += y
-            f_new = rhs(t + h, y_new)
-            K[_dop853.N_STAGES] = f_new
-            nfev += _dop853.N_STAGES
-            # scale = abs_tol + max(|y|, |y_new|) * rel_tol
-            np.abs(y, out=scale)
-            np.abs(y_new, out=y_abs)
-            np.maximum(scale, y_abs, out=scale)
-            scale *= rel_tol
-            scale += abs_tol
-            err = _error_norm(KT_E, h, scale, err_buf)
-            if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR,
-                                                          _SAFETY * err**_ERROR_EXPONENT)
-                h_abs *= min(1, factor) if step_rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
-            step_rejected = True
-            rejected += 1
-        accepted += 1
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        if grid is None:
-            ts.append(t)
-            ys.append(y)
-        elif gi < len(grid) and grid[gi] <= t:
-            end = int(np.searchsorted(grid, t, side="right"))
-            ys.extend(_dense_rows(rhs, K, t_old, y_old, h, y, f, (grid[gi:end] - t_old) / h))
-            ts.extend(grid[gi:end].tolist())
-            nfev += 3
-            gi = end
-        if stop is not None and stop(t, y):
-            stopped = True
-            break
-        if t == t_end:
-            break
-    stats = IntegratorStats(accepted, rejected, nfev, rel_tol, abs_tol)
-    # (0, n) when the run stops before the first grid point
-    return np.array(ts), np.array(ys).reshape(len(ts), n), stats, stopped
-
-
-def _stiffness_error(t, y, motion):
-    if motion is not None:
-        y = np.concatenate(([motion.q(t), motion.qdot(t)], y))
-    k = (len(y) - 2) // 2
-    state = ClassicalState(t=float(t), q=y[0], qdot=y[1], Q=y[2 : 2 + k], Qdot=y[2 + k :])
-    return StiffnessError(f"step size underflow at t = {t}", state)
-
-
-def _record(t, y, stats, cp, variant, mirror_model, floor_hit=False):
-    """Trajectory record with the energy diagnostics of every row of ``y``."""
-    legendre, canonical = cp.energies(y)
-    return TrajectoryRecord(t=t, y=y, energy=legendre, h_canonical=canonical, stats=stats,
-                            variant=variant, mirror_model=mirror_model, floor_hit=floor_hit,
-                            kmax=cp.kmax)
+def _row_state(t: float, row: np.ndarray, k: int) -> ClassicalState:
+    """The state of one record row [q, qdot, Q, Qdot] at time t."""
+    return ClassicalState(t=float(t), q=row[0], qdot=row[1], Q=row[2 : 2 + k], Qdot=row[2 + k :])
 
 
 def _rhs(cp: _Coupling, mirror_model: str):
     """Right-hand side f(t, y) of the mirror-field system, y = [q, qdot, Q, Qdot]."""
-    if mirror_model == "newton":
-        mirror = cp.newton_accel
-    elif mirror_model == "lagrangian":
-        mirror = cp.lagrangian_accel
-    else:
+    mirror = {"newton": cp.newton_accel, "lagrangian": cp.lagrangian_accel}.get(mirror_model)
+    if mirror is None:
         raise ValueError(f"unknown mirror_model {mirror_model!r}")
-    rows, field = cp.rows, cp.field_accel
-    k = cp.kmax
+    rows, field, k = cp.rows, cp.field_accel, cp.kmax
 
     def rhs(t, y):
         q, qdot = y[:2].tolist()
@@ -590,9 +404,7 @@ def _rhs(cp: _Coupling, mirror_model: str):
 def _prescribed_rhs(cp: _Coupling, motion: MirrorMotion):
     """Right-hand side f(t, y) of the field equations, y = [Q, Qdot], with the
     mirror on the prescribed ``motion``."""
-
-    rows, field = cp.rows, cp.field_accel
-    k = cp.kmax
+    rows, field, k = cp.rows, cp.field_accel, cp.kmax
 
     def rhs(t, y):
         R = rows(y)
@@ -602,6 +414,27 @@ def _prescribed_rhs(cp: _Coupling, motion: MirrorMotion):
         return out
 
     return rhs
+
+
+def _run(variant, mirror_model, state0, params, table, inner_cutoff, t_end, rel_tol, abs_tol,
+         sample_times, rhs_of, y0, stop, to_record=lambda t, y: y) -> TrajectoryRecord:
+    """One DOP853 run of ``rhs_of(coupling)`` from ``y0`` until ``stop(t, y)``;
+    ``to_record(t, y)`` maps solver rows to record rows, also for an underflow."""
+    _check_state(state0, params)
+    if state0.t != 0:
+        raise ValueError(f"invalid state: runs start at t = 0, got state0.t = {state0.t!r}")
+    cp = _coupling(variant, table, params, inner_cutoff)
+    try:
+        t, y, steps, rejected, nfev, stopped = _dop853.solve(rhs_of(cp), y0, t_end, rel_tol,
+                                                             abs_tol, sample_times, stop)
+    except _dop853.StepSizeUnderflow as exc:
+        last = _row_state(exc.t, to_record(np.array([exc.t]), exc.y[None])[0], cp.kmax)
+        raise StiffnessError(str(exc), last) from None
+    y = to_record(t, y)
+    legendre, canonical = cp.energies(y)
+    return TrajectoryRecord(t, y, legendre, canonical,
+                            IntegratorStats(steps, rejected, nfev, rel_tol, abs_tol), variant,
+                            mirror_model, floor_hit=stopped, kmax=cp.kmax)
 
 
 def integrate(
@@ -626,14 +459,10 @@ def integrate(
     which the recorded Legendre energy is an exact invariant.  Integration
     stops early if the mirror reaches ``q_floor`` (default length/100).
     """
-    _check_state(state0, params)
-    _validate_run(t_end, rel_tol, abs_tol)
-    cp = _coupling(variant, table, params, inner_cutoff)
-    rhs = _rhs(cp, mirror_model)
     floor = params.length / 100.0 if q_floor is None else q_floor
-    t, y, stats, stopped = _drive_solver(rhs, _state_vector(state0), t_end, rel_tol, abs_tol,
-                                         sample_times, stop=lambda tv, yv: yv[0] <= floor)
-    return _record(t, y, stats, cp, variant, mirror_model, stopped)
+    return _run(variant, mirror_model, state0, params, table, inner_cutoff, t_end, rel_tol,
+                abs_tol, sample_times, lambda cp: _rhs(cp, mirror_model), _state_vector(state0),
+                lambda tv, yv: yv[0] <= floor)
 
 
 def integrate_prescribed(
@@ -655,16 +484,12 @@ def integrate_prescribed(
     cutoff.  As in ``integrate``, the run stops with ``floor_hit`` once the
     prescribed q reaches length/100.
     """
-    _check_state(state0, params)
-    _validate_run(t_end, rel_tol, abs_tol)
-    cp = _coupling(variant, table, params, inner_cutoff)
-    y0 = np.concatenate([state0.Q, state0.Qdot])
     floor = params.length / 100.0
-    t, yf, stats, stopped = _drive_solver(_prescribed_rhs(cp, motion), y0, t_end, rel_tol,
-                                          abs_tol, sample_times,
-                                          stop=lambda tv, yv: motion.q(tv) <= floor,
-                                          motion=motion)
-    q = np.array([motion.q(tv) for tv in t])
-    qdot = np.array([motion.qdot(tv) for tv in t])
-    y = np.column_stack([q, qdot, yf])
-    return _record(t, y, stats, cp, variant, "prescribed", stopped)
+
+    def with_mirror(t, yf):  # record rows, and the state of an underflow, take q, qdot of motion
+        return np.column_stack([[motion.q(tv) for tv in t], [motion.qdot(tv) for tv in t], yf])
+
+    return _run(variant, "prescribed", state0, params, table, inner_cutoff, t_end, rel_tol,
+                abs_tol, sample_times, lambda cp: _prescribed_rhs(cp, motion),
+                np.concatenate([state0.Q, state0.Qdot]), lambda tv, yv: motion.q(tv) <= floor,
+                with_mirror)

@@ -345,16 +345,16 @@ def spectrum(H: np.ndarray | OperatorMatrix, k: int | None = None) -> np.ndarray
 
     An ``OperatorMatrix`` is solved one conserved Z2 parity sector at a time
     (see ``_parity_sectors``); a bare array is one block.  Input whose
-    hermiticity defect exceeds 1e-10 relative to the largest entry is
-    rejected; defect and scale are maxima over the blocks, which equal those
-    of the full matrix because both off-blocks are exactly zero.  Blocks of an
-    H whose imaginary part is exactly zero go to the real symmetric
-    eigensolver, others to the complex Hermitian one.  The returned pairs of
-    each block are then verified: each eigenpair residual within 1e-9 of the
-    largest eigenvalue magnitude over all blocks, and the eigenvectors
-    orthonormal to 1e-9.  Two blocks of size D/2 cost about a quarter of one
-    D x D solve.  Verification costs O(b^2 m) for a block of size b that
-    returns m pairs, so with k = None it is two b x b x b products per block.
+    hermiticity defect exceeds 1e-10 relative to the largest entry (no floor,
+    so the check holds at any unit scale) is rejected; defect and scale are
+    maxima over the blocks, equal to those of the full matrix since both
+    off-blocks are exactly zero.  Blocks of an H with imaginary part exactly
+    zero go to the real symmetric eigensolver, others to the complex Hermitian
+    one.  The returned pairs of each block are then verified: each eigenpair
+    residual within 1e-9 of the largest eigenvalue magnitude over all blocks
+    (again no floor), and the eigenvectors orthonormal to 1e-9.  Two blocks of
+    size D/2 cost about a quarter of one D x D solve; verifying m pairs of a
+    block of size b costs O(b^2 m), two b^3 products when k is None.
     """
     data = _as_data(H)
     n = len(data) if k is None else min(int(k), len(data))
@@ -363,14 +363,14 @@ def spectrum(H: np.ndarray | OperatorMatrix, k: int | None = None) -> np.ndarray
     if not data.imag.any():
         data = data.real
     blocks = [np.ascontiguousarray(data[idx]) for idx in _parity_sectors(H)]
-    scale = max(1.0, max(float(np.abs(b).max()) for b in blocks))
+    scale = max(float(np.abs(b).max()) for b in blocks)
     defect = max(float(np.abs(b - b.conj().T).max()) for b in blocks)
     if defect > HERMITICITY_RTOL * scale:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} at scale {scale:.3e})")
     herms = [0.5 * (b + b.conj().T) for b in blocks]
     del blocks  # a one-block real H would otherwise hold a second D x D copy through eigh
     solved = [np.linalg.eigh(h) for h in herms]
-    norm = max(1.0, max(float(np.abs(vals).max()) for vals, _ in solved))
+    norm = max(float(np.abs(vals).max()) for vals, _ in solved)
     merged = np.concatenate([vals for vals, _ in solved])
     lowest = np.argsort(merged, kind="stable")[:n]
     owner = np.repeat(np.arange(len(solved)), [len(vals) for vals, _ in solved])

@@ -7,6 +7,7 @@ import signal
 import numpy as np
 import pytest
 
+from optomech import _dop853, dynamics
 from optomech import coefficients as coef
 from optomech.dynamics import (
     ClassicalState,
@@ -45,6 +46,11 @@ def deadline(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _blow_up(t, y):
+    """q'' = qdot^3 from q = qdot = 1: qdot = 1/sqrt(1 - 2t) blows up at t = 1/2."""
+    return np.array([y[1], y[1] ** 3, 0.0, 0.0])
 
 
 def make_state(q=1.0, qdot=0.0, Q=(0.0,), Qdot=None):
@@ -307,16 +313,45 @@ class TestIntegrate:
 
     def test_step_underflow_raises_with_last_state(self):
         # white-box: a finite-time blow-up system forces the step size to zero
-        from optomech.dynamics import _drive_solver
+        with pytest.raises(_dop853.StepSizeUnderflow, match="step size underflow") as exc:
+            _dop853.solve(_blow_up, np.array([1.0, 1.0, 0.0, 0.0]), 1.0, 1e-10, 1e-12)
+        assert exc.value.t == pytest.approx(0.5, abs=1e-3)
+        assert exc.value.y[0] > 0
 
-        def rhs(t, y):
-            return np.array([y[1], y[1] ** 3, 0.0, 0.0])
+    def test_underflow_becomes_stiffness_error_with_the_last_state(self, monkeypatch, table8):
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=1)
+        y0 = np.array([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(_dop853.StepSizeUnderflow) as raw:
+            _dop853.solve(_blow_up, y0, 1.0, 1e-10, 1e-12)
+        monkeypatch.setattr(dynamics, "_rhs", lambda cp, mirror_model: _blow_up)
+        with pytest.raises(StiffnessError, match="step size underflow") as exc:
+            integrate("new", make_state(q=1.0, qdot=1.0), params, table8, 1.0, rel_tol=1e-10,
+                      abs_tol=1e-12)
+        last = exc.value.last_state
+        assert isinstance(last, ClassicalState)
+        assert last.t == raw.value.t
+        assert np.array_equal(np.concatenate([[last.q, last.qdot], last.Q, last.Qdot]),
+                              raw.value.y)
 
-        with pytest.raises(StiffnessError) as exc:
-            _drive_solver(rhs, np.array([1.0, 1.0, 0.0, 0.0]), 1.0, 1e-10, 1e-12,
-                          None, None)
-        assert exc.value.last_state.t == pytest.approx(0.5, abs=1e-3)
-        assert exc.value.last_state.q > 0
+    @pytest.mark.parametrize("grid", [[], [math.nan], [0.5, math.nan]])
+    def test_sample_times_must_be_a_finite_grid(self, table8, grid):
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=1)
+        st = make_state(q=1.01, Q=[0.0])
+        motion = harmonic_mirror_motion(1.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match="sample_times"):
+            integrate("new", st, params, table8, 1.0, sample_times=grid)
+        with pytest.raises(ValueError, match="sample_times"):
+            integrate_prescribed("new", motion, st, params, table8, 1.0, sample_times=grid)
+
+    @pytest.mark.parametrize("t0", [5.0, -1.0, math.nan])
+    def test_runs_start_at_t_zero(self, table8, t0):
+        params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=1)
+        st = ClassicalState(t=t0, q=1.01, qdot=0.0, Q=[0.0], Qdot=[0.0])
+        motion = harmonic_mirror_motion(1.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match=r"state0\.t"):
+            integrate("new", st, params, table8, 1.0)
+        with pytest.raises(ValueError, match=r"state0\.t"):
+            integrate_prescribed("new", motion, st, params, table8, 1.0)
 
     def test_stats_recorded(self, table8):
         params = MirrorParams(mass=1.0, length=1.0, omega_m=1.0, kmax=1)

@@ -10,12 +10,20 @@ from hypothesis import strategies as st
 
 from optomech import fock
 from optomech import hamiltonians as ham
+from optomech.config import SI_C, SI_HBAR
 from optomech.rates import CavityParams
 
 
 @pytest.fixture(scope="module")
 def space16():
     return fock.make_space(16, 16)
+
+
+def _si_new_full():
+    """``new_full`` at 8 x 8 for a 1 ug mirror in a 1 mm cavity, in SI units."""
+    p = CavityParams(mass=1e-9, length=1e-3, omega_m=1e6, omega_c=1e15, c=SI_C, hbar=SI_HBAR,
+                     a_amp=10.0, b_amp=1.0, b_phase=0.7)
+    return ham.build_hamiltonian("new_full", p, fock.make_space(8, 8)[0])
 
 
 class TestLadder:
@@ -266,6 +274,29 @@ class TestSpectrum:
         for H in (ops.a, ops.a + 0.5j * ops.x):  # real path, complex path
             with pytest.raises(ValueError):
                 fock.spectrum(H)
+
+    # in SI units max|H| is 6.9e-19: checks floored at scale 1 would accept both probes
+    def test_si_scale_off_hermitian_entry_rejected(self):
+        H = _si_new_full()
+        fock.spectrum(H, 8)
+        data = H.data.copy()
+        off = np.abs(data - np.diag(np.diag(data)))
+        i, j = np.unravel_index(off.argmax(), off.shape)
+        data[i, j] += 0.1 * np.abs(H.data).max()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock.spectrum(fock.OperatorMatrix(H.space, data), 8)
+
+    def test_si_scale_wrong_eigenvalues_rejected(self, monkeypatch):
+        H = _si_new_full()
+        eigh = np.linalg.eigh
+
+        def doubled(a):
+            vals, vecs = eigh(a)
+            return 2 * vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", doubled)
+        with pytest.raises(ArithmeticError, match="eigenpair residual"):
+            fock.spectrum(H, 8)
 
     def test_sorted_and_counted(self, space16):
         _, ops = space16
