@@ -179,15 +179,15 @@ def _hamiltonian_checks(report: CheckReport, params: CavityParams) -> None:
         try:
             builds[variant] = ham.build_hamiltonian(variant, rel_params, space, **eta)
         except ArithmeticError as exc:
-            failed[variant] = f"{variant}: {exc}"
+            failed[variant] = str(exc)
     if failed:
         report.notes["failed_builds"] = "; ".join(failed.values())
 
     def add(name: str, needs: set[str], residual, tolerance: float) -> None:
         report.add(name, math.inf if failed.keys() & needs else residual(), tolerance)
 
-    def hermiticity() -> float:
-        return np.max([H.hermiticity_defect() / max(1.0, float(np.abs(H.data).max()))
+    def hermiticity() -> float:  # relative to max|H| at any scale; a zero matrix reads 0
+        return np.max([H.hermiticity_defect() / (float(np.abs(H.data).max()) or 1.0)
                        for H in builds.values()])
 
     add("hermiticity_relative_max", set(ham.VARIANTS), hermiticity, 1e-12)
@@ -199,8 +199,9 @@ def _hamiltonian_checks(report: CheckReport, params: CavityParams) -> None:
 
     add("new_minus_law_equals_momentum_term", {"new_full", "law_full"}, new_minus_law, 1e-13)
 
-    dh1 = ham.delta_relativistic_first(rel_params, ops)
-    dh2 = ham.delta_relativistic_second(rel_params, ops)
+    if "delta_relativistic" in builds:
+        dh1 = ham.delta_relativistic_first(rel_params, ops)
+        dh2 = ham.delta_relativistic_second(rel_params, ops)
     add("relativistic_half_rule", {"delta_relativistic"},
         lambda: float(np.abs(dh2.data + 0.5 * dh1.data).max()), 1e-12)
     add("relativistic_sum_rule", {"delta_relativistic"},

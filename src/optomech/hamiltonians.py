@@ -44,7 +44,6 @@ Python's own ``TypeError``.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
@@ -361,26 +360,21 @@ def h4_bogoliubov_form(
 ) -> OperatorMatrix:
     """Quartic interaction in squeezed-mode form hbar G4 (a B^dag + a^dag B).
 
-    B mixes the mechanical ladder with cosh/sinh weights of the squeeze ratio
-    rho = arctanh((G4+ - G4- e^{i phi})/(G4+ + G4- e^{i phi})); G4 is the
-    geometric mean of the mixing rates.  For real rho this equals
-    (hbar/2)[G4+ (b^dag+b)(a^dag+a) + G4- (b^dag-b)(a^dag-a)].  An arctanh
-    argument that rounds to +-1, its branch point, raises ``ArithmeticError``.
+    With B = b^dag cosh rho + b sinh rho, tanh rho = (G4+ - G4- e^{i phi}) /
+    (G4+ + G4- e^{i phi}) and G4^2 = G4+ G4-, the weights G4 cosh rho and
+    G4 sinh rho are linear in the mixing rates, so for every sign of G4+ and G4-
+    the build is (hbar/2)[G4+ (b^dag+b)(e^{-i phi/2} a^dag + e^{i phi/2} a)
+    + G4- (b^dag-b)(e^{i phi/2} a^dag - e^{-i phi/2} a)] with e^{i phi/2} the
+    principal root of e^{i phi}; at phi = 0 the optical factors are a^dag +- a.
     """
     _require_single_optical(ops, "H4_bogoliubov_form")
     rs = base_rates(params, r_convention)
-    G4p, G4m = rs.G4_plus, rs.G4_minus
-    G4 = math.sqrt(max(G4p * G4m, 0.0))
-    if G4 == 0.0:
-        return ops.wrap(ops.assemble([]))
-    ph = cmath.exp(1j * params.a_phase)
-    ratio = (G4p - G4m * ph) / (G4p + G4m * ph)
-    if ratio == 1 or ratio == -1:
-        raise ArithmeticError(f"the H4_bogoliubov_form squeeze ratio rounds to {ratio.real:+.0f}, "
-                              f"the branch point of arctanh (G4+ = {G4p:.6g}, G4- = {G4m:.6g})")
-    rho = np.arctanh(ratio)
-    B = params.hbar * G4 * (ops.mech.adag * np.cosh(rho) + ops.mech.a * np.sinh(rho))
-    return ops.wrap(ops.assemble([(B.conj().T, ops.opt.a), (B, ops.opt.adag)]))
+    half = cmath.sqrt(cmath.exp(1j * params.a_phase))
+    m, o = ops.mech, ops.opt
+    return ops.wrap(ops.assemble([
+        (0.5 * params.hbar * rs.G4_plus * (m.adag + m.a), np.conj(half) * o.adag + half * o.a),
+        (0.5 * params.hbar * rs.G4_minus * (m.adag - m.a), half * o.adag - np.conj(half) * o.a),
+    ]))
 
 
 def _relativistic_terms(params: CavityParams, ops: ModeOperators, scale: float) -> list[tuple]:
@@ -445,13 +439,17 @@ def build_hamiltonian(
     the builder's own parameters name the options a variant takes (``order``
     and ``printed_quadratic`` for the full builds, ``branch``, ``convention``,
     ``eta``, ``r_convention`` where R enters).  An unknown variant raises
-    ``ValueError``, an option the builder does not take ``TypeError``, and a
-    built matrix with a NaN or infinite entry ``ArithmeticError``.
+    ``ValueError``, an option the builder does not take ``TypeError``, and an
+    arithmetic error or non-finite entry ``ArithmeticError`` naming the variant.
     """
     builder = BUILDERS.get(variant)
     if builder is None:
         raise ValueError(f"unknown Hamiltonian variant {variant!r}")
-    H = builder(params, mode_operators(space), **options)
+    try:
+        with np.errstate(all="ignore"):
+            H = builder(params, mode_operators(space), **options)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"the {variant} Hamiltonian cannot be built: {exc}") from exc
     if not np.isfinite(H.data).all():
         raise ArithmeticError(f"the {variant} Hamiltonian has a non-finite entry")
     return H

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,10 +70,11 @@ def run_measured_cli(argv, cwd):
                       launcher=("sh", "-c", '"$@"; exit $?', "sh"))
 
 
-# SI units at omega_c/omega_m = 1e9: the arctanh argument of H4_bogoliubov_form's
-# squeeze ratio rounds to exactly 1, so that build holds NaN
-_SI_NAN_DOC = {"units": "SI", "mass": 1e-9, "length": 1e-3, "omega_m": 1e6, "omega_c": 1e15,
-               "a_amp": 10, "b_amp": 1, "b_phase": 0.7}
+# SI units at omega_c/omega_m = 1e9, where every build has max|H| below 1e-18
+_SI_DOC = {"units": "SI", "mass": 1e-9, "length": 1e-3, "omega_m": 1e6, "omega_c": 1e15,
+           "a_amp": 10, "b_amp": 1, "b_phase": 0.7}
+# 4 m c l^2 underflows to 0, so the relativistic rate divides by zero
+_UNDERFLOW_DOC = {"mass": 1e-200, "length": 1e-100}
 
 
 def _poison_second_call(func, poison):
@@ -325,6 +327,32 @@ class TestChecks:
         assert all(entry["passed"] for entry in doc["checks"])
 
 
+    def test_si_config_passes(self, tmp_path):
+        # H4_bogoliubov_form could not be built here, so the run exited 1
+        cfg = tmp_path / "si.json"
+        cfg.write_text(json.dumps(_SI_DOC))
+        assert run(["checks", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        doc = read_json(only(tmp_path, "checks-*.json"))
+        assert doc["passed"] is True
+        assert "failed_builds" not in doc["notes"]
+
+    def test_si_hermiticity_entry_fails_a_skewed_build(self, tmp_path, monkeypatch):
+        # divided by max(1, max|H|), the entry was absolute in SI units, where
+        # max|H| is below 1e-18, and passed this defect of 7e-20
+        def skewed(params, ops):
+            H = ham.new_full(params, ops)
+            H.data[0, 1] += 0.1 * np.abs(H.data).max()
+            return H
+
+        cfg = tmp_path / "si.json"
+        cfg.write_text(json.dumps(_SI_DOC))
+        monkeypatch.setitem(ham.BUILDERS, "new_full", skewed)
+        run(["checks", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        doc = read_json(only(tmp_path, "checks-*.json"))
+        entry, = (c for c in doc["checks"] if c["name"] == "hermiticity_relative_max")
+        assert entry["value"] == pytest.approx(0.1, rel=1e-12)
+        assert entry["passed"] is False
+
     @pytest.mark.parametrize("entry", sorted(_NAN_INJECTIONS))
     def test_nan_residual_fails_its_entry(self, tmp_path, monkeypatch, entry):
         # max(worst, x) dropped a NaN x, so the entry and the report passed
@@ -546,22 +574,22 @@ class TestErrors:
         ["hamiltonian", "--variant", "H4_bogoliubov_form", "--n-mech", "3", "--n-opt", "3"],
         ["checks"],
     ])
-    def test_non_finite_hamiltonian_is_numerical_failure(self, tmp_path, capsys, argv):
+    def test_non_finite_hamiltonian_is_numerical_failure(self, tmp_path, capsys, monkeypatch,
+                                                         nan_bogoliubov_builder, argv):
         # hamiltonian exited 0 with 81 nan entries; checks exited 0 with passed: true.
         # Neither may warn: hamiltonian writes nothing, checks writes its report
-        cfg = tmp_path / "si.json"
-        cfg.write_text(json.dumps(_SI_NAN_DOC))
+        monkeypatch.setitem(ham.BUILDERS, "H4_bogoliubov_form", nan_bogoliubov_builder)
         out = tmp_path / "out"
-        assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert run([*argv, "--out-dir", str(out)]) == 1
         assert "H4_bogoliubov_form" in capsys.readouterr().err
         assert out.exists() == (argv[0] == "checks")
 
-    def test_failed_build_still_reports_every_check(self, tmp_path):
+    def test_failed_build_still_reports_every_check(self, tmp_path, monkeypatch,
+                                                    nan_bogoliubov_builder):
         # checks stopped at the first variant it could not build and wrote no report
-        cfg = tmp_path / "si.json"
-        cfg.write_text(json.dumps(_SI_NAN_DOC))
-        assert run(["checks", "--config", str(cfg), "--out-dir", str(tmp_path / "si")]) == 1
         assert run(["checks", "--out-dir", str(tmp_path / "plain")]) == 0
+        monkeypatch.setitem(ham.BUILDERS, "H4_bogoliubov_form", nan_bogoliubov_builder)
+        assert run(["checks", "--out-dir", str(tmp_path / "si")]) == 1
         doc = read_json(only(tmp_path / "si", "checks-*.json"))
         plain = read_json(only(tmp_path / "plain", "checks-*.json"))
         assert [c["name"] for c in doc["checks"]] == [c["name"] for c in plain["checks"]]
@@ -570,6 +598,40 @@ class TestErrors:
         assert doc["passed"] is False
         assert "H4_bogoliubov_form" in doc["notes"]["failed_builds"]
         assert "failed_builds" not in plain["notes"]
+
+    def test_builder_arithmetic_error_still_writes_the_report(self, tmp_path, capsys):
+        # the relativistic orders were built outside the failed-build guard, so
+        # checks printed "float division by zero", exited 1 and wrote no report
+        cfg = tmp_path / "underflow.json"
+        cfg.write_text(json.dumps(_UNDERFLOW_DOC))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["checks", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert caught == []
+        doc = read_json(only(tmp_path / "out", "checks-*.json"))
+        assert "delta_relativistic" in doc["notes"]["failed_builds"]
+        failing = {c["name"] for c in doc["checks"] if not c["passed"]}
+        assert {"relativistic_half_rule", "relativistic_sum_rule"} <= failing
+        assert "delta_relativistic" in capsys.readouterr().err
+
+    def test_builder_arithmetic_error_names_the_variant(self, tmp_path, capsys):
+        cfg = tmp_path / "underflow.json"
+        cfg.write_text(json.dumps(_UNDERFLOW_DOC))
+        assert run(["spectrum", "--variant", "delta_relativistic", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "delta_relativistic" in err and "division by zero" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_build_fails_without_warnings(self, tmp_path, capsys):
+        # five numpy RuntimeWarnings were printed before the clean error
+        cfg = tmp_path / "heavy.json"
+        cfg.write_text(json.dumps({"mass": 1e-300}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["hamiltonian", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert caught == []
+        assert "new_full" in capsys.readouterr().err
 
     def test_dimension_above_cap_is_config_error(self, tmp_path, capsys):
         code = run(["hamiltonian", "--n-mech", "100", "--n-opt", "100",

@@ -1,5 +1,7 @@
 """Hamiltonian variant builders: structure, decomposition, and cross-identities."""
 
+import cmath
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -9,6 +11,7 @@ import pytest
 
 from optomech import fock
 from optomech import hamiltonians as ham
+from optomech.config import SI_C, SI_HBAR
 from optomech.rates import CavityParams, base_rates
 
 P_WEAK = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=2.0,
@@ -52,15 +55,11 @@ class TestStructure:
             with pytest.raises(TypeError):
                 ham.build_hamiltonian(variant, P_WEAK, space, **options)
 
-    def test_non_finite_build_raises(self):
-        # at omega_c/omega_m = 1e9 the squeeze ratio's arctanh argument rounds to
-        # exactly 1; the build warned and held NaN in every entry, and now raises
-        # at the branch point without a RuntimeWarning
+    def test_non_finite_build_raises(self, monkeypatch, nan_bogoliubov_builder):
         space, _ = fock.make_space(3, 3)
-        p = CavityParams(mass=1e-9, length=1e-3, omega_m=1e6, omega_c=1e15, c=299792458.0,
-                         hbar=1.054571817e-34, a_amp=10.0, b_amp=1.0, b_phase=0.7)
-        with pytest.raises(ArithmeticError, match="H4_bogoliubov_form .* branch point"):
-            ham.build_hamiltonian("H4_bogoliubov_form", p, space)
+        monkeypatch.setitem(ham.BUILDERS, "H4_bogoliubov_form", nan_bogoliubov_builder)
+        with pytest.raises(ArithmeticError, match="H4_bogoliubov_form .* non-finite"):
+            ham.build_hamiltonian("H4_bogoliubov_form", P_WEAK, space)
 
     def test_single_optical_mode_required(self):
         space, _ = fock.make_space(4, 4, n_modes_opt=2)
@@ -353,24 +352,74 @@ class TestSpecialCase:
             ham.h4_special_eta(P_WEAK, ops, eta=0.0)
 
 
+def arctanh_bogoliubov(params, ops):
+    """hbar G4 (a B^dag + a^dag B) built as written: rho = arctanh of the
+    squeeze ratio, G4 = sqrt(G4+ G4-) and B = b^dag cosh rho + b sinh rho.
+    Defined where G4+ G4- > 0."""
+    rs = base_rates(params)
+    G4p, G4m = rs.G4_plus, rs.G4_minus
+    ph = cmath.exp(1j * params.a_phase)
+    rho = np.arctanh((G4p - G4m * ph) / (G4p + G4m * ph))
+    B = params.hbar * math.sqrt(G4p * G4m) * (ops.mech.adag * np.cosh(rho)
+                                              + ops.mech.a * np.sinh(rho))
+    return ops.assemble([(B.conj().T, ops.opt.a), (B, ops.opt.adag)])
+
+
 class TestBogoliubovForm:
-    def test_quadrature_identity_real_mixing(self, ops8):
+    @pytest.mark.parametrize("b_phase", [0.0, 0.3, 2.0, 3.6, 5.5])  # G4+, G4- in each quadrant
+    def test_quadrature_identity_real_mixing(self, ops8, b_phase):
         # hbar G4 (a B^dag + a^dag B) equals
         # (hbar/2)[G4+ (b^dag+b)(a^dag+a) + G4- (b^dag-b)(a^dag-a)] at phi = 0
         space, ops = ops8
-        rs = base_rates(P_WEAK)
-        H = ham.h4_bogoliubov_form(P_WEAK, ops)
-        want = 0.5 * P_WEAK.hbar * (
+        p = dataclasses.replace(P_WEAK, b_phase=b_phase)
+        rs = base_rates(p)
+        H = ham.h4_bogoliubov_form(p, ops)
+        want = 0.5 * p.hbar * (
             rs.G4_plus * (ops.bdag + ops.b) @ (ops.adag + ops.a)
             + rs.G4_minus * (ops.bdag - ops.b) @ (ops.adag - ops.a)
         )
-        assert np.abs(H.data - want).max() < 1e-14
+        assert np.abs(H.data - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_degenerate_rates_give_zero(self, ops8):
+    @pytest.mark.parametrize("a_phase", [0.0, 0.4, math.pi, -math.pi, 3 * math.pi, 7.0])
+    @pytest.mark.parametrize("b_phase", [0.3, math.pi / 4, 1.2])
+    def test_matches_arctanh_construction(self, ops8, a_phase, b_phase):
+        _, ops = ops8
+        p = dataclasses.replace(P_WEAK, a_phase=a_phase, b_phase=b_phase)
+        rs = base_rates(p)
+        assert rs.G4_plus > 0.0 and rs.G4_minus > 0.0
+        want = arctanh_bogoliubov(p, ops)
+        H = ham.h4_bogoliubov_form(p, ops)
+        assert np.abs(H.data - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_vanishing_minus_rate_leaves_the_plus_quadrature(self, ops8):
+        # the build was the zero matrix whenever G4+ G4- <= 0
         _, ops = ops8
         p = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=2.0,
                          a_amp=1.0, b_amp=1.0, b_phase=0.0)  # sin(0) kills G4-
-        assert np.abs(ham.h4_bogoliubov_form(p, ops).data).max() == 0.0
+        rs = base_rates(p)
+        assert rs.G4_minus == 0.0
+        H = ham.h4_bogoliubov_form(p, ops)
+        want = 0.5 * p.hbar * rs.G4_plus * (ops.bdag + ops.b) @ (ops.adag + ops.a)
+        assert np.abs(H.data).max() > 0.0
+        assert np.abs(H.data - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.4, 0.8), (2.5, 3.6), (-2.9, 5.5)])
+    def test_exactly_hermitian(self, ops8, phases):
+        _, ops = ops8
+        p = dataclasses.replace(P_WEAK, a_phase=phases[0], b_phase=phases[1])
+        H = ham.h4_bogoliubov_form(p, ops)
+        assert np.abs(H.data).max() > 0.0
+        assert H.hermiticity_defect() == 0.0
+
+    def test_si_config_builds(self):
+        # at omega_c/omega_m = 1e9 the squeeze ratio's arctanh argument rounds
+        # to exactly 1, so the arctanh construction cannot be evaluated there
+        space, _ = fock.make_space(3, 3)
+        p = CavityParams(mass=1e-9, length=1e-3, omega_m=1e6, omega_c=1e15, c=SI_C, hbar=SI_HBAR,
+                         a_amp=10.0, b_amp=1.0, b_phase=0.7)
+        H = ham.build_hamiltonian("H4_bogoliubov_form", p, space)
+        assert np.isfinite(H.data).all()
+        assert np.abs(H.data).max() > 0.0
 
 
 class TestRelativistic:
