@@ -27,6 +27,7 @@ import dataclasses
 import inspect
 import itertools
 import json
+import math
 import numbers
 import sys
 from pathlib import Path
@@ -147,15 +148,28 @@ def _cmd_verify(cfg: RunConfig, args):
     return [("", "json", report.to_dict())], report.passed
 
 
+def _require_finite(names, values, grid_point=()) -> None:
+    # an overflowed rate fails the run; grid_point yields a sweep point's (key, value) pairs
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            where = f" at grid point {dict(grid_point)}" if grid_point else ""
+            raise ArithmeticError(f"{name} is {value}{where}, not a finite number")
+
+
 def _cmd_rates(cfg: RunConfig, args):
     p = _cavity_params(cfg)
     rs = all_rates(p, kmax=cfg.kmax, r_convention=cfg.r_convention)
     payload = {name: float(getattr(rs, name)) for name in _SCALAR_RATE_FIELDS}
+    alternative = float(rs.theta * rs.g3)
+    # max|w| is finite exactly when every entry of w is
+    checked = {**payload, "w": float(np.abs(rs.w).max()),
+               "g4_plus_alternative_theta_g3": alternative}
+    _require_finite(checked, checked.values())
     payload["w"] = rs.w.tolist()
     payload["notes"] = {
         "r_convention": cfg.r_convention,
         "beta_convention": "hbar*omega_c/(mass*omega_m*length^2) (= theta*alpha)",
-        "g4_plus_alternative_theta_g3": float(rs.theta * rs.g3),
+        "g4_plus_alternative_theta_g3": alternative,
     }
     return [("", "json", payload)], True
 
@@ -295,7 +309,9 @@ def _sweep_point(cfg: RunConfig, names: list[str], values: tuple) -> tuple:
         cfg, **{name: v for name, v in zip(names, values) if v is not None}
     )
     rs = base_rates(_cavity_params(point), point.r_convention)
-    return values + tuple(float(getattr(rs, f)) for f in _SCALAR_RATE_FIELDS)
+    rates = tuple(float(getattr(rs, f)) for f in _SCALAR_RATE_FIELDS)
+    _require_finite(_SCALAR_RATE_FIELDS, rates, zip(names, values))
+    return values + rates
 
 
 def _cmd_sweep(cfg: RunConfig, args):

@@ -166,11 +166,16 @@ def relativistic_rates(p: CavityParams, kmax: int) -> np.ndarray:
     """Relativistic momentum-field coupling rate matrix w.
 
     w_{kj} = sqrt(jk) chi0 pi hbar d Omega / (4 m c l^2).  Vanishes for
-    chi0 = 0 and in the c -> infinity limit.
+    chi0 = 0 and in the c -> infinity limit.  Raises ZeroDivisionError when
+    4 m c l^2 underflows to 0.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    w11 = p.chi0 * math.pi * p.hbar * p.thickness * p.omega_m / (4.0 * p.mass * p.c * p.length**2)
+    den = 4.0 * p.mass * p.c * p.length**2
+    if den == 0.0:
+        raise ZeroDivisionError(f"w: division by zero, 4 * mass * c * length**2 underflows to 0 "
+                                f"at mass = {p.mass!r}, c = {p.c!r}, length = {p.length!r}")
+    w11 = p.chi0 * math.pi * p.hbar * p.thickness * p.omega_m / den
     k = np.arange(1, kmax + 1)
     return np.sqrt(np.outer(k, k).astype(float)) * w11
 

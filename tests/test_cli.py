@@ -161,6 +161,30 @@ class TestRates:
         assert len(doc["w"]) == 3
         assert doc["R"] == 0.95
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"mass": 1e-300}, "gamma"),
+        ({"mass": 1e-200, "length": 1.0, "chi0": 1e200, "thickness": 1.0}, "w"),
+    ])
+    def test_overflowing_rate_is_numerical_failure(self, tmp_path, capsys, doc, field):
+        # the overflowed rate was written as Infinity, which is not JSON
+        cfg = tmp_path / "heavy.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["rates", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"{field} is inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_underflowing_relativistic_rate_names_its_keys(self, tmp_path, capsys):
+        # 4 m c l^2 underflows to 0; the error read only "float division by zero"
+        cfg = tmp_path / "underflow.json"
+        cfg.write_text(json.dumps(_UNDERFLOW_DOC))
+        out = tmp_path / "out"
+        assert run(["rates", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "w: division by zero" in err
+        assert "mass = 1e-200, c = 1.0, length = 1e-100" in err
+        assert not out.exists()
+
 
 class TestEvolve:
     def test_trajectory_csv(self, tmp_path, capsys):
@@ -385,6 +409,15 @@ class TestSweep:
 
     def test_missing_grid_is_usage_error(self, tmp_path):
         assert run(["sweep", "--out-dir", str(tmp_path)]) == 2
+
+    def test_non_finite_rate_is_numerical_failure(self, tmp_path, capsys):
+        # the row held inf for beta and six rates after it and nan for G4_minus
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({**_UNDERFLOW_DOC, "grid": {"omega_c": [2.0, 1.0]}}))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "beta is inf at grid point {'omega_c': 2.0}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrors:
