@@ -457,12 +457,16 @@ def integrate(
     selects the Newton radiation-pressure equation ('newton', default) or the
     Euler-Lagrange equation of the truncated Lagrangian ('lagrangian'), under
     which the recorded Legendre energy is an exact invariant.  Integration
-    stops early if the mirror reaches ``q_floor`` (default length/100).
+    stops early if the mirror reaches ``q_floor`` (default length/100), which
+    must be finite and > 0.
     """
-    floor = params.length / 100.0 if q_floor is None else q_floor
+    if q_floor is None:
+        q_floor = params.length / 100.0
+    elif not (math.isfinite(q_floor) and q_floor > 0):
+        raise ValueError(f"q_floor must be finite and > 0, got {q_floor!r}")
     return _run(variant, mirror_model, state0, params, table, inner_cutoff, t_end, rel_tol,
                 abs_tol, sample_times, lambda cp: _rhs(cp, mirror_model), _state_vector(state0),
-                lambda tv, yv: yv[0] <= floor)
+                lambda tv, yv: yv[0] <= q_floor)
 
 
 def integrate_prescribed(

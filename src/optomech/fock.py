@@ -2,15 +2,17 @@
 
 Operators are built from single-mode factors: ``ModeOperators`` holds the
 mechanical ladder and one optical ladder shared by every optical mode, and
-``ModeOperators.assemble`` writes a sum of (mechanical factor) x (optical
-factors) terms as one dense complex product-space matrix (mechanical factor
-first; the total dimension is capped), filling the slice of each nonzero
-optical entry once, so no D x D Kronecker product or D x D sum of terms is
-formed.  ``lift`` is its one-term case, and product-space attributes such
-as ``ops.x`` are lifted on first use.  Ladder truncation corrupts the top
-levels, so operator identities are asserted on the "interior block" that
-excludes the top levels of each subsystem; helpers for that projection live
-here.
+``ModeOperators.assemble`` is the one constructor of an operator: it takes a
+sum of terms, each one mechanical factor and exactly one factor per optical
+mode, and returns it as an ``OperatorMatrix``, one dense complex
+product-space matrix (mechanical factor first; the total dimension is
+capped).  It fills the slice of each nonzero optical entry once, so no
+D x D Kronecker product or D x D sum of terms is formed.  ``lift`` pads one
+term's missing trailing optical factors with the identity and returns the
+assembled array, and product-space attributes such as ``ops.x`` are lifted
+on first use.  Ladder truncation corrupts the top levels, so operator
+identities are asserted on the "interior block" that excludes the top
+levels of each subsystem; helpers for that projection live here.
 
 ``spectrum`` solves an ``OperatorMatrix`` one Z2 parity sector at a time.
 Every basis state is labelled by its mechanical parity (-1)^m, its optical
@@ -167,12 +169,15 @@ class ModeOperators:
     def lift(self, mech: np.ndarray | None = None, *opt: np.ndarray | None) -> np.ndarray:
         """Product-space matrix of single-mode factors: the mechanical factor,
         then one factor per optical mode in order; ``None`` or a missing
-        trailing factor is the identity.  The one-term case of ``assemble``."""
-        return self.assemble([(mech, *opt)])
+        trailing factor is the identity.  The data of ``assemble`` of the
+        one padded term."""
+        return self.assemble([(mech, *opt, *(None,) * (self.space.n_modes_opt - len(opt)))]).data
 
-    def assemble(self, terms: Iterable[Sequence[np.ndarray | None]]) -> np.ndarray:
-        """Sum of product-space terms, each a ``(mech, *opt)`` factor tuple as
-        ``lift`` takes it.
+    def assemble(self, terms: Iterable[Sequence[np.ndarray | None]]) -> OperatorMatrix:
+        """The operator of a sum of product-space terms, each a
+        ``(mech, opt_1, ..., opt_modes)`` factor tuple with exactly one factor
+        per optical mode (``None`` is the identity); any other count raises
+        ``ValueError``.
 
         A term's optical factors are combined by a small kron into one N x N
         factor O_i (N = dim / n_mech).  Viewing the D x D output as
@@ -181,15 +186,14 @@ class ModeOperators:
         once, summed in term order from zero over the terms with a nonzero
         O_i[n, n'].  Ladder factors have at most three nonzeros per row, so a
         build writes about 3 N slices and allocates nothing D x D but its
-        output.  ``assemble([])`` is the zero matrix.
+        output.  ``assemble([])`` is the zero operator.
         """
         n_modes, n_mech, dim = self.space.n_modes_opt, self.space.n_mech, self.space.dim
         n_opt = dim // n_mech
         pairs = []
         for mech, *opt in terms:
-            if len(opt) > n_modes:
-                raise ValueError(f"{len(opt)} optical factors for {n_modes} optical mode(s)")
-            opt += [None] * (n_modes - len(opt))
+            if len(opt) != n_modes:
+                raise ValueError(f"{len(opt)} optical factor(s) for {n_modes} optical mode(s)")
             pairs.append((self.mech.eye if mech is None else mech,
                           reduce(np.kron, [self.opt.eye if f is None else f for f in opt])))
         out = np.zeros((dim, dim), dtype=complex)
@@ -203,7 +207,7 @@ class ModeOperators:
                 if o[n, n2]:
                     acc = acc + mech * o[n, n2]
             blocks[:, n, :, n2] = acc
-        return out
+        return OperatorMatrix(self.space, out)
 
     def _each_optical_mode(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(self.lift(None, *(None,) * i, op) for i in range(self.space.n_modes_opt))
@@ -221,9 +225,6 @@ class ModeOperators:
     a_modes = cached_property(lambda self: self._each_optical_mode(self.opt.a))
     adag_modes = cached_property(lambda self: self._each_optical_mode(self.opt.adag))
     identity = cached_property(lambda self: self.lift())
-
-    def wrap(self, data: np.ndarray) -> OperatorMatrix:
-        return OperatorMatrix(self.space, data)
 
 
 def mode_operators(space: FockSpace) -> ModeOperators:
@@ -397,7 +398,7 @@ def bogoliubov_pair(rho: complex, ops: ModeOperators) -> tuple[OperatorMatrix, O
     sh, ch = np.sinh(rho), np.cosh(rho)
     A = ops.lift(None, ops.opt.adag * sh + ops.opt.a * ch)
     B = ops.lift(ops.mech.adag * ch + ops.mech.a * sh)
-    return ops.wrap(A), ops.wrap(B)
+    return OperatorMatrix(ops.space, A), OperatorMatrix(ops.space, B)
 
 
 def squared_annihilator(ops: ModeOperators) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -410,7 +411,8 @@ def squared_annihilator(ops: ModeOperators) -> tuple[OperatorMatrix, OperatorMat
         raise ValueError("need n_mech >= 4 to resolve the squared annihilator")
     c = 0.5 * (ops.mech.a @ ops.mech.a)
     cdag = c.conj().T
-    return ops.wrap(ops.lift(c)), ops.wrap(ops.lift(c @ cdag - cdag @ c))
+    return (OperatorMatrix(ops.space, ops.lift(c)),
+            OperatorMatrix(ops.space, ops.lift(c @ cdag - cdag @ c)))
 
 
 def displacement(ops: ModeOperators, amp: complex) -> np.ndarray:

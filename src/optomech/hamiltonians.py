@@ -28,11 +28,14 @@ chain, which is what the special-case builder converges to).
 
 Every term is (mechanical factor) x (optical factor), built on the ladders
 ``ops.mech`` and ``ops.opt``.  A builder lists its terms as ``(mech, opt)``
-factor pairs with its scalars folded into the small mechanical factors and
-calls ``ops.assemble`` once, which writes the product-space matrix in one
-pass over the nonzero optical entries; no D x D Kronecker product or sum of
-D x D terms is formed.  ``h5`` alone scales its assembled bracket in place,
-so that each entry rounds as hbar gamma (A - B).
+factor pairs with its scalars folded into the small mechanical factors, and
+its operator is the ``OperatorMatrix`` of one ``ops.assemble`` call, which
+writes the product-space matrix in one pass over the nonzero optical
+entries; no D x D Kronecker product or sum of D x D terms is formed.
+``assemble`` takes exactly one factor per optical mode, so every variant
+but the relativistic correction, whose terms list one factor per mode, is
+refused on a space with more than one optical mode.  ``h5`` alone scales its
+assembled bracket in place, so that each entry rounds as hbar gamma (A - B).
 
 ``BUILDERS`` maps each variant name to its builder and is the one variant
 dispatch; ``VARIANTS`` lists its names in table order.  A builder's keyword
@@ -80,11 +83,6 @@ __all__ = [
 ]
 
 
-def _require_single_optical(ops: ModeOperators, variant: str) -> None:
-    if ops.space.n_modes_opt != 1:
-        raise ValueError(f"variant {variant} is defined for a single optical mode")
-
-
 def _drive_quadrature(ops: ModeOperators, phase: float) -> np.ndarray:
     """e^{i phi} a^dag + e^{-i phi} a (optical factor)."""
     ph = cmath.exp(1j * phase)
@@ -94,25 +92,22 @@ def _drive_quadrature(ops: ModeOperators, phase: float) -> np.ndarray:
 def _free_mirror(params: CavityParams, ops: ModeOperators) -> tuple:
     """The term hbar Omega (P_mech^2 + X^2)/2."""
     m = ops.mech
-    return (0.5 * params.hbar * params.omega_m * (m.p @ m.p + m.x @ m.x),)
+    return (0.5 * params.hbar * params.omega_m * (m.p @ m.p + m.x @ m.x), None)
 
 
 def h012(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Free part: hbar Omega (P_mech^2 + X^2)/2 + hbar omega (P^2 + Q^2)/2."""
-    _require_single_optical(ops, "H012")
     o = ops.opt
-    return ops.wrap(ops.assemble([
+    return ops.assemble([
         _free_mirror(params, ops),
         (0.5 * params.hbar * params.omega_c * ops.mech.eye, o.p @ o.p + o.x @ o.x),
-    ]))
+    ])
 
 
 def h3(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Cubic interaction -hbar alpha X (n + 1/2): the standard number-position coupling."""
-    _require_single_optical(ops, "H3")
     rs = base_rates(params)
-    data = ops.lift(-params.hbar * rs.alpha * ops.mech.x, ops.opt.n + 0.5 * ops.opt.eye)
-    return ops.wrap(data)
+    return ops.assemble([(-params.hbar * rs.alpha * ops.mech.x, ops.opt.n + 0.5 * ops.opt.eye)])
 
 
 def h4(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") -> OperatorMatrix:
@@ -121,32 +116,30 @@ def h4(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") ->
     The first piece dominates for omega >> Omega, the momentum-field piece
     for omega << Omega.
     """
-    _require_single_optical(ops, "H4")
     rs = base_rates(params, r_convention)
     ratio2 = (params.omega_m / params.omega_c) ** 2
     m, o = ops.mech, ops.opt
     scale = 0.5 * params.hbar * rs.beta
-    return ops.wrap(ops.assemble([
+    return ops.assemble([
         (scale * (m.x @ m.x), o.p @ o.p + o.x @ o.x),
         (-scale * rs.R * ratio2 * (m.p @ m.p), o.x @ o.x),
-    ]))
+    ])
 
 
 def h5(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") -> OperatorMatrix:
     """Quintic interaction hbar gamma [R (Omega/omega)^2 S{P_mech^2 X} Q^2 - X^3 (n + 1/2)]."""
-    _require_single_optical(ops, "H5")
     rs = base_rates(params, r_convention)
     ratio2 = (params.omega_m / params.omega_c) ** 2
     m, o = ops.mech, ops.opt
     sym_ppx = symmetrize_matrices([m.p, m.p, m.x], labels=["p", "p", "x"])
     # hbar gamma scales the assembled bracket, so each entry rounds as
     # hbar gamma (A - B), the form the quintic identities are written in
-    data = ops.assemble([
+    H = ops.assemble([
         (rs.R * ratio2 * sym_ppx, o.x @ o.x),
         (-(m.x @ m.x @ m.x), o.n + 0.5 * o.eye),
     ])
-    data *= params.hbar * rs.gamma
-    return ops.wrap(data)
+    H.data[...] *= params.hbar * rs.gamma
+    return H
 
 
 def ground_shift_estimate(params: CavityParams, r_convention: str = "exact") -> float:
@@ -211,9 +204,7 @@ def momentum_coupling_term(
     """Symmetrized momentum-field coupling
     -(hbar beta / 2) R (Omega/omega)^2 sum_i c_i theta^i S{P_mech^2 X^i} Q^2,
     with c_i the truncated inverse-square series (1, -2, +3)."""
-    _require_single_optical(ops, "momentum_coupling_term")
-    return ops.wrap(ops.assemble(
-        _momentum_terms(params, ops, order, printed_quadratic, r_convention)))
+    return ops.assemble(_momentum_terms(params, ops, order, printed_quadratic, r_convention))
 
 
 def _law_terms(
@@ -238,8 +229,7 @@ def law_full(
     printed_quadratic: bool = False,
 ) -> OperatorMatrix:
     """Single-mode Hamiltonian without the momentum-field coupling term."""
-    _require_single_optical(ops, "law_full")
-    return ops.wrap(ops.assemble(_law_terms(params, ops, order, printed_quadratic)))
+    return ops.assemble(_law_terms(params, ops, order, printed_quadratic))
 
 
 def new_full(
@@ -251,19 +241,15 @@ def new_full(
 ) -> OperatorMatrix:
     """Corrected single-mode Hamiltonian: the terms of the no-momentum build
     plus the symmetrized momentum-field coupling at the same expansion order."""
-    _require_single_optical(ops, "new_full")
-    return ops.wrap(ops.assemble(
-        _law_terms(params, ops, order, printed_quadratic)
-        + _momentum_terms(params, ops, order, printed_quadratic, r_convention)))
+    return ops.assemble(_law_terms(params, ops, order, printed_quadratic)
+                        + _momentum_terms(params, ops, order, printed_quadratic, r_convention))
 
 
 def h3_linear_optical(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Optically linearized cubic term -hbar g3 (b^dag + b)(e^{i phi} a^dag + e^{-i phi} a)."""
-    _require_single_optical(ops, "H3_linear_optical")
     rs = base_rates(params)
-    data = ops.lift(-params.hbar * rs.g3 * (ops.mech.adag + ops.mech.a),
-                    _drive_quadrature(ops, params.a_phase))
-    return ops.wrap(data)
+    return ops.assemble([(-params.hbar * rs.g3 * (ops.mech.adag + ops.mech.a),
+                          _drive_quadrature(ops, params.a_phase))])
 
 
 def h4_linear_optical(
@@ -283,28 +269,26 @@ def h4_linear_optical(
     eta -> infinity.  The two differ by block-dependent factors; see module
     docstring.
     """
-    _require_single_optical(ops, "H4_linear_optical")
     rs = base_rates(params, r_convention)
     m, o = ops.mech, ops.opt
     if convention == "printed":
         if branch == "plus":
             bb = m.adag + m.a
-            data = ops.lift(params.hbar * rs.g4_plus * bb @ bb,
-                            _drive_quadrature(ops, params.a_phase))
+            term = (params.hbar * rs.g4_plus * bb @ bb, _drive_quadrature(ops, params.a_phase))
         elif branch == "minus":
             bb = m.adag - m.a
-            data = ops.lift(params.hbar * rs.g4_minus * bb @ bb, o.adag + o.a)
+            term = (params.hbar * rs.g4_minus * bb @ bb, o.adag + o.a)
         else:
             raise ValueError(f"unknown branch {branch!r}; use 'plus' or 'minus'")
-        return ops.wrap(data)
-    if convention == "special_case":
+    elif convention == "special_case":
         if branch != "plus":
             raise ValueError("the special-case convention defines only the plus branch")
         b2 = m.adag @ m.adag + m.a @ m.a
-        data = ops.lift(2.0 * params.hbar * rs.beta * params.a_amp * (b2 + m.n),
-                        _drive_quadrature(ops, params.a_phase))
-        return ops.wrap(data)
-    raise ValueError(f"unknown convention {convention!r}; use 'printed' or 'special_case'")
+        term = (2.0 * params.hbar * rs.beta * params.a_amp * (b2 + m.n),
+                _drive_quadrature(ops, params.a_phase))
+    else:
+        raise ValueError(f"unknown convention {convention!r}; use 'printed' or 'special_case'")
+    return ops.assemble([term])
 
 
 def h4_linear_mechanical(
@@ -312,17 +296,15 @@ def h4_linear_mechanical(
 ) -> OperatorMatrix:
     """Mechanically linearized quartic term: hbar G4+ (b^dag + b)(e^{i phi} a^dag
     + e^{-i phi} a) or hbar G4- (b^dag - b)(a^dag + a)."""
-    _require_single_optical(ops, "H4_linear_mechanical")
     rs = base_rates(params, r_convention)
     m, o = ops.mech, ops.opt
     if branch == "plus":
-        data = ops.lift(params.hbar * rs.G4_plus * (m.adag + m.a),
-                        _drive_quadrature(ops, params.a_phase))
+        term = (params.hbar * rs.G4_plus * (m.adag + m.a), _drive_quadrature(ops, params.a_phase))
     elif branch == "minus":
-        data = ops.lift(params.hbar * rs.G4_minus * (m.adag - m.a), o.adag + o.a)
+        term = (params.hbar * rs.G4_minus * (m.adag - m.a), o.adag + o.a)
     else:
         raise ValueError(f"unknown branch {branch!r}; use 'plus' or 'minus'")
-    return ops.wrap(data)
+    return ops.assemble([term])
 
 
 def h4_special_eta(
@@ -337,7 +319,6 @@ def h4_special_eta(
     at phi = 0; as eta -> infinity the special-case convention of the
     optically linearized quartic term is recovered.
     """
-    _require_single_optical(ops, "H4_special_eta")
     if eta <= 0:
         raise ValueError("eta must be > 0")
     rs = base_rates(params)
@@ -347,12 +328,12 @@ def h4_special_eta(
     b2 = m.adag @ m.adag + m.a @ m.a
     inv2 = 0.5 / eta
     scale = 2.0 * params.hbar * rs.beta * params.a_amp
-    return ops.wrap(ops.assemble([
+    return ops.assemble([
         (scale * inv2 * b2, Dc),
         (scale * (1.0 + inv2) * m.n, D),
         (scale * b2, D),
         (-scale * (2.0 * inv2) * m.n, Dc),
-    ]))
+    ])
 
 
 def h4_bogoliubov_form(
@@ -367,14 +348,13 @@ def h4_bogoliubov_form(
     + G4- (b^dag-b)(e^{i phi/2} a^dag - e^{-i phi/2} a)] with e^{i phi/2} the
     principal root of e^{i phi}; at phi = 0 the optical factors are a^dag +- a.
     """
-    _require_single_optical(ops, "H4_bogoliubov_form")
     rs = base_rates(params, r_convention)
     half = cmath.sqrt(cmath.exp(1j * params.a_phase))
     m, o = ops.mech, ops.opt
-    return ops.wrap(ops.assemble([
+    return ops.assemble([
         (0.5 * params.hbar * rs.G4_plus * (m.adag + m.a), np.conj(half) * o.adag + half * o.a),
         (0.5 * params.hbar * rs.G4_minus * (m.adag - m.a), half * o.adag - np.conj(half) * o.a),
-    ]))
+    ])
 
 
 def _relativistic_terms(params: CavityParams, ops: ModeOperators, scale: float) -> list[tuple]:
@@ -399,18 +379,18 @@ def _relativistic_terms(params: CavityParams, ops: ModeOperators, scale: float) 
 
 def delta_relativistic_first(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """First-order relativistic correction: -2 hbar (b^dag - b)^2 sum w_kj (...)(...)."""
-    return ops.wrap(ops.assemble(_relativistic_terms(params, ops, -2.0 * params.hbar)))
+    return ops.assemble(_relativistic_terms(params, ops, -2.0 * params.hbar))
 
 
 def delta_relativistic_second(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Second-order relativistic correction, identically -1/2 of the first order."""
-    return ops.wrap(ops.assemble(_relativistic_terms(params, ops, params.hbar)))
+    return ops.assemble(_relativistic_terms(params, ops, params.hbar))
 
 
 def delta_relativistic(params: CavityParams, ops: ModeOperators) -> OperatorMatrix:
     """Total relativistic correction -hbar (b^dag - b)^2 sum w_kj (...)(...);
     vanishes for chi0 = 0 and as c -> infinity."""
-    return ops.wrap(ops.assemble(_relativistic_terms(params, ops, -params.hbar)))
+    return ops.assemble(_relativistic_terms(params, ops, -params.hbar))
 
 
 BUILDERS = {
@@ -439,8 +419,10 @@ def build_hamiltonian(
     the builder's own parameters name the options a variant takes (``order``
     and ``printed_quadratic`` for the full builds, ``branch``, ``convention``,
     ``eta``, ``r_convention`` where R enters).  An unknown variant raises
-    ``ValueError``, an option the builder does not take ``TypeError``, and an
-    arithmetic error or non-finite entry ``ArithmeticError`` naming the variant.
+    ``ValueError``, an option the builder does not take ``TypeError``, a value
+    the builder refuses (such as a space with more optical modes than the
+    variant has) ``ValueError`` naming the variant, and an arithmetic error or
+    non-finite entry ``ArithmeticError`` naming the variant.
     """
     builder = BUILDERS.get(variant)
     if builder is None:
@@ -448,8 +430,9 @@ def build_hamiltonian(
     try:
         with np.errstate(all="ignore"):
             H = builder(params, mode_operators(space), **options)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"the {variant} Hamiltonian cannot be built: {exc}") from exc
+    except (ArithmeticError, ValueError) as exc:
+        kind = ArithmeticError if isinstance(exc, ArithmeticError) else ValueError
+        raise kind(f"the {variant} Hamiltonian cannot be built: {exc}") from exc
     if not np.isfinite(H.data).all():
         raise ArithmeticError(f"the {variant} Hamiltonian has a non-finite entry")
     return H

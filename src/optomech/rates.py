@@ -167,14 +167,17 @@ def relativistic_rates(p: CavityParams, kmax: int) -> np.ndarray:
 
     w_{kj} = sqrt(jk) chi0 pi hbar d Omega / (4 m c l^2).  Vanishes for
     chi0 = 0 and in the c -> infinity limit.  Raises ZeroDivisionError when
-    4 m c l^2 underflows to 0.
+    4 m c l^2 underflows to 0 and OverflowError when it overflows.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    den = 4.0 * p.mass * p.c * p.length**2
+    den = 4.0 * p.mass * p.c * (p.length * p.length)
+    at = f"at mass = {p.mass!r}, c = {p.c!r}, length = {p.length!r}"
     if den == 0.0:
         raise ZeroDivisionError(f"w: division by zero, 4 * mass * c * length**2 underflows to 0 "
-                                f"at mass = {p.mass!r}, c = {p.c!r}, length = {p.length!r}")
+                                f"{at}")
+    if math.isinf(den):
+        raise OverflowError(f"w: 4 * mass * c * length**2 overflows {at}")
     w11 = p.chi0 * math.pi * p.hbar * p.thickness * p.omega_m / den
     k = np.arange(1, kmax + 1)
     return np.sqrt(np.outer(k, k).astype(float)) * w11

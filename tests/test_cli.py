@@ -185,6 +185,21 @@ class TestRates:
         assert "mass = 1e-200, c = 1.0, length = 1e-100" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["rates"],
+                                      ["hamiltonian", "--variant", "delta_relativistic"]],
+                             ids=["rates", "hamiltonian"])
+    def test_overflowing_relativistic_denominator_names_its_keys(self, tmp_path, capsys, argv):
+        # length**2 raised OverflowError, and the error read only
+        # "(34, 'Numerical result out of range')"
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"length": 1e200}))
+        out = tmp_path / "out"
+        assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "w: 4 * mass * c * length**2 overflows" in err
+        assert "mass = 1.0, c = 1.0, length = 1e+200" in err
+        assert not out.exists()
+
 
 class TestEvolve:
     def test_trajectory_csv(self, tmp_path, capsys):
@@ -218,6 +233,18 @@ class TestEvolve:
         assert t_last < 1.0 and q_last <= q_floor
         assert err == (f"evolve: the mirror reached q_floor (q = {q_last:.6g}) at "
                        f"t = {t_last:.6g}, before t_end = 50; the trajectory stops there\n")
+
+    @pytest.mark.parametrize("q_floor", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_q_floor_is_numerical_failure(self, tmp_path, capsys, q_floor):
+        # at q_floor = -1 the mirror crossed q = 0, where every field equation
+        # divides by q, and at NaN the stop never fired; both runs exited 0
+        cfg = tmp_path / "floor.json"
+        cfg.write_text(json.dumps({"q_floor": q_floor, "t_end": 2000.0, "qdot0": -5.0,
+                                   "length": 1.0, "q0": 1.0}))
+        out = tmp_path / "out"
+        assert run(["evolve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"q_floor must be finite and > 0, got {q_floor!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHamiltonianAndSpectrum:

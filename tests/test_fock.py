@@ -80,15 +80,25 @@ class TestLadder:
     def test_assemble_of_no_terms_is_zero(self):
         space, ops = fock.make_space(3, 4, n_modes_opt=2)
         zero = ops.assemble([])
-        assert zero.shape == (space.dim, space.dim) and zero.dtype == complex
-        assert not zero.any()
+        assert isinstance(zero, fock.OperatorMatrix) and zero.space == space
+        assert zero.data.shape == (space.dim, space.dim) and zero.data.dtype == complex
+        assert not zero.data.any()
 
     def test_assemble_equals_sum_of_lifts(self):
         # terms that share optical entries are summed in term order
         _, ops = fock.make_space(3, 4, n_modes_opt=2)
         m, o = ops.mech, ops.opt
-        terms = [(m.x, o.a), (None, o.n, o.x), (m.n,), (0.3j * m.a, None, o.adag @ o.adag)]
-        assert np.array_equal(ops.assemble(terms), sum(ops.lift(*t) for t in terms))
+        terms = [(m.x, o.a, None), (None, o.n, o.x), (m.n, None, None),
+                 (0.3j * m.a, None, o.adag @ o.adag)]
+        assert np.array_equal(ops.assemble(terms).data, sum(ops.lift(*t) for t in terms))
+
+    @pytest.mark.parametrize("term", [(None,), (None, None), (None, None, None, None)],
+                             ids=["0", "1", "3"])
+    def test_assemble_takes_one_factor_per_optical_mode(self, term):
+        # lift pads a missing trailing factor with the identity; assemble does not
+        _, ops = fock.make_space(3, 4, n_modes_opt=2)
+        with pytest.raises(ValueError, match=f"{len(term) - 1} optical factor.* 2 optical mode"):
+            ops.assemble([(ops.mech.x, None, None), term])
 
     # the 5-level cases keep their ids "1" and "2"
     @pytest.mark.parametrize("n_modes_opt, n_opt", [(1, 5), (2, 5), (1, 8), (2, 8), (1, 16),
@@ -373,7 +383,7 @@ class TestSpectrum:
 
     def test_operator_matrix_input(self, space16):
         _, ops = space16
-        vals = fock.spectrum(ops.wrap(ops.n_op), 3)
+        vals = fock.spectrum(fock.OperatorMatrix(ops.space, ops.n_op), 3)
         np.testing.assert_allclose(vals, [0.0, 0.0, 0.0], atol=1e-13)
 
 
@@ -393,7 +403,7 @@ class TestParitySectors:
     def test_no_conserved_parity_is_one_block(self, space16):
         # x flips the mechanical parity, q the optical one, and x + q the product
         _, ops = space16
-        H = ops.wrap(ops.x + ops.q + ops.m_op)
+        H = fock.OperatorMatrix(ops.space, ops.x + ops.q + ops.m_op)
         assert len(fock._parity_sectors(H)) == 1
         assert np.array_equal(fock.spectrum(H, 8), fock.spectrum(H.data, 8))
         assert np.array_equal(fock.spectrum(H), fock.spectrum(H.data))
@@ -420,7 +430,7 @@ class TestParitySectors:
     def test_perturbed_eigenvector_in_one_block_raises(self, space16, monkeypatch):
         # mechanical sectors: the even one holds 0, 1, 1, ..., the odd one 0.5, 1.5, ...
         _, ops = space16
-        H = ops.wrap(ops.n_op + 0.5 * ops.m_op)
+        H = fock.OperatorMatrix(ops.space, ops.n_op + 0.5 * ops.m_op)
         eigh = np.linalg.eigh
         calls = []
 
@@ -451,7 +461,7 @@ class TestParitySectors:
 
         monkeypatch.setattr(np.linalg, "eigh", repeated)
         with pytest.raises(ArithmeticError, match="orthonormality"):
-            fock.spectrum(ops.wrap(ops.n_op), 3)
+            fock.spectrum(fock.OperatorMatrix(ops.space, ops.n_op), 3)
 
     @pytest.mark.parametrize("imag", [0.0, 0.1])  # real and complex path
     def test_non_hermitian_entry_in_one_off_block_rejected(self, space16, imag):
@@ -462,7 +472,7 @@ class TestParitySectors:
         assert data.imag.any() == (imag != 0.0)
         odd, even = 1 * space.n_opt, 0  # |m=1, n=0>, |m=0, n=0>
         data[odd, even] = 1e-3
-        H = ops.wrap(data)
+        H = fock.OperatorMatrix(space, data)
         assert len(fock._parity_sectors(H)) == 2  # a later label keeps both in one block
         with pytest.raises(ValueError, match="not Hermitian"):
             fock.spectrum(H, 3)

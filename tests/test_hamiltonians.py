@@ -62,9 +62,14 @@ class TestStructure:
             ham.build_hamiltonian("H4_bogoliubov_form", P_WEAK, space)
 
     def test_single_optical_mode_required(self):
+        # each term lists one optical factor, which a two-mode space refuses
         space, _ = fock.make_space(4, 4, n_modes_opt=2)
-        with pytest.raises(ValueError):
-            ham.build_hamiltonian("new_full", P_WEAK, space)
+        for variant in ham.VARIANTS:
+            if variant == "delta_relativistic":  # one factor per mode
+                continue
+            options = {"eta": 0.5} if variant == "H4_special_eta" else {}
+            with pytest.raises(ValueError, match=f"the {variant} Hamiltonian .* 2 optical mode"):
+                ham.build_hamiltonian(variant, P_WEAK, space, **options)
 
 
 def kron_sum(ops, terms):
@@ -72,10 +77,9 @@ def kron_sum(ops, terms):
     np.kron(mechanical factor, nested np.kron of the optical factors)."""
     acc = np.zeros((ops.space.dim,) * 2, dtype=complex)
     for mech, *opt in terms:
-        opt += [None] * (ops.space.n_modes_opt - len(opt))
         optical = functools.reduce(np.kron, [ops.opt.eye if f is None else f for f in opt])
         acc = acc + np.kron(ops.mech.eye if mech is None else mech, optical)
-    return acc
+    return fock.OperatorMatrix(ops.space, acc)
 
 
 class TestAssembly:
@@ -362,7 +366,7 @@ def arctanh_bogoliubov(params, ops):
     rho = np.arctanh((G4p - G4m * ph) / (G4p + G4m * ph))
     B = params.hbar * math.sqrt(G4p * G4m) * (ops.mech.adag * np.cosh(rho)
                                               + ops.mech.a * np.sinh(rho))
-    return ops.assemble([(B.conj().T, ops.opt.a), (B, ops.opt.adag)])
+    return ops.assemble([(B.conj().T, ops.opt.a), (B, ops.opt.adag)]).data
 
 
 class TestBogoliubovForm:
