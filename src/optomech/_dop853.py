@@ -156,15 +156,19 @@ def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray, buf: np.ndarray) ->
     return abs(h) * err5 / denom if denom else math.nan
 
 
-def _dense_rows(rhs, K, t_old, y_old, h, y, f, x):
-    """The 7th-order interpolant of the step of size h from (t_old, y_old) to
-    (y, f) at step fractions ``x``, one row each; runs stages 13..15 into K."""
+def _dense_coeffs(rhs, K, t_old, y_old, h, y, f):
+    """The coefficient rows of the 7th-order interpolant of the step of size h
+    from (t_old, y_old) to (y, f); runs stages 13..15 into K."""
     for s in range(N_STAGES + 1, len(C)):
         K[s] = rhs(t_old + C[s] * h, y_old + np.dot(K[:s].T, _A[s]) * h)
     dy = y - y_old
-    F = (dy, h * K[0] - dy, 2 * dy - h * (f + K[0]), *(h * np.dot(_D, K)))
+    return (dy, h * K[0] - dy, 2 * dy - h * (f + K[0]), *(h * np.dot(_D, K)))
+
+
+def _dense_rows(F, y_old, x):
+    """The interpolant of coefficient rows F at step fractions ``x``, one row each."""
     x = x[:, None]
-    out = np.zeros((len(x), len(y)))
+    out = np.zeros((len(x), len(y_old)))
     for i, row in enumerate(reversed(F)):  # Horner in x and 1 - x alternately
         out += row
         out *= x if i % 2 == 0 else 1 - x
@@ -172,10 +176,32 @@ def _dense_rows(rhs, K, t_old, y_old, h, y, f, x):
     return out
 
 
-def solve(rhs, y0, t_end, rel_tol, abs_tol, sample_times=None, stop=None):
-    """Run DOP853 on y' = rhs(t, y) from t = 0 to ``t_end`` (or until ``stop(t, y)``
-    after an accepted step), returning (t, y, steps, rejected, nfev, stopped);
-    y holds the accepted steps, or the rows at ``sample_times`` when given."""
+def _event_fraction(event, F, t_old, y_old, h):
+    """The step fraction at which ``event`` on the interpolant first reaches
+    <= 0, by bisection to the resolution of doubles from the step's end, where
+    it is <= 0, back towards its start, where it is > 0; the fraction returned
+    is the bracket end on the <= 0 side."""
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if event(t_old + mid * h, _dense_rows(F, y_old, np.array([mid]))[0]) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def solve(rhs, y0, t_end, rel_tol, abs_tol, sample_times=None, event=None):
+    """Run DOP853 on y' = rhs(t, y) from t = 0 to ``t_end``, returning
+    (t, y, steps, rejected, nfev, stopped); y holds the accepted steps, or the
+    rows at ``sample_times`` when given.
+
+    The run stops early where the signed ``event(t, y)`` first reaches <= 0:
+    at once if it does at t = 0, else at the first accepted step where it
+    does, whose interpolant locates the crossing (3 evaluations unless the
+    step's grid rows already ran them).  The record then ends there: the
+    crossing itself is the last row of an unsampled run, and a sampled run
+    keeps the grid points up to it.
+    """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
@@ -203,8 +229,8 @@ def solve(rhs, y0, t_end, rel_tol, abs_tol, sample_times=None, stop=None):
     h_abs = _initial_step(rhs, y, f, t_end, rel_tol, abs_tol)
     accepted = rejected = 0
     nfev = 2
-    stopped = False
-    while True:
+    stopped = event is not None and event(t, y) <= 0
+    while not stopped:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
@@ -244,19 +270,24 @@ def solve(rhs, y0, t_end, rel_tol, abs_tol, sample_times=None, stop=None):
             rejected += 1
         accepted += 1
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        F = None
+        if event is not None and event(t, y) <= 0:
+            F = _dense_coeffs(rhs, K, t_old, y_old, h, y, f)
+            nfev += 3
+            x = _event_fraction(event, F, t_old, y_old, h)
+            t, y, stopped = t_old + x * h, _dense_rows(F, y_old, np.array([x]))[0], True
         if grid is None:
             ts.append(t)
             ys.append(y)
         elif gi < len(grid) and grid[gi] <= t:
             end = int(np.searchsorted(grid, t, side="right"))
-            ys.extend(_dense_rows(rhs, K, t_old, y_old, h, y, f, (grid[gi:end] - t_old) / h))
+            if F is None:
+                F = _dense_coeffs(rhs, K, t_old, y_old, h, y, f)
+                nfev += 3
+            ys.extend(_dense_rows(F, y_old, (grid[gi:end] - t_old) / h))
             ts.extend(grid[gi:end].tolist())
-            nfev += 3
             gi = end
-        if stop is not None and stop(t, y):
-            stopped = True
-            break
-        if t == t_end:
+        if stopped or t == t_end:
             break
     # (0, n) when the run stops before the first grid point
     return np.array(ts), np.array(ys).reshape(len(ts), n), accepted, rejected, nfev, stopped

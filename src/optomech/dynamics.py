@@ -417,16 +417,17 @@ def _prescribed_rhs(cp: _Coupling, motion: MirrorMotion):
 
 
 def _run(variant, mirror_model, state0, params, table, inner_cutoff, t_end, rel_tol, abs_tol,
-         sample_times, rhs_of, y0, stop, to_record=lambda t, y: y) -> TrajectoryRecord:
-    """One DOP853 run of ``rhs_of(coupling)`` from ``y0`` until ``stop(t, y)``;
-    ``to_record(t, y)`` maps solver rows to record rows, also for an underflow."""
+         sample_times, rhs_of, y0, event, to_record=lambda t, y: y) -> TrajectoryRecord:
+    """One DOP853 run of ``rhs_of(coupling)`` from ``y0`` until ``event(t, y)``
+    reaches <= 0; ``to_record(t, y)`` maps solver rows to record rows, also for
+    an underflow."""
     _check_state(state0, params)
     if state0.t != 0:
         raise ValueError(f"invalid state: runs start at t = 0, got state0.t = {state0.t!r}")
     cp = _coupling(variant, table, params, inner_cutoff)
     try:
         t, y, steps, rejected, nfev, stopped = _dop853.solve(rhs_of(cp), y0, t_end, rel_tol,
-                                                             abs_tol, sample_times, stop)
+                                                             abs_tol, sample_times, event)
     except _dop853.StepSizeUnderflow as exc:
         last = _row_state(exc.t, to_record(np.array([exc.t]), exc.y[None])[0], cp.kmax)
         raise StiffnessError(str(exc), last) from None
@@ -466,7 +467,7 @@ def integrate(
         raise ValueError(f"q_floor must be finite and > 0, got {q_floor!r}")
     return _run(variant, mirror_model, state0, params, table, inner_cutoff, t_end, rel_tol,
                 abs_tol, sample_times, lambda cp: _rhs(cp, mirror_model), _state_vector(state0),
-                lambda tv, yv: yv[0] <= q_floor)
+                lambda tv, yv: yv[0] - q_floor)
 
 
 def integrate_prescribed(
@@ -495,5 +496,5 @@ def integrate_prescribed(
 
     return _run(variant, "prescribed", state0, params, table, inner_cutoff, t_end, rel_tol,
                 abs_tol, sample_times, lambda cp: _prescribed_rhs(cp, motion),
-                np.concatenate([state0.Q, state0.Qdot]), lambda tv, yv: motion.q(tv) <= floor,
+                np.concatenate([state0.Q, state0.Qdot]), lambda tv, yv: motion.q(tv) - floor,
                 with_mirror)

@@ -30,12 +30,17 @@ Every term is (mechanical factor) x (optical factor), built on the ladders
 ``ops.mech`` and ``ops.opt``.  A builder lists its terms as ``(mech, opt)``
 factor pairs with its scalars folded into the small mechanical factors, and
 its operator is the ``OperatorMatrix`` of one ``ops.assemble`` call, which
-writes the product-space matrix in one pass over the nonzero optical
-entries; no D x D Kronecker product or sum of D x D terms is formed.
-``assemble`` takes exactly one factor per optical mode, so every variant
-but the relativistic correction, whose terms list one factor per mode, is
-refused on a space with more than one optical mode.  ``h5`` alone scales its
-assembled bracket in place, so that each entry rounds as hbar gamma (A - B).
+keeps the at most four factor pairs; no D x D Kronecker product or sum of
+D x D terms is formed, and the dense matrix is written only when something
+reads it.  ``assemble`` takes exactly one factor per optical mode, so every
+variant but the relativistic correction, whose terms list one factor per
+mode, is refused on a space with more than one optical mode.  ``h5`` alone
+passes a ``scale``, hbar gamma, that multiplies the summed bracket, so that
+each entry rounds as hbar gamma (A - B).  ``build_hamiltonian`` refuses a
+non-finite entry.  Below ``fock.KRYLOV_MIN_DIM``, where every reader of the
+operator fills the dense matrix, it fills it once and checks it; at or above
+it, it streams the term list's slices, as exact as a check of the dense
+matrix and without forming it.
 
 ``BUILDERS`` maps each variant name to its builder and is the one variant
 dispatch; ``VARIANTS`` lists its names in table order.  A builder's keyword
@@ -50,6 +55,7 @@ import cmath
 
 import numpy as np
 
+from . import fock
 from .fock import (
     FockSpace,
     ModeOperators,
@@ -132,14 +138,12 @@ def h5(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") ->
     ratio2 = (params.omega_m / params.omega_c) ** 2
     m, o = ops.mech, ops.opt
     sym_ppx = symmetrize_matrices([m.p, m.p, m.x], labels=["p", "p", "x"])
-    # hbar gamma scales the assembled bracket, so each entry rounds as
+    # hbar gamma scales the summed bracket, so each entry rounds as
     # hbar gamma (A - B), the form the quintic identities are written in
-    H = ops.assemble([
+    return ops.assemble([
         (rs.R * ratio2 * sym_ppx, o.x @ o.x),
         (-(m.x @ m.x @ m.x), o.n + 0.5 * o.eye),
-    ])
-    H.data[...] *= params.hbar * rs.gamma
-    return H
+    ], scale=params.hbar * rs.gamma)
 
 
 def ground_shift_estimate(params: CavityParams, r_convention: str = "exact") -> float:
@@ -430,9 +434,13 @@ def build_hamiltonian(
     try:
         with np.errstate(all="ignore"):
             H = builder(params, mode_operators(space), **options)
+            # below the Krylov threshold every reader fills ``data``, so it is
+            # filled once here and checked; above it the entries are streamed
+            finite = (bool(np.isfinite(H.data).all()) if space.dim < fock.KRYLOV_MIN_DIM
+                      else H._entry_stats[2])
     except (ArithmeticError, ValueError) as exc:
         kind = ArithmeticError if isinstance(exc, ArithmeticError) else ValueError
         raise kind(f"the {variant} Hamiltonian cannot be built: {exc}") from exc
-    if not np.isfinite(H.data).all():
+    if not finite:
         raise ArithmeticError(f"the {variant} Hamiltonian has a non-finite entry")
     return H

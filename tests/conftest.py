@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from optomech import fock
 from optomech import hamiltonians as ham
 
 
@@ -13,6 +14,7 @@ def nan_bogoliubov_builder():
     be put into ``ham.BUILDERS`` where a test needs a build that fails."""
     def build(params, ops, r_convention="exact"):
         H = ham.h4_bogoliubov_form(params, ops, r_convention)
-        H.data[0, 1] = math.nan
-        return H
+        data = H.data.copy()
+        data[0, 1] = math.nan
+        return fock.OperatorMatrix(H.space, data)
     return build

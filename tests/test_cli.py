@@ -234,6 +234,18 @@ class TestEvolve:
         assert err == (f"evolve: the mirror reached q_floor (q = {q_last:.6g}) at "
                        f"t = {t_last:.6g}, before t_end = 50; the trajectory stops there\n")
 
+    def test_floor_crossing_ends_the_record_at_the_floor(self, tmp_path):
+        # the floor was tested at accepted steps only: this run stepped from
+        # q = 0.8505 straight to q = -0.615 and wrote that row
+        cfg = tmp_path / "floor.json"
+        cfg.write_text(json.dumps({"t_end": 2000.0, "qdot0": -5.0, "length": 1.0, "q0": 1.0}))
+        assert run(["evolve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        q = [float(line.split(",")[1]) for line in
+             only(tmp_path / "out", "evolve-*.csv").read_text().splitlines()[1:]]
+        q_floor = 1.0 / 100
+        assert min(q[:-1]) > q_floor
+        assert q_floor - 1e-12 <= q[-1] <= q_floor
+
     @pytest.mark.parametrize("q_floor", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_q_floor_is_numerical_failure(self, tmp_path, capsys, q_floor):
         # at q_floor = -1 the mirror crossed q = 0, where every field equation
@@ -336,17 +348,34 @@ class TestHamiltonianAndSpectrum:
         assert lines[0] == "index,eigenvalue"
         assert len(lines) == 6
 
+    def test_spectrum_past_the_lanczos_cap_writes_levels(self, tmp_path, monkeypatch):
+        # a cap of half a sector once made this call exit 1 where the dense
+        # path solved it; the sector is now solved densely on the factors
+        monkeypatch.setattr(fock, "KRYLOV_MIN_DIM", 1)
+        monkeypatch.setattr(fock, "KRYLOV_MAX_BASIS", 100)
+        argv = ["spectrum", "--variant", "new_full", "--n-mech", "20", "--n-opt", "20"]
+        assert run([*argv, "--out-dir", str(tmp_path / "krylov")]) == 0
+        monkeypatch.setattr(fock, "KRYLOV_MIN_DIM", 10**9)
+        assert run([*argv, "--out-dir", str(tmp_path / "dense")]) == 0
+        got, want = (np.loadtxt(only(tmp_path / d, "spectrum-new_full-*.csv"), delimiter=",",
+                                skiprows=1) for d in ("krylov", "dense"))
+        assert got.shape == want.shape == (8, 2)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_spectrum_reruns_byte_identical(self, tmp_path):
-        # dim 576 is large enough for multithreaded BLAS inside the eigensolver
-        argv = ["spectrum", "--variant", "new_full", "--variant", "law_full",
-                "--n-mech", "24", "--n-opt", "24"]
-        outputs = []
-        for name in ("a", "b"):
-            proc = run_subprocess([*argv, "--out-dir", str(tmp_path / name)], tmp_path)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
-        assert len(outputs[0]) == 3
-        assert outputs[0] == outputs[1]
+        # dim 576 is large enough for multithreaded BLAS inside the dense
+        # eigensolver; dim 1024 is solved on the factors from a seeded start
+        for n in ("24", "32"):
+            argv = ["spectrum", "--variant", "new_full", "--variant", "law_full",
+                    "--n-mech", n, "--n-opt", n]
+            outputs = []
+            for name in ("a", "b"):
+                out = tmp_path / n / name
+                proc = run_subprocess([*argv, "--out-dir", str(out)], tmp_path)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert len(outputs[0]) == 3
+            assert outputs[0] == outputs[1]
 
 
 class TestChecks:
@@ -392,8 +421,9 @@ class TestChecks:
         # max|H| is below 1e-18, and passed this defect of 7e-20
         def skewed(params, ops):
             H = ham.new_full(params, ops)
-            H.data[0, 1] += 0.1 * np.abs(H.data).max()
-            return H
+            data = H.data.copy()
+            data[0, 1] += 0.1 * np.abs(data).max()
+            return fock.OperatorMatrix(H.space, data)
 
         cfg = tmp_path / "si.json"
         cfg.write_text(json.dumps(_SI_DOC))

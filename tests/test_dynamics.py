@@ -541,10 +541,13 @@ class TestPrescribed:
             integrate_prescribed("new", motion, st, params, table, 1.0)
 
 
-def _scipy_reference(monkeypatch, rhs, y0, t_end, rel_tol, abs_tol, grid=None, stop=None):
+def _scipy_reference(monkeypatch, rhs, y0, t_end, rel_tol, abs_tol, grid=None, event=None):
     """scipy's DOP853 driven on ``rhs`` the way ``_drive_solver`` runs: returns
-    (t, y, accepted steps, rejected attempts, nfev), counting every rk_step."""
+    (t, y, accepted steps, rejected attempts, nfev), counting every rk_step.
+    A step where ``event(y)`` reaches <= 0 ends the run at the crossing,
+    located by ``brentq`` on that step's dense output."""
     from scipy.integrate._ivp import rk
+    from scipy.optimize import brentq
 
     attempts = []
     rk_step = rk.rk_step
@@ -564,15 +567,20 @@ def _scipy_reference(monkeypatch, rhs, y0, t_end, rel_tol, abs_tol, grid=None, s
         solver.step()
         assert solver.status != "failed"
         steps += 1
-        if grid is None:
-            ts.append(solver.t)
-            ys.append(solver.y.copy())
-        elif pending and pending[0] <= solver.t:
+        dense, end = None, solver.t
+        crossed = event is not None and event(solver.y) <= 0
+        if crossed:
             dense = solver.dense_output()
-            while pending and pending[0] <= solver.t:
+            end = brentq(lambda t: event(dense(t)), solver.t_old, solver.t)
+        if grid is None:
+            ts.append(end)
+            ys.append(dense(end) if crossed else solver.y.copy())
+        elif pending and pending[0] <= end:
+            dense = dense or solver.dense_output()
+            while pending and pending[0] <= end:
                 ts.append(pending[0])
                 ys.append(dense(pending.pop(0)))
-        if stop is not None and stop(solver.y):
+        if crossed:
             break
     return np.array(ts), np.array(ys), steps, len(attempts) - steps, solver.nfev
 
@@ -623,7 +631,7 @@ class TestScipyReference:
         rhs = _rhs(_coupling("law", table8, params, None), "newton")
         y0 = np.concatenate([[st.q, st.qdot], st.Q, st.Qdot])
         ref = _scipy_reference(monkeypatch, rhs, y0, 50.0, 1e-8, 1e-10, grid,
-                               stop=lambda y: y[0] <= 0.9)
+                               event=lambda y: y[0] - 0.9)
         assert rec.floor_hit
         _assert_matches_reference(rec, ref, fields=False)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optomech import fock
+from optomech import _krylov, fock
 from optomech import hamiltonians as ham
 from optomech.config import SI_C, SI_HBAR
 from optomech.rates import CavityParams
@@ -481,3 +481,192 @@ class TestParitySectors:
 def test_coherent_state_normalization():
     vec = fock.coherent_state(40, 0.9)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+_OPTIONS = {"new_full": {"order": 2}, "law_full": {"order": 2}, "H4_special_eta": {"eta": 0.5}}
+
+
+def _every_variant(space, omega_c, phases):
+    p = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=omega_c, a_amp=1.0,
+                     b_amp=1.0, a_phase=phases[0], b_phase=phases[1], chi0=1.0, thickness=0.002)
+    variants = ham.VARIANTS if space.n_modes_opt == 1 else ("delta_relativistic",)
+    return {v: ham.build_hamiltonian(v, p, space, **_OPTIONS.get(v, {})) for v in variants}
+
+
+_POINTS = pytest.mark.parametrize("omega_c, phases", [
+    (2.3, (0.0, 0.0)), (1.0, (0.0, 0.0)), (2.3, (0.3, 0.785)), (1.0, (0.3, 0.785))])
+
+
+class TestTermList:
+    """An assembled operator keeps its (mechanical, optical) factors."""
+
+    def test_assembled_data_is_read_only(self, space16):
+        H = ham.build_hamiltonian("H012", TestParitySectors._params(), space16[0])
+        with pytest.raises(ValueError, match="read-only"):
+            H.data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            H.data[...] *= 2.0
+        for name, value in [("data", np.zeros_like(H.data)), ("terms", ()), ("scale", 2.0),
+                            ("space", H.space)]:
+            with pytest.raises(AttributeError, match=name):
+                setattr(H, name, value)
+        with pytest.raises(AttributeError, match="data"):
+            del H.data
+        fresh = fock.OperatorMatrix(H.space, terms=H.terms)
+        with pytest.raises(AttributeError, match="_support"):
+            fresh._support = None
+        assert np.array_equal(fresh.data, H.data)  # the cached fills still land
+
+    def test_build_fills_data_below_the_threshold_only(self, monkeypatch, space16):
+        assert "data" in ham.build_hamiltonian("H012", TestParitySectors._params(), space16[0]).__dict__
+        monkeypatch.setattr(fock, "KRYLOV_MIN_DIM", space16[0].dim)
+        H = ham.build_hamiltonian("H012", TestParitySectors._params(), space16[0])
+        assert "data" not in H.__dict__
+
+    @_POINTS
+    @pytest.mark.parametrize("shape", [(6, 7, 1), (5, 4, 2)])
+    def test_every_variant_matvec_matches_dense(self, omega_c, phases, shape):
+        space = fock.FockSpace(*shape[:2], n_modes_opt=shape[2])
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((space.dim, 3)) + 1j * rng.standard_normal((space.dim, 3))
+        for variant, H in _every_variant(space, omega_c, phases).items():
+            for x in (v, v[:, 0], v.real):
+                want = H.data @ x
+                got = H.matvec(x)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), variant
+
+    @_POINTS
+    def test_streamed_entry_stats_equal_the_dense_ones(self, omega_c, phases):
+        for variant, H in _every_variant(fock.FockSpace(6, 7), omega_c, phases).items():
+            peak, defect, finite = H._term_stats
+            data = H.data
+            assert peak == np.abs(data).max(), variant
+            assert defect == np.abs(data - data.conj().T).max() == H.hermiticity_defect()
+            assert finite
+            dagger = H.dagger()
+            assert "data" not in dagger.__dict__
+            assert np.array_equal(dagger.data, data.conj().T), variant
+
+    def test_non_finite_factor_entry_is_seen(self, space16):
+        H = ham.build_hamiltonian("new_full", TestParitySectors._params(), space16[0])
+        (mech, opt), *rest = H.terms
+        mech = mech.copy()
+        mech[3, 5] = np.inf
+        assert not fock.OperatorMatrix(H.space, terms=[(mech, opt), *rest])._entry_stats[2]
+
+
+class TestKrylovPath:
+    """``spectrum`` on the factors, with its dimension threshold lowered."""
+
+    @pytest.fixture(autouse=True)
+    def low_threshold(self, monkeypatch):
+        monkeypatch.setattr(fock, "KRYLOV_MIN_DIM", 1)
+
+    @staticmethod
+    def _record_lanczos(monkeypatch) -> list:
+        """Patch ``_krylov._lanczos`` to log (block, converged) per run."""
+        lanczos, runs = _krylov._lanczos, []
+
+        def recorded(apply, dim, k, block, *rest):
+            found = lanczos(apply, dim, k, block, *rest)
+            runs.append((block, found is not None))
+            return found
+
+        monkeypatch.setattr(_krylov, "_lanczos", recorded)
+        return runs
+
+    @staticmethod
+    def _dense(H):
+        return fock.spectrum(fock.OperatorMatrix(H.space, H.data), 8)
+
+    @_POINTS
+    @pytest.mark.parametrize("shape", [(28, 28, 1), (12, 8, 2)])
+    def test_every_variant_matches_dense_eigh(self, monkeypatch, omega_c, phases, shape):
+        # at 28 x 28 Lanczos converges in most sectors; a term list that is
+        # one product M (x) O is solved densely per sector without a Lanczos
+        # run: every one-term variant, the two-mode relativistic correction,
+        # and without a drive phase H4_special_eta, whose optical factors then
+        # coincide, and H4_bogoliubov_form, whose G4- term then vanishes
+        products = {"delta_relativistic"}
+        if phases[0] == 0.0:
+            products |= {"H4_special_eta", "H4_bogoliubov_form"}
+        runs = self._record_lanczos(monkeypatch)
+        space = fock.FockSpace(*shape[:2], n_modes_opt=shape[2])
+        for variant, H in _every_variant(space, omega_c, phases).items():
+            runs.clear()
+            got = fock.spectrum(H, 8)
+            assert "data" not in H.__dict__, variant
+            assert (runs == []) == (len(H.terms) == 1 or variant in products), variant
+            want = self._dense(H)
+            norm = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= 1e-13 * norm, variant
+
+    def test_sectors_from_the_factors_are_the_dense_ones(self):
+        space = fock.FockSpace(6, 7)
+        for variant, H in _every_variant(space, 2.3, (0.3, 0.785)).items():
+            n_opt = space.dim // space.n_mech
+            from_factors = sorted(
+                sorted(int(m * n_opt + n) for mi, ni in blocks for m in mi for n in ni)
+                for blocks in _krylov._term_sectors(H))
+            dense = sorted(sorted(np.unique(idx[0]).tolist()) for idx in fock._parity_sectors(H))
+            assert from_factors == dense, variant
+
+    def test_lanczos_converges_to_the_dense_levels(self):
+        H = _every_variant(fock.FockSpace(12, 12), 2.3, (0.0, 0.0))["new_full"]
+        rng = np.random.default_rng(0)
+        for blocks in _krylov._term_sectors(H):
+            dim, apply, dtype = _krylov._sector_operator(H, blocks)
+            want = np.linalg.eigvalsh(apply(np.eye(dim, dtype=dtype)).T)
+            vals, vecs, top = _krylov._lanczos(apply, dim, 8, 2, dtype, rng, dim)
+            assert np.abs(vals - want[:8]).max() <= 1e-13 * np.abs(want).max()
+            assert top <= np.abs(want).max()
+
+    def test_threefold_level_returns_every_copy(self, monkeypatch):
+        # at omega_m = omega_c the levels of H012 are hbar omega (m + n + 1):
+        # 1, 2, 2, 3, 3, 3, 4, 4, each sector holding up to two copies of one
+        runs = self._record_lanczos(monkeypatch)
+        p = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=1.0)
+        H = ham.build_hamiltonian("H012", p, fock.FockSpace(28, 28))
+        got = fock.spectrum(H, 8)
+        np.testing.assert_allclose(got, [1, 2, 2, 3, 3, 3, 4, 4], rtol=0, atol=1e-12)
+        assert (4, True) in runs  # a level found twice by a block of two was solved again
+
+    @pytest.mark.parametrize("cap", [40, 100])
+    def test_basis_cap_falls_back_to_the_dense_sector_solve(self, monkeypatch, cap):
+        # new_full at 20 x 20 needs more than half of each 200-wide sector;
+        # a cap of 100 is that half, which once raised ArithmeticError
+        monkeypatch.setattr(fock, "KRYLOV_MAX_BASIS", cap)
+        runs = self._record_lanczos(monkeypatch)
+        H = _every_variant(fock.FockSpace(20, 20), 2.3, (0.0, 0.0))["new_full"]
+        got = fock.spectrum(H, 8)
+        assert runs == [(2, False), (2, False)]
+        want = self._dense(H)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_large_k_solves_each_sector_densely(self, monkeypatch):
+        runs = self._record_lanczos(monkeypatch)
+        H = _every_variant(fock.FockSpace(20, 20), 2.3, (0.0, 0.0))["new_full"]
+        got = fock.spectrum(H, 60)  # the first check, 4 (60 + 2) vectors, passes half a sector
+        assert runs == [] and "data" not in H.__dict__
+        want = fock.spectrum(fock.OperatorMatrix(H.space, H.data), 60)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_unconverged_pairs_fail_verification(self, monkeypatch):
+        monkeypatch.setattr(_krylov, "_LANCZOS_RTOL", 1.0)  # accept the first check's pairs
+        H = _every_variant(fock.FockSpace(20, 20), 2.3, (0.0, 0.0))["new_full"]
+        with pytest.raises(ArithmeticError, match="eigenpair residual"):
+            fock.spectrum(H, 8)
+
+    def test_si_scale_off_hermitian_factor_rejected(self):
+        H = _si_new_full()
+        assert len(fock.spectrum(H, 8)) == 8
+        terms = list(H.terms)
+        i = max(range(len(terms)), key=lambda t: np.abs(terms[t][0]).max() * np.abs(terms[t][1]).max())
+        mech = terms[i][0].copy()
+        mech[0, 1] += 0.1 * np.abs(mech).max()
+        terms[i] = (mech, terms[i][1])
+        skewed = fock.OperatorMatrix(H.space, terms=terms)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock.spectrum(skewed, 8)
+        assert "data" not in skewed.__dict__

@@ -72,14 +72,15 @@ class TestStructure:
                 ham.build_hamiltonian(variant, P_WEAK, space, **options)
 
 
-def kron_sum(ops, terms):
+def kron_sum(ops, terms, scale=None):
     """Reference for ``ModeOperators.assemble``: the sum over terms of
-    np.kron(mechanical factor, nested np.kron of the optical factors)."""
+    np.kron(mechanical factor, nested np.kron of the optical factors), times
+    ``scale`` when given."""
     acc = np.zeros((ops.space.dim,) * 2, dtype=complex)
     for mech, *opt in terms:
         optical = functools.reduce(np.kron, [ops.opt.eye if f is None else f for f in opt])
         acc = acc + np.kron(ops.mech.eye if mech is None else mech, optical)
-    return fock.OperatorMatrix(ops.space, acc)
+    return fock.OperatorMatrix(ops.space, acc if scale is None else acc * scale)
 
 
 class TestAssembly:

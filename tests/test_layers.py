@@ -14,6 +14,7 @@ import optomech
 # layer -> the optomech modules a fresh import of it loads
 _CLOSURES = {
     "fock": {"fock"},
+    "_krylov": {"fock", "_krylov"},
     "coefficients": {"coefficients"},
     "config": {"config"},
     "_dop853": {"_dop853"},
