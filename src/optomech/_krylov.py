@@ -1,14 +1,19 @@
-"""Lanczos on the Kronecker factors: the Krylov path of ``fock.spectrum``.
+"""Davidson and Lanczos on the Kronecker factors: the Krylov path of
+``fock.spectrum``.
 
 A term list H = scale * sum_i M_i (x) O_i (``fock.OperatorMatrix``) is never
 formed as a D x D array here.  Its Z2 sectors are read off the factors
 (``_term_sectors``), H is applied to a block of sector vectors on the
-factors restricted to the sector (``_sector_operator``; C. F. Van Loan,
-J. Comput. Appl. Math. 123, 85 (2000)), and each sector's lowest levels are
-found by block Lanczos with full reorthogonalization (``_lanczos``;
-C. Lanczos, J. Res. Natl. Bur. Stand. 45, 255 (1950); G. H. Golub and
-R. Underwood (1977)), or by the dense ``eigh`` of the sector formed from
-its factors where that is the cheaper solve (``_sector_lowest``).
+factors restricted to the sector, whose diagonal is read off them too
+(``_sector_operator``; C. F. Van Loan, J. Comput. Appl. Math. 123, 85
+(2000)).  A sector whose diagonal dominates its low levels (``_dominant``),
+as the free part dominates the full builds, is solved by block Davidson with
+the diagonal preconditioner (``_davidson``; E. R. Davidson, J. Comput. Phys.
+17, 87 (1975)); any other, or one where Davidson runs out of budget, by
+block Lanczos with full reorthogonalization (``_lanczos``; C. Lanczos,
+J. Res. Natl. Bur. Stand. 45, 255 (1950); G. H. Golub and R. Underwood
+(1977)), or by the dense ``eigh`` of the sector formed from its factors
+where that is the cheaper solve (``_sector_lowest``).
 ``spectrum`` then applies the checks of the dense path at its tolerances.
 ``fock.spectrum`` imports this module on the first solve that takes the
 path, so a process that never does compiles none of it.
@@ -22,6 +27,7 @@ from . import fock
 
 _LANCZOS_RTOL = 1e-12  # Ritz residual at convergence, relative to max|theta|
 _CHECK_GROWTH = 1.25  # ratio of successive convergence-check basis sizes
+_DAVIDSON_BLOCKS = 4  # Davidson's basis, in blocks of k + 2, at which it restarts
 
 
 def _parity_moves(factor: np.ndarray, parity: np.ndarray) -> set[int]:
@@ -66,11 +72,13 @@ def _multiples(factors) -> bool:
 
 
 def _sector_operator(H: fock.OperatorMatrix, blocks: list[tuple[np.ndarray, np.ndarray]]):
-    """(dimension, apply, dtype) of H on one sector.  ``apply`` maps a
-    (p, d) array whose rows are sector vectors to their images: each block
-    pair (b, c) applies the factors restricted to it, M[b, c] X_c O[b, c]^T,
-    skipping restrictions that are zero.  The scale is folded into the
-    mechanical factors, and the factors are real when they all are."""
+    """(dimension, apply, dtype, diagonal) of H on one sector.  ``apply``
+    maps a (p, d) array whose rows are sector vectors to their images: each
+    block pair (b, c) applies the factors restricted to it,
+    M[b, c] X_c O[b, c]^T, skipping restrictions that are zero.  The scale is
+    folded into the mechanical factors, and the factors are real when they
+    all are.  The real diagonal is read off them, sum_i diag(M_i[b, b]) (x)
+    diag(O_i[b, b]) on each block b, in O(d)."""
     shapes = [(len(mi), len(ni)) for mi, ni in blocks]
     edges = np.cumsum([0] + [a * b for a, b in shapes])
     scale = 1.0 if H.scale is None else H.scale
@@ -93,7 +101,11 @@ def _sector_operator(H: fock.OperatorMatrix, blocks: list[tuple[np.ndarray, np.n
             outs[b] += ms @ ins[c] @ ot
         return np.concatenate([out.reshape(p, a * b) for out, (a, b) in zip(outs, shapes)], axis=1)
 
-    return int(edges[-1]), apply, dtype
+    diag = [np.zeros(shape) for shape in shapes]
+    for b, c, ms, ot in parts:
+        if b == c:
+            diag[b] += np.outer(ms.diagonal(), ot.diagonal()).real
+    return int(edges[-1]), apply, dtype, np.concatenate([d.ravel() for d in diag])
 
 
 def _random_rows(rng: np.random.Generator, shape: tuple[int, int], dtype) -> np.ndarray:
@@ -164,11 +176,72 @@ def _lanczos(apply, dim: int, k: int, block: int, dtype, rng: np.random.Generato
     return None
 
 
-def _sector_lowest(apply, dim: int, k: int, dtype, rng: np.random.Generator, lanczos: bool):
+def _dominant(apply, diag: np.ndarray, p: int, dtype):
+    """Davidson's start block, the p unit vectors at the lowest diagonal
+    entries (stable order), and its image, when the diagonal dominates the
+    low levels: max_i |H e_i - d_i e_i| below the mean spacing
+    (d_(p) - d_(0)) / p of the p + 1 lowest entries.  None otherwise."""
+    low = np.argsort(diag, kind="stable")[:p + 1]
+    E = np.zeros((p, len(diag)), dtype)
+    E[np.arange(p), low[:p]] = 1.0
+    HE = apply(E)
+    off = np.linalg.norm(HE - diag[low[:p], None] * E, axis=1).max()
+    return (E, HE) if off < (diag[low[p]] - diag[low[0]]) / p else None
+
+
+def _davidson(apply, diag: np.ndarray, k: int, E: np.ndarray, HE: np.ndarray,
+              rng: np.random.Generator, cap: int):
+    """Lowest k Ritz pairs by block Davidson with the diagonal (Jacobi)
+    preconditioner from the start block E and its image HE, or None if
+    converging would apply more than ``cap`` vectors in all.
+
+    Each iteration is a Rayleigh-Ritz step on the basis V, whose image HV is
+    kept, so each new vector costs one apply.  The correction of every
+    unconverged Ritz pair i of the block is r_i / (diag - theta_i), the
+    denominator floored at 1e-8 of the scale, orthogonalized twice against V
+    and then by ``_extend``; V restarts to the Ritz block when it would pass
+    ``_DAVIDSON_BLOCKS`` blocks.  Converged when the lowest k residuals are
+    within ``_LANCZOS_RTOL`` of the scale max(max|theta|, max|diag|), at most
+    max|lambda| since each diagonal entry of a Hermitian H lies within its
+    spectrum.  Returns the k values, their Ritz vectors as rows and the scale.
+    """
+    p = len(E)
+    V, HV = np.zeros((2, _DAVIDSON_BLOCKS * p, len(diag)), E.dtype)
+    V[:p], HV[:p] = E, HE
+    m = applied = p
+    peak = float(np.abs(diag).max())
+    while True:
+        theta, S = np.linalg.eigh(V[:m].conj() @ HV[:m].T)
+        top = max(float(np.abs(theta).max()), peak)
+        X, HX = S[:, :p].T @ V[:m], S[:, :p].T @ HV[:m]
+        R = HX - theta[:p, None] * X
+        res = np.linalg.norm(R, axis=1)
+        if res[:k].max() <= _LANCZOS_RTOL * top:
+            return theta[:k], X[:k], top
+        todo = np.flatnonzero(res > _LANCZOS_RTOL * top)
+        if applied + len(todo) > cap:
+            return None
+        if m + len(todo) > len(V):
+            V[:p], HV[:p], m = X, HX, p
+        den = diag - theta[todo, None]
+        W = R[todo] / np.where(np.abs(den) < 1e-8 * top, 1e-8 * top, den)
+        norms = np.linalg.norm(W, axis=1)
+        for _ in range(2):
+            W -= (W @ V[:m].conj().T) @ V[:m]
+        _extend(V, m, W, norms, rng)
+        HV[m:m + len(W)] = apply(V[m:m + len(W)])
+        m, applied = m + len(W), applied + len(W)
+
+
+def _sector_lowest(apply, diag: np.ndarray, k: int, dtype, rng: np.random.Generator,
+                   iterative: bool):
     """Lowest k values of one sector, their eigenvectors as rows and the
     norm estimate of ``spectrum``.
 
-    When ``lanczos`` is set, ``_lanczos`` runs from block size 2 and again
+    When ``iterative`` is set and ``_dominant`` finds the diagonal dominant,
+    ``_davidson`` runs from its start block of width k + 2, so a level may
+    repeat k times among the lowest k.  Otherwise, or when Davidson would
+    pass the cap below, ``_lanczos`` runs from block size 2 and again
     with twice the block while some level appears among the lowest k as
     often as the block is wide (levels within ``EIG_RESIDUAL_RTOL`` of
     max|theta| count as one), since a block of width b finds at most b
@@ -177,11 +250,16 @@ def _sector_lowest(apply, dim: int, k: int, dtype, rng: np.random.Generator, lan
     the dense ``eigh`` of the sector, formed by ``apply`` on the identity, is
     the cheaper solve (measured at dims 576 to 1600).  That dense solve runs
     when the basis reaches its cap, when the first convergence check would
-    not fit under the cap, and when ``lanczos`` is not set.
+    not fit under the cap, and when ``iterative`` is not set.
     """
+    dim = len(diag)
     cap = min(fock.KRYLOV_MAX_BASIS, dim // 2)
+    start = _dominant(apply, diag, k + 2, dtype) if iterative and 4 * (k + 2) <= cap else None
+    found = None if start is None else _davidson(apply, diag, k, *start, rng, cap)
+    if found is not None:
+        return found
     block = 2
-    while lanczos and 4 * (k + block) <= cap:
+    while iterative and 4 * (k + block) <= cap:
         found = _lanczos(apply, dim, k, block, dtype, rng, cap)
         if found is None:
             break
@@ -204,11 +282,11 @@ def spectrum(H: fock.OperatorMatrix, k: int) -> np.ndarray:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} at scale {peak:.3e})")
     rng = np.random.default_rng(0)
     mechs, opts = zip(*H.terms)
-    lanczos = not (_multiples(mechs) or _multiples(opts))
+    iterative = not (_multiples(mechs) or _multiples(opts))
     sectors = []
     for blocks in _term_sectors(H):
-        dim, apply, dtype = _sector_operator(H, blocks)
-        sectors.append((apply, *_sector_lowest(apply, dim, min(k, dim), dtype, rng, lanczos)))
+        dim, apply, dtype, diag = _sector_operator(H, blocks)
+        sectors.append((apply, *_sector_lowest(apply, diag, min(k, dim), dtype, rng, iterative)))
     norm = max(top for *_, top in sectors)
     lowest, returned = fock._merge_lowest([vals for _, vals, _, _ in sectors], k)
     for (apply, vals, vecs, _), m in zip(sectors, returned):

@@ -32,13 +32,15 @@ blocks of size D/2 cost about a quarter of one dense D x D solve.
 The Krylov path solves a term list of dimension ``KRYLOV_MIN_DIM`` or more
 for k levels without ever forming ``data``: the same labels are read off the
 factors (a factor's nonzeros keep or flip its mode's parity), each sector is
-solved by block Lanczos on the factored product, or densely from its own
-factors where that is the cheaper solve (``optomech._krylov``, loaded by the
-first solve on this path), and the hermiticity, residual and orthonormality
-checks are those of the dense path at the same tolerances.  At 32 x 32
-(dim 1024) an order-2 ``new_full`` solves in about 60 ms against about
-100 ms dense; at dim 900 both full builds are faster on the factors and at
-dim 784 they tie, measured on 2 cores.
+solved on the factored product, by block Davidson where its diagonal
+dominates its low levels and by block Lanczos elsewhere, or densely from its
+own factors where that is the cheaper solve (``optomech._krylov``, loaded by
+the first solve on this path), and the hermiticity, residual and
+orthonormality checks are those of the dense path at the same tolerances.
+At 32 x 32 (dim 1024) an order-2 ``new_full`` solves in about 8 ms by
+Davidson (about 50 ms by Lanczos) against about 100 ms dense; with Lanczos
+alone both full builds were faster on the factors at dim 900 and tied at
+dim 784, measured on 2 cores.
 
 ``displacement`` exponentiates the anti-Hermitian generator G of the optical
 displacement through the eigendecomposition of the Hermitian iG, so the
@@ -495,11 +497,13 @@ def spectrum(H: np.ndarray | OperatorMatrix, k: int | None = None) -> np.ndarray
     k given is solved on its factors and never forms ``data``
     (``optomech._krylov``).  Its hermiticity defect and scale are streamed
     exactly (``OperatorMatrix._entry_stats``) and checked as above; each
-    sector read off the factors is solved by block Lanczos (real when every
-    factor is) or, where that is the cheaper solve, densely from its factors,
-    and the returned pairs pass the same residual and orthonormality checks,
-    with residuals from the factored product and the norm taken as the largest
-    Ritz value magnitude over the sectors, which is at most max|lambda|.
+    sector read off the factors is solved by block Davidson where its diagonal
+    dominates, by block Lanczos elsewhere (real when every factor is) or,
+    where that is the cheaper solve, densely from its factors, and the
+    returned pairs pass the same residual and orthonormality checks, with
+    residuals from the factored product and the norm taken as the largest
+    sector scale: the largest Ritz value magnitude, joined on a Davidson
+    sector by the largest diagonal magnitude, both at most max|lambda|.
     """
     if k is not None and int(k) < 1:
         raise ValueError(f"k must be >= 1, got {k}")

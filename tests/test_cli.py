@@ -350,10 +350,15 @@ class TestHamiltonianAndSpectrum:
 
     def test_spectrum_past_the_lanczos_cap_writes_levels(self, tmp_path, monkeypatch):
         # a cap of half a sector once made this call exit 1 where the dense
-        # path solved it; the sector is now solved densely on the factors
+        # path solved it; the sector is now solved densely on the factors.
+        # At length 3, omega_c 2 the order-2 diagonal does not dominate, so
+        # Lanczos runs and reaches the cap
         monkeypatch.setattr(fock, "KRYLOV_MIN_DIM", 1)
         monkeypatch.setattr(fock, "KRYLOV_MAX_BASIS", 100)
-        argv = ["spectrum", "--variant", "new_full", "--n-mech", "20", "--n-opt", "20"]
+        cfg = tmp_path / "runaway.json"
+        cfg.write_text(json.dumps({"length": 3.0, "omega_c": 2.0}))
+        argv = ["spectrum", "--variant", "new_full", "--order", "2", "--n-mech", "20",
+                "--n-opt", "20", "--config", str(cfg)]
         assert run([*argv, "--out-dir", str(tmp_path / "krylov")]) == 0
         monkeypatch.setattr(fock, "KRYLOV_MIN_DIM", 10**9)
         assert run([*argv, "--out-dir", str(tmp_path / "dense")]) == 0

@@ -19,11 +19,11 @@ def space16():
     return fock.make_space(16, 16)
 
 
-def _si_new_full():
-    """``new_full`` at 8 x 8 for a 1 ug mirror in a 1 mm cavity, in SI units."""
+def _si_new_full(n: int = 8):
+    """``new_full`` at n x n for a 1 ug mirror in a 1 mm cavity, in SI units."""
     p = CavityParams(mass=1e-9, length=1e-3, omega_m=1e6, omega_c=1e15, c=SI_C, hbar=SI_HBAR,
                      a_amp=10.0, b_amp=1.0, b_phase=0.7)
-    return ham.build_hamiltonian("new_full", p, fock.make_space(8, 8)[0])
+    return ham.build_hamiltonian("new_full", p, fock.make_space(n, n)[0])
 
 
 class TestLadder:
@@ -493,6 +493,17 @@ def _every_variant(space, omega_c, phases):
     return {v: ham.build_hamiltonian(v, p, space, **_OPTIONS.get(v, {})) for v in variants}
 
 
+def _runaway(space, variant="new_full"):
+    """An order-2 full build at ``length`` 3, ``omega_c`` 2, where the lowest
+    ``new_full`` level falls without bound as the cutoff grows: the diagonal
+    of either build does not dominate."""
+    p = CavityParams(mass=1.0, length=3.0, omega_m=1.0, omega_c=2.0, a_amp=1.0, b_amp=1.0,
+                     chi0=1.0, thickness=0.002)
+    return ham.build_hamiltonian(variant, p, space, order=2)
+
+
+_DOMINANT = {"new_full", "law_full", "H012"}  # the variants whose diagonal dominates
+
 _POINTS = pytest.mark.parametrize("omega_c, phases", [
     (2.3, (0.0, 0.0)), (1.0, (0.0, 0.0)), (2.3, (0.3, 0.785)), (1.0, (0.3, 0.785))])
 
@@ -577,27 +588,45 @@ class TestKrylovPath:
         return runs
 
     @staticmethod
+    def _record_davidson(monkeypatch) -> list:
+        """Patch ``_krylov._davidson`` to log whether each run converged."""
+        davidson, runs = _krylov._davidson, []
+
+        def recorded(*args):
+            found = davidson(*args)
+            runs.append(found is not None)
+            return found
+
+        monkeypatch.setattr(_krylov, "_davidson", recorded)
+        return runs
+
+    @staticmethod
     def _dense(H):
         return fock.spectrum(fock.OperatorMatrix(H.space, H.data), 8)
 
     @_POINTS
     @pytest.mark.parametrize("shape", [(28, 28, 1), (12, 8, 2)])
     def test_every_variant_matches_dense_eigh(self, monkeypatch, omega_c, phases, shape):
-        # at 28 x 28 Lanczos converges in most sectors; a term list that is
-        # one product M (x) O is solved densely per sector without a Lanczos
-        # run: every one-term variant, the two-mode relativistic correction,
-        # and without a drive phase H4_special_eta, whose optical factors then
-        # coincide, and H4_bogoliubov_form, whose G4- term then vanishes
+        # at 28 x 28 the full builds and H012 converge by Davidson in every
+        # sector and the other term lists take Lanczos; a term list that is
+        # one product M (x) O is solved densely per sector with neither: every
+        # one-term variant, the two-mode relativistic correction, and without
+        # a drive phase H4_special_eta, whose optical factors then coincide,
+        # and H4_bogoliubov_form, whose G4- term then vanishes
         products = {"delta_relativistic"}
         if phases[0] == 0.0:
             products |= {"H4_special_eta", "H4_bogoliubov_form"}
         runs = self._record_lanczos(monkeypatch)
+        davidson = self._record_davidson(monkeypatch)
         space = fock.FockSpace(*shape[:2], n_modes_opt=shape[2])
         for variant, H in _every_variant(space, omega_c, phases).items():
             runs.clear()
+            davidson.clear()
             got = fock.spectrum(H, 8)
             assert "data" not in H.__dict__, variant
-            assert (runs == []) == (len(H.terms) == 1 or variant in products), variant
+            assert davidson == [True, True] if variant in _DOMINANT else davidson == [], variant
+            product = len(H.terms) == 1 or variant in products
+            assert (runs == []) == (product or variant in _DOMINANT), variant
             want = self._dense(H)
             norm = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() <= 1e-13 * norm, variant
@@ -616,47 +645,150 @@ class TestKrylovPath:
         H = _every_variant(fock.FockSpace(12, 12), 2.3, (0.0, 0.0))["new_full"]
         rng = np.random.default_rng(0)
         for blocks in _krylov._term_sectors(H):
-            dim, apply, dtype = _krylov._sector_operator(H, blocks)
+            dim, apply, dtype, _ = _krylov._sector_operator(H, blocks)
             want = np.linalg.eigvalsh(apply(np.eye(dim, dtype=dtype)).T)
             vals, vecs, top = _krylov._lanczos(apply, dim, 8, 2, dtype, rng, dim)
             assert np.abs(vals - want[:8]).max() <= 1e-13 * np.abs(want).max()
             assert top <= np.abs(want).max()
 
+    def test_diagonal_is_read_off_the_factors(self):
+        for variant, H in _every_variant(fock.FockSpace(6, 7), 1.0, (0.3, 0.785)).items():
+            for blocks in _krylov._term_sectors(H):
+                dim, apply, dtype, diag = _krylov._sector_operator(H, blocks)
+                want = apply(np.eye(dim, dtype=dtype)).diagonal().real
+                assert np.abs(diag - want).max() <= 1e-15 * np.abs(want).max(initial=1e-300), variant
+
+    @pytest.mark.parametrize("omega_c, phases", [
+        (2.3, (0.0, 0.0)), (1.0, (0.0, 0.0)), (2.3, (0.3, 0.785)), (1.0, (0.3, 0.785)), (None, None)])
+    def test_dominance_decision_per_variant(self, omega_c, phases):
+        # measured at 32 x 32: max |H e_i - d_i e_i| over the spacing is
+        # 0.08-0.18 for the full builds and 0 for H012, 3-5 for the runaway
+        # full builds and 8-35 for H4; the other lists have zero spacing
+        space = fock.FockSpace(32, 32)
+        if omega_c is None:
+            variants, dominant = {v: _runaway(space, v) for v in ("new_full", "law_full")}, set()
+        else:
+            variants, dominant = _every_variant(space, omega_c, phases), _DOMINANT
+        for variant, H in variants.items():
+            for blocks in _krylov._term_sectors(H):
+                dim, apply, dtype, diag = _krylov._sector_operator(H, blocks)
+                start = _krylov._dominant(apply, diag, 10, dtype)
+                assert (start is not None) == (variant in dominant), variant
+
+    @_POINTS
+    @pytest.mark.parametrize("n", [28, 32])
+    def test_davidson_converges_to_the_dense_levels(self, omega_c, phases, n):
+        # the diagonal preconditioner converges in 3-4 iterations: at most 45
+        # applied vectors, the start block's 10 included (32-41 measured,
+        # 37-49 with the bare residual as the correction)
+        builds = _every_variant(fock.FockSpace(n, n), omega_c, phases)
+        for variant in sorted(_DOMINANT):
+            H = builds[variant]
+            for blocks in _krylov._term_sectors(H):
+                dim, apply, dtype, diag = _krylov._sector_operator(H, blocks)
+                want = np.linalg.eigvalsh(apply(np.eye(dim, dtype=dtype)).T)
+                applied = []
+
+                def counted(X):
+                    applied.append(len(X))
+                    return apply(X)
+
+                vals, vecs, top = _krylov._davidson(counted, diag, 8, *_krylov._dominant(
+                    counted, diag, 10, dtype), np.random.default_rng(0), dim // 2)
+                assert np.abs(vals - want[:8]).max() <= 1e-13 * np.abs(want).max(), variant
+                assert top <= np.abs(want).max(), variant
+                assert sum(applied) <= 45, variant
+
+    def test_si_new_full_takes_the_mode_of_natural_units(self, monkeypatch):
+        # the same Hamiltonian in units of hbar omega_m: the dominance test
+        # compares two magnitudes of H, so no unit scale can change its mode
+        davidson = self._record_davidson(monkeypatch)
+        H = _si_new_full(20)
+        natural = fock.OperatorMatrix(H.space, terms=H.terms, scale=1.0 / (SI_HBAR * 1e6))
+        got, want = fock.spectrum(H, 8), fock.spectrum(natural, 8)
+        assert davidson == [True] * 4
+        assert np.abs(got / (SI_HBAR * 1e6) - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_threefold_level_returns_every_copy(self, monkeypatch):
-        # at omega_m = omega_c the levels of H012 are hbar omega (m + n + 1):
-        # 1, 2, 2, 3, 3, 3, 4, 4, each sector holding up to two copies of one
+        # A (x) 1 + 1 (x) A with A = n / 2 + x, a displaced oscillator of
+        # levels m / 2 - 1: 8 lowest levels -2, -1.5, -1.5, -1, -1, -1, -0.5,
+        # -0.5 in one sector; A's diagonal does not dominate, so Lanczos runs
         runs = self._record_lanczos(monkeypatch)
+        davidson = self._record_davidson(monkeypatch)
+        space, ops = fock.make_space(28, 28)
+        a = 0.5 * ops.mech.n + ops.mech.x
+        H = ops.assemble([(a, None), (None, a)])
+        got = fock.spectrum(H, 8)
+        np.testing.assert_allclose(got, [-2, -1.5, -1.5, -1, -1, -1, -0.5, -0.5], rtol=0, atol=1e-12)
+        assert davidson == []
+        assert (4, True) in runs  # a level found twice by a block of two was solved again
+
+    def test_h012_degenerate_levels_converge_on_the_start_block(self, monkeypatch):
+        # at omega_m = omega_c the levels of H012 are hbar omega (m + n + 1):
+        # 1, 2, 2, 3, 3, 3, 4, 4; its diagonal is its spectrum, so Davidson's
+        # start block holds every copy and no Lanczos run is needed
+        runs = self._record_lanczos(monkeypatch)
+        davidson = self._record_davidson(monkeypatch)
         p = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=1.0)
-        H = ham.build_hamiltonian("H012", p, fock.FockSpace(28, 28))
+        H = ham.build_hamiltonian("H012", p, fock.FockSpace(32, 32))
         got = fock.spectrum(H, 8)
         np.testing.assert_allclose(got, [1, 2, 2, 3, 3, 3, 4, 4], rtol=0, atol=1e-12)
-        assert (4, True) in runs  # a level found twice by a block of two was solved again
+        assert runs == [] and davidson == [True, True]
 
     @pytest.mark.parametrize("cap", [40, 100])
     def test_basis_cap_falls_back_to_the_dense_sector_solve(self, monkeypatch, cap):
-        # new_full at 20 x 20 needs more than half of each 200-wide sector;
-        # a cap of 100 is that half, which once raised ArithmeticError
+        # the runaway new_full at 20 x 20 needs more than half of each
+        # 200-wide sector; a cap of 100 is that half, which once raised
+        # ArithmeticError
         monkeypatch.setattr(fock, "KRYLOV_MAX_BASIS", cap)
         runs = self._record_lanczos(monkeypatch)
+        davidson = self._record_davidson(monkeypatch)
+        H = _runaway(fock.FockSpace(20, 20))
+        got = fock.spectrum(H, 8)
+        assert runs == [(2, False), (2, False)] and davidson == []
+        want = self._dense(H)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_davidson_budget_exhausted_takes_the_lanczos_route(self, monkeypatch):
+        monkeypatch.setattr(_krylov, "_LANCZOS_RTOL", 0.0)  # no pair converges
+        runs = self._record_lanczos(monkeypatch)
+        davidson = self._record_davidson(monkeypatch)
         H = _every_variant(fock.FockSpace(20, 20), 2.3, (0.0, 0.0))["new_full"]
         got = fock.spectrum(H, 8)
-        assert runs == [(2, False), (2, False)]
+        assert davidson == [False, False] and runs == [(2, False), (2, False)]
         want = self._dense(H)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_large_k_solves_each_sector_densely(self, monkeypatch):
         runs = self._record_lanczos(monkeypatch)
-        H = _every_variant(fock.FockSpace(20, 20), 2.3, (0.0, 0.0))["new_full"]
+        H = _runaway(fock.FockSpace(20, 20))
         got = fock.spectrum(H, 60)  # the first check, 4 (60 + 2) vectors, passes half a sector
         assert runs == [] and "data" not in H.__dict__
         want = fock.spectrum(fock.OperatorMatrix(H.space, H.data), 60)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_large_k_skips_davidson(self, monkeypatch):
+        runs = self._record_lanczos(monkeypatch)
+        davidson = self._record_davidson(monkeypatch)
+        H = _every_variant(fock.FockSpace(20, 20), 2.3, (0.0, 0.0))["new_full"]
+        got = fock.spectrum(H, 60)
+        assert runs == davidson == [] and "data" not in H.__dict__
+        want = fock.spectrum(fock.OperatorMatrix(H.space, H.data), 60)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_unconverged_pairs_fail_verification(self, monkeypatch):
         monkeypatch.setattr(_krylov, "_LANCZOS_RTOL", 1.0)  # accept the first check's pairs
+        H = _runaway(fock.FockSpace(20, 20))
+        with pytest.raises(ArithmeticError, match="eigenpair residual"):
+            fock.spectrum(H, 8)
+
+    def test_unconverged_davidson_pairs_fail_verification(self, monkeypatch):
+        monkeypatch.setattr(_krylov, "_LANCZOS_RTOL", 1.0)  # accept the start block's pairs
+        davidson = self._record_davidson(monkeypatch)
         H = _every_variant(fock.FockSpace(20, 20), 2.3, (0.0, 0.0))["new_full"]
         with pytest.raises(ArithmeticError, match="eigenpair residual"):
             fock.spectrum(H, 8)
+        assert davidson == [True, True]
 
     def test_si_scale_off_hermitian_factor_rejected(self):
         H = _si_new_full()
