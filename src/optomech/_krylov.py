@@ -4,10 +4,11 @@
 A term list H = scale * sum_i M_i (x) O_i (``fock.OperatorMatrix``) is never
 formed as a D x D array here.  Its Z2 sectors are read off the factors
 (``_term_sectors``), H is applied to a block of sector vectors on the
-factors restricted to the sector, whose diagonal is read off them too
-(``_sector_operator``; C. F. Van Loan, J. Comput. Appl. Math. 123, 85
-(2000)).  A sector whose diagonal dominates its low levels (``_dominant``),
-as the free part dominates the full builds, is solved by block Davidson with
+factors restricted to the sector, whose diagonal and Gershgorin radii are
+read off them too (``_sector_operator``; C. F. Van Loan, J. Comput. Appl.
+Math. 123, 85 (2000)).  A sector whose diagonal dominates its low levels,
+with a Gershgorin bound that certifies them (``_dominant``), as the free
+part dominates the full builds, is solved by block Davidson with
 the diagonal preconditioner (``_davidson``; E. R. Davidson, J. Comput. Phys.
 17, 87 (1975)); any other, or one where Davidson runs out of budget, by
 block Lanczos with full reorthogonalization (``_lanczos``; C. Lanczos,
@@ -20,6 +21,8 @@ path, so a process that never does compiles none of it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -72,13 +75,15 @@ def _multiples(factors) -> bool:
 
 
 def _sector_operator(H: fock.OperatorMatrix, blocks: list[tuple[np.ndarray, np.ndarray]]):
-    """(dimension, apply, dtype, diagonal) of H on one sector.  ``apply``
-    maps a (p, d) array whose rows are sector vectors to their images: each
-    block pair (b, c) applies the factors restricted to it,
+    """(dimension, apply, dtype, diagonal, radii) of H on one sector.
+    ``apply`` maps a (p, d) array whose rows are sector vectors to their
+    images: each block pair (b, c) applies the factors restricted to it,
     M[b, c] X_c O[b, c]^T, skipping restrictions that are zero.  The scale is
     folded into the mechanical factors, and the factors are real when they
     all are.  The real diagonal is read off them, sum_i diag(M_i[b, b]) (x)
-    diag(O_i[b, b]) on each block b, in O(d)."""
+    diag(O_i[b, b]) on each block b, and ``radii()`` each row's sum of
+    off-diagonal |H|, one (mechanical, optical) pair of diagonal offsets at a
+    time: H there is the sum of outer products of the factors' stripes."""
     shapes = [(len(mi), len(ni)) for mi, ni in blocks]
     edges = np.cumsum([0] + [a * b for a, b in shapes])
     scale = 1.0 if H.scale is None else H.scale
@@ -105,7 +110,34 @@ def _sector_operator(H: fock.OperatorMatrix, blocks: list[tuple[np.ndarray, np.n
     for b, c, ms, ot in parts:
         if b == c:
             diag[b] += np.outer(ms.diagonal(), ot.diagonal()).real
-    return int(edges[-1]), apply, dtype, np.concatenate([d.ravel() for d in diag])
+
+    def radii():
+        out = [np.zeros(shape) for shape in shapes]
+        for (b, c), group in itertools.groupby(parts, key=lambda part: part[:2]):
+            pairs = [(ms, ot.T) for *_, ms, ot in group]
+            dm, dn = (sorted(set().union(*(_offsets(pair[j]) for pair in pairs))) for j in (0, 1))
+            # entries[i, j, m, n]: H at row (m, n) of block b, offsets (dm[i], dn[j]) into block c
+            entries = sum(np.einsum("im,jn->ijmn", _stripes(ms, dm), _stripes(o, dn)) for ms, o in pairs)
+            if b == c and 0 in dm and 0 in dn:
+                entries[dm.index(0), dn.index(0)] = 0
+            out[b] += np.abs(entries).sum(axis=(0, 1))
+        return np.concatenate([x.ravel() for x in out])
+
+    return int(edges[-1]), apply, dtype, np.concatenate([x.ravel() for x in diag]), radii
+
+
+def _offsets(f: np.ndarray) -> set[int]:
+    rows, cols = np.nonzero(f)
+    return set((cols - rows).tolist())
+
+
+def _stripes(f: np.ndarray, offsets: list[int]) -> np.ndarray:
+    """Row i holds the diagonal of f at ``offsets[i]`` (column - row) over
+    f's rows, zero where that diagonal has no entry."""
+    rows = np.arange(len(f))
+    cols = rows + np.array(offsets)[:, None]
+    inside = (cols >= 0) & (cols < f.shape[1])
+    return np.where(inside, f[rows, np.clip(cols, 0, f.shape[1] - 1)], 0)
 
 
 def _random_rows(rng: np.random.Generator, shape: tuple[int, int], dtype) -> np.ndarray:
@@ -176,17 +208,30 @@ def _lanczos(apply, dim: int, k: int, block: int, dtype, rng: np.random.Generato
     return None
 
 
-def _dominant(apply, diag: np.ndarray, p: int, dtype):
-    """Davidson's start block, the p unit vectors at the lowest diagonal
-    entries (stable order), and its image, when the diagonal dominates the
-    low levels: max_i |H e_i - d_i e_i| below the mean spacing
-    (d_(p) - d_(0)) / p of the p + 1 lowest entries.  None otherwise."""
-    low = np.argsort(diag, kind="stable")[:p + 1]
+def _dominant(apply, diag: np.ndarray, radii, k: int, dtype):
+    """(E, HE, s, g_s) when the diagonal dominates the low levels, else None.
+
+    E holds the p = k + 2 unit vectors at the lowest diagonal entries
+    (stable order) and HE their images.  Dominant means max_i
+    |H e_i - d_i e_i| below the mean spacing (d_(p) - d_(0)) / p, and some
+    s in [k, p] whose s-th Ritz value on E lies below g_s, the least
+    d_j - radii()_j over the rows outside the s lowest.  By Gershgorin and
+    Cauchy interlacing at most s levels lie below g_s, and Ritz values only
+    fall as the basis grows, so s converged pairs are the s lowest levels; a
+    level made of high rows far below the low diagonal fails the bound.
+    """
+    p = k + 2
+    low = np.argsort(diag, kind="stable")
     E = np.zeros((p, len(diag)), dtype)
     E[np.arange(p), low[:p]] = 1.0
     HE = apply(E)
     off = np.linalg.norm(HE - diag[low[:p], None] * E, axis=1).max()
-    return (E, HE) if off < (diag[low[p]] - diag[low[0]]) / p else None
+    if not off < (diag[low[p]] - diag[low[0]]) / p:
+        return None
+    bound = np.minimum.accumulate((diag - radii())[low][::-1])[::-1]  # g_s at index s
+    theta = np.linalg.eigvalsh(E.conj() @ HE.T)
+    s = k + np.flatnonzero(theta[k - 1:] < bound[k:p + 1])
+    return (E, HE, s[0], bound[s[0]]) if len(s) else None
 
 
 def _davidson(apply, diag: np.ndarray, k: int, E: np.ndarray, HE: np.ndarray,
@@ -233,14 +278,15 @@ def _davidson(apply, diag: np.ndarray, k: int, E: np.ndarray, HE: np.ndarray,
         m, applied = m + len(W), applied + len(W)
 
 
-def _sector_lowest(apply, diag: np.ndarray, k: int, dtype, rng: np.random.Generator,
-                   iterative: bool):
+def _sector_lowest(apply, diag: np.ndarray, radii, k: int, dtype,
+                   rng: np.random.Generator, iterative: bool):
     """Lowest k values of one sector, their eigenvectors as rows and the
     norm estimate of ``spectrum``.
 
     When ``iterative`` is set and ``_dominant`` finds the diagonal dominant,
-    ``_davidson`` runs from its start block of width k + 2, so a level may
-    repeat k times among the lowest k.  Otherwise, or when Davidson would
+    ``_davidson`` converges its s pairs from the block of width k + 2 (a
+    level may repeat k times among the lowest k), kept if the s-th value plus
+    the residual bound stays below g_s.  Otherwise, or when Davidson would
     pass the cap below, ``_lanczos`` runs from block size 2 and again
     with twice the block while some level appears among the lowest k as
     often as the block is wide (levels within ``EIG_RESIDUAL_RTOL`` of
@@ -254,10 +300,12 @@ def _sector_lowest(apply, diag: np.ndarray, k: int, dtype, rng: np.random.Genera
     """
     dim = len(diag)
     cap = min(fock.KRYLOV_MAX_BASIS, dim // 2)
-    start = _dominant(apply, diag, k + 2, dtype) if iterative and 4 * (k + 2) <= cap else None
-    found = None if start is None else _davidson(apply, diag, k, *start, rng, cap)
-    if found is not None:
-        return found
+    start = _dominant(apply, diag, radii, k, dtype) if iterative and 4 * (k + 2) <= cap else None
+    if start is not None:
+        E, HE, s, bound = start
+        found = _davidson(apply, diag, s, E, HE, rng, cap)
+        if found is not None and found[0][-1] + np.sqrt(s) * _LANCZOS_RTOL * found[2] < bound:
+            return found[0][:k], found[1][:k], found[2]
     block = 2
     while iterative and 4 * (k + block) <= cap:
         found = _lanczos(apply, dim, k, block, dtype, rng, cap)
@@ -285,8 +333,9 @@ def spectrum(H: fock.OperatorMatrix, k: int) -> np.ndarray:
     iterative = not (_multiples(mechs) or _multiples(opts))
     sectors = []
     for blocks in _term_sectors(H):
-        dim, apply, dtype, diag = _sector_operator(H, blocks)
-        sectors.append((apply, *_sector_lowest(apply, diag, min(k, dim), dtype, rng, iterative)))
+        dim, apply, dtype, diag, radii = _sector_operator(H, blocks)
+        sectors.append((apply, *_sector_lowest(apply, diag, radii, min(k, dim), dtype, rng,
+                                               iterative)))
     norm = max(top for *_, top in sectors)
     lowest, returned = fock._merge_lowest([vals for _, vals, _, _ in sectors], k)
     for (apply, vals, vecs, _), m in zip(sectors, returned):

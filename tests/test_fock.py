@@ -645,18 +645,21 @@ class TestKrylovPath:
         H = _every_variant(fock.FockSpace(12, 12), 2.3, (0.0, 0.0))["new_full"]
         rng = np.random.default_rng(0)
         for blocks in _krylov._term_sectors(H):
-            dim, apply, dtype, _ = _krylov._sector_operator(H, blocks)
+            dim, apply, dtype, *_ = _krylov._sector_operator(H, blocks)
             want = np.linalg.eigvalsh(apply(np.eye(dim, dtype=dtype)).T)
             vals, vecs, top = _krylov._lanczos(apply, dim, 8, 2, dtype, rng, dim)
             assert np.abs(vals - want[:8]).max() <= 1e-13 * np.abs(want).max()
             assert top <= np.abs(want).max()
 
-    def test_diagonal_is_read_off_the_factors(self):
+    def test_diagonal_and_radii_are_read_off_the_factors(self):
         for variant, H in _every_variant(fock.FockSpace(6, 7), 1.0, (0.3, 0.785)).items():
             for blocks in _krylov._term_sectors(H):
-                dim, apply, dtype, diag = _krylov._sector_operator(H, blocks)
-                want = apply(np.eye(dim, dtype=dtype)).diagonal().real
+                dim, apply, dtype, diag, radii = _krylov._sector_operator(H, blocks)
+                dense = apply(np.eye(dim, dtype=dtype)).T
+                want = dense.diagonal().real
                 assert np.abs(diag - want).max() <= 1e-15 * np.abs(want).max(initial=1e-300), variant
+                off = np.abs(dense).sum(axis=1) - np.abs(dense.diagonal())
+                assert np.abs(radii() - off).max() <= 1e-14 * np.abs(dense).max(), variant
 
     @pytest.mark.parametrize("omega_c, phases", [
         (2.3, (0.0, 0.0)), (1.0, (0.0, 0.0)), (2.3, (0.3, 0.785)), (1.0, (0.3, 0.785)), (None, None)])
@@ -671,21 +674,21 @@ class TestKrylovPath:
             variants, dominant = _every_variant(space, omega_c, phases), _DOMINANT
         for variant, H in variants.items():
             for blocks in _krylov._term_sectors(H):
-                dim, apply, dtype, diag = _krylov._sector_operator(H, blocks)
-                start = _krylov._dominant(apply, diag, 10, dtype)
+                dim, apply, dtype, diag, radii = _krylov._sector_operator(H, blocks)
+                start = _krylov._dominant(apply, diag, radii, 8, dtype)
                 assert (start is not None) == (variant in dominant), variant
 
     @_POINTS
     @pytest.mark.parametrize("n", [28, 32])
     def test_davidson_converges_to_the_dense_levels(self, omega_c, phases, n):
         # the diagonal preconditioner converges in 3-4 iterations: at most 45
-        # applied vectors, the start block's 10 included (32-41 measured,
+        # applied vectors, the start block's 10 included (32-42 measured,
         # 37-49 with the bare residual as the correction)
         builds = _every_variant(fock.FockSpace(n, n), omega_c, phases)
         for variant in sorted(_DOMINANT):
             H = builds[variant]
             for blocks in _krylov._term_sectors(H):
-                dim, apply, dtype, diag = _krylov._sector_operator(H, blocks)
+                dim, apply, dtype, diag, radii = _krylov._sector_operator(H, blocks)
                 want = np.linalg.eigvalsh(apply(np.eye(dim, dtype=dtype)).T)
                 applied = []
 
@@ -693,11 +696,38 @@ class TestKrylovPath:
                     applied.append(len(X))
                     return apply(X)
 
-                vals, vecs, top = _krylov._davidson(counted, diag, 8, *_krylov._dominant(
-                    counted, diag, 10, dtype), np.random.default_rng(0), dim // 2)
-                assert np.abs(vals - want[:8]).max() <= 1e-13 * np.abs(want).max(), variant
+                E, HE, s, bound = _krylov._dominant(counted, diag, radii, 8, dtype)
+                vals, vecs, top = _krylov._davidson(counted, diag, s, E, HE,
+                                                    np.random.default_rng(0), dim // 2)
+                assert np.abs(vals - want[:s]).max() <= 1e-13 * np.abs(want).max(), variant
+                assert vals[-1] < bound <= want[s], variant
                 assert top <= np.abs(want).max(), variant
                 assert sum(applied) <= 45, variant
+
+    def test_bound_refuses_davidson_where_a_level_runs_away(self, monkeypatch):
+        # at 48 x 48, length 8 and omega_m = omega_c the order-2 new_full
+        # has a level near -5.6 made of high Fock states; in the sector of
+        # even m the start rows pass the spacing test, and Davidson from them
+        # would return 1.0003 as the lowest level, but the Gershgorin bound
+        # of the other rows refuses the sector, so Lanczos runs and finds it
+        davidson = self._record_davidson(monkeypatch)
+        p = CavityParams(mass=1.0, length=8.0, omega_m=1.0, omega_c=1.0, a_amp=1.0, b_amp=1.0,
+                         chi0=1.0, thickness=0.002)
+        H = ham.build_hamiltonian("new_full", p, fock.FockSpace(48, 48), order=2)
+        got = fock.spectrum(H, 8)
+        want, spaced = [], []
+        for blocks in _krylov._term_sectors(H):
+            dim, apply, dtype, diag, radii = _krylov._sector_operator(H, blocks)
+            low = np.argsort(diag, kind="stable")
+            E = np.zeros((10, dim), dtype)
+            E[np.arange(10), low[:10]] = 1.0
+            off = np.linalg.norm(apply(E) - diag[low[:10], None] * E, axis=1).max()
+            spaced.append(off < (diag[low[10]] - diag[low[0]]) / 10)
+            assert _krylov._dominant(apply, diag, radii, 8, dtype) is None
+            want.extend(np.linalg.eigvalsh(apply(np.eye(dim, dtype=dtype)).T))
+        want = np.sort(want)
+        assert spaced == [True, False] and davidson == [] and got[0] < -5.5
+        assert np.abs(got - want[:8]).max() <= 1e-13 * np.abs(want).max()
 
     def test_si_new_full_takes_the_mode_of_natural_units(self, monkeypatch):
         # the same Hamiltonian in units of hbar omega_m: the dominance test
