@@ -16,31 +16,26 @@ lifted on first use.  Ladder truncation corrupts the top levels, so operator
 identities are asserted on the "interior block" that excludes the top
 levels of each subsystem; helpers for that projection live here.
 
-``spectrum`` has two paths.  The dense path solves an ``OperatorMatrix``
-one Z2 parity sector at a time.  Every basis state is labelled by its
-mechanical parity (-1)^m, its optical parity (-1)^(n_1 + ... + n_modes) and
-their product; the first label for which both off-blocks H[even, odd] and
-H[odd, even] are exactly zero splits H into two diagonal blocks.  The split
-is detected from the entries, never declared by a builder, and a bare array
-or an H that no label splits is solved as one block.  Each block is checked
-for hermiticity, then solved with the real symmetric eigensolver when the
-imaginary part of H is exactly zero (every variant without drive phases)
-and with the complex Hermitian solver otherwise; the eigenpair residuals and
-orthonormality are checked on the returned pairs of each block only.  Two
-blocks of size D/2 cost about a quarter of one dense D x D solve.
-
-The Krylov path solves a term list of dimension ``KRYLOV_MIN_DIM`` or more
-for k levels without ever forming ``data``: the same labels are read off the
-factors (a factor's nonzeros keep or flip its mode's parity), each sector is
-solved on the factored product, by block Davidson where its diagonal
-dominates its low levels and by block Lanczos elsewhere, or densely from its
-own factors where that is the cheaper solve (``optomech._krylov``, loaded by
-the first solve on this path), and the hermiticity, residual and
-orthonormality checks are those of the dense path at the same tolerances.
-At 32 x 32 (dim 1024) an order-2 ``new_full`` solves in about 8 ms by
-Davidson (about 50 ms by Lanczos) against about 100 ms dense; with Lanczos
-alone both full builds were faster on the factors at dim 900 and tied at
-dim 784, measured on 2 cores.
+``spectrum`` solves a Hermitian operator one Z2 parity sector at a time.
+Every basis state is labelled by its mechanical parity (-1)^m, its optical
+parity (-1)^(n_1 + ... + n_modes) and their product.  The sectors of a term
+list are read off its factors, never declared by a builder: a factor's
+nonzeros keep or flip its mode's parity, and the first label that every
+term keeps splits H into two sectors.  A term list that no label splits, a
+bare array and an ``OperatorMatrix`` made from an array are one sector.  H
+is applied to a sector on the factors restricted to it, and the sector is
+solved by the ``eigh`` of its matrix formed from them (real when every
+factor is), so ``data`` of a term list is never filled.  From dimension
+``KRYLOV_MIN_DIM`` up a sector may instead converge its k lowest levels by
+block Davidson where its diagonal dominates them or by block Lanczos
+elsewhere (``optomech._krylov``, loaded by the first sector that goes
+iterative).  The hermiticity defect and scale are streamed off the factors,
+and the eigenpair residuals and orthonormality are checked on the returned
+pairs of each sector.  Two sectors of size D/2 cost about a quarter of one
+D x D solve.  At 32 x 32 (dim 1024) an order-2 ``new_full`` solves in about
+8 ms by Davidson (about 50 ms by Lanczos) against about 100 ms by the eigh of
+its sectors; with Lanczos alone both full builds were faster iteratively at
+dim 900 and tied at dim 784, measured on 2 cores.
 
 ``displacement`` exponentiates the anti-Hermitian generator G of the optical
 displacement through the eigendecomposition of the Hermitian iG, so the
@@ -88,8 +83,8 @@ __all__ = [
 HERMITICITY_RTOL = 1e-10
 EIG_RESIDUAL_RTOL = 1e-9
 MAX_WORD_LENGTH = 8
-# spectrum's Krylov path: the smallest dimension it takes, and the most basis
-# vectors one sector's Lanczos run may hold before the sector is solved densely
+# the smallest dimension at which spectrum may solve a sector iteratively, and
+# the most vectors one sector's Davidson or Lanczos run may apply
 KRYLOV_MIN_DIM = 900
 KRYLOV_MAX_BASIS = 2048
 _CHUNK = 16  # optical entries whose mechanical slices a term list forms at once
@@ -434,24 +429,136 @@ def commutator(
     return data
 
 
-def _parity_sectors(H: np.ndarray | OperatorMatrix) -> list[tuple]:
-    """Index tuples of the diagonal blocks of the Z2 parity sectors that H
-    does not connect.
+def _parity_moves(factor: np.ndarray, parity: np.ndarray) -> set[int]:
+    """The parity changes of a factor's nonzero entries: 0 keeps the parity
+    of its mode, 1 flips it."""
+    rows, cols = np.nonzero(factor)
+    return set((parity[rows] ^ parity[cols]).tolist())
 
-    Each basis state is labelled by its mechanical parity (-1)^m, its optical
-    parity (-1)^(n_1 + ... + n_modes) and their product; the first label whose
-    two off-blocks H[even, odd] and H[odd, even] are both exactly zero gives
-    the sectors.  A bare array, or an H that no label splits, is one sector.
+
+def _term_sectors(H: OperatorMatrix) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """The Z2 sectors of a term list, read off its factors: the mechanical,
+    the optical, then the product label splits H when every term keeps it.
+    Each sector is a list of (mechanical indices, optical indices) blocks,
+    the product-label sectors two blocks each; a term list that no label
+    splits is one sector."""
+    space = H.space
+    pm = np.arange(space.n_mech) % 2
+    po = np.indices(space.shape[1:]).reshape(space.n_modes_opt, -1).sum(axis=0) % 2
+    moves = [(_parity_moves(m, pm), _parity_moves(o, po)) for m, o in H.terms]
+    every_m, every_o = np.arange(len(pm)), np.arange(len(po))
+    if all(mm <= {0} for mm, _ in moves):
+        return [[(np.flatnonzero(pm == s), every_o)] for s in (0, 1)]
+    if all(mo <= {0} for _, mo in moves):
+        return [[(every_m, np.flatnonzero(po == s))] for s in (0, 1)]
+    if all(len(mm | mo) <= 1 or not (mm and mo) for mm, mo in moves):
+        return [[(np.flatnonzero(pm == 0), np.flatnonzero(po == s)),
+                 (np.flatnonzero(pm == 1), np.flatnonzero(po != s))] for s in (0, 1)]
+    return [[(every_m, every_o)]]
+
+
+def _multiples(factors) -> bool:
+    """Whether every factor is a multiple of the largest one, so that the
+    term list is one product M (x) O: |<f0, f>|^2 >= (1 - 1e-12) |f0|^2 |f|^2,
+    Cauchy-Schwarz with equality.  The levels of one product, the products
+    of its two factors' levels, crowd and repeat: at 32 x 32 Lanczos lost to
+    the dense sector solve on three of the five one-term variants and on the
+    two-mode relativistic correction.  The choice of solver is all this
+    decides."""
+    norms = [np.vdot(f, f).real for f in factors]
+    f0, n0 = max(zip(factors, norms), key=lambda pair: pair[1])
+    return all(abs(np.vdot(f0, f)) ** 2 >= (1 - 1e-12) * n0 * n for f, n in zip(factors, norms))
+
+
+def _sector_operator(H: OperatorMatrix, blocks: list[tuple[np.ndarray, np.ndarray]]):
+    """(dimension, apply, dtype, diagonal, radii) of H on one sector.
+    ``apply`` maps a (p, d) array whose rows are sector vectors to their
+    images: each block pair (b, c) applies the factors restricted to it,
+    M[b, c] X_c O[b, c]^T, skipping restrictions that are zero.  The scale is
+    folded into the mechanical factors, and the factors are real when they
+    all are.  The real diagonal is read off them, sum_i diag(M_i[b, b]) (x)
+    diag(O_i[b, b]) on each block b, and ``radii()`` each row's sum of
+    off-diagonal |H|, one (mechanical, optical) pair of diagonal offsets at a
+    time: H there is the sum of outer products of the factors' stripes."""
+    shapes = [(len(mi), len(ni)) for mi, ni in blocks]
+    edges = np.cumsum([0] + [a * b for a, b in shapes])
+    scale = 1.0 if H.scale is None else H.scale
+    parts = []
+    for b, (mb, nb) in enumerate(blocks):
+        for c, (mc, nc) in enumerate(blocks):
+            for m, o in H.terms:
+                m_bc, o_bc = scale * m[np.ix_(mb, mc)], o[np.ix_(nb, nc)]
+                if m_bc.any() and o_bc.any():
+                    parts.append((b, c, m_bc, o_bc.T.copy()))
+    dtype = complex if any(ms.imag.any() or ot.imag.any() for *_, ms, ot in parts) else float
+    if dtype is float:
+        parts = [(b, c, ms.real.copy(), ot.real.copy()) for b, c, ms, ot in parts]
+
+    def apply(X):
+        p = len(X)
+        ins = [X[:, lo:hi].reshape(p, *shape) for lo, hi, shape in zip(edges, edges[1:], shapes)]
+        outs = [np.zeros((p, *shape), dtype) for shape in shapes]
+        for b, c, ms, ot in parts:
+            outs[b] += ms @ ins[c] @ ot
+        return np.concatenate([out.reshape(p, a * b) for out, (a, b) in zip(outs, shapes)], axis=1)
+
+    diag = [np.zeros(shape) for shape in shapes]
+    for b, c, ms, ot in parts:
+        if b == c:
+            diag[b] += np.outer(ms.diagonal(), ot.diagonal()).real
+
+    def radii():
+        out = [np.zeros(shape) for shape in shapes]
+        for (b, c), group in itertools.groupby(parts, key=lambda part: part[:2]):
+            pairs = [(ms, ot.T) for *_, ms, ot in group]
+            dm, dn = (sorted(set().union(*(_offsets(pair[j]) for pair in pairs))) for j in (0, 1))
+            # entries[i, j, m, n]: H at row (m, n) of block b, offsets (dm[i], dn[j]) into block c
+            entries = sum(np.einsum("im,jn->ijmn", _stripes(ms, dm), _stripes(o, dn)) for ms, o in pairs)
+            if b == c and 0 in dm and 0 in dn:
+                entries[dm.index(0), dn.index(0)] = 0
+            out[b] += np.abs(entries).sum(axis=(0, 1))
+        return np.concatenate([x.ravel() for x in out])
+
+    return int(edges[-1]), apply, dtype, np.concatenate([x.ravel() for x in diag]), radii
+
+
+def _offsets(f: np.ndarray) -> set[int]:
+    rows, cols = np.nonzero(f)
+    return set((cols - rows).tolist())
+
+
+def _stripes(f: np.ndarray, offsets: list[int]) -> np.ndarray:
+    """Row i holds the diagonal of f at ``offsets[i]`` (column - row) over
+    f's rows, zero where that diagonal has no entry."""
+    rows = np.arange(len(f))
+    cols = rows + np.array(offsets)[:, None]
+    inside = (cols >= 0) & (cols < f.shape[1])
+    return np.where(inside, f[rows, np.clip(cols, 0, f.shape[1] - 1)], 0)
+
+
+def _sector_lowest(dim: int, apply, dtype, diag, radii, k: int, iterative: bool):
+    """Lowest k values of one sector, their eigenvectors as rows and the
+    sector's scale for the residual check.
+
+    When ``iterative`` is set and the first convergence check, 4 (k + 2)
+    vectors, fits in half the sector and in ``KRYLOV_MAX_BASIS``,
+    ``_krylov.lowest`` tries Davidson and Lanczos under that cap; past half
+    the sector the dense solve is the cheaper one (measured at dims 576 to
+    1600).  Otherwise, or when neither converges, the sector's matrix is
+    formed by ``apply`` on the identity, symmetrized as 0.5 (h + h^dag) and
+    solved by ``eigh``; its scale is then its largest eigenvalue magnitude.
     """
-    if not isinstance(H, OperatorMatrix):
-        return [(slice(None), slice(None))]
-    levels = np.indices(H.space.shape).reshape(len(H.space.shape), -1)
-    mech, opt = levels[0] % 2, levels[1:].sum(axis=0) % 2
-    for label in (mech, opt, mech ^ opt):
-        even, odd = np.flatnonzero(label == 0), np.flatnonzero(label == 1)
-        if not (H.data[np.ix_(even, odd)].any() or H.data[np.ix_(odd, even)].any()):
-            return [np.ix_(even, even), np.ix_(odd, odd)]
-    return [(slice(None), slice(None))]
+    cap = min(KRYLOV_MAX_BASIS, dim // 2)
+    if iterative and 4 * (k + 2) <= cap:
+        from . import _krylov  # loaded by the first sector that goes iterative
+
+        found = _krylov.lowest(apply, diag, radii, k, dtype, cap)
+        if found is not None:
+            return found
+    h = apply(np.eye(dim, dtype=dtype)).T
+    h = 0.5 * (h + h.conj().T)  # rebound: the unsymmetrized copy is freed before eigh
+    vals, vecs = np.linalg.eigh(h)
+    return vals[:k], vecs[:, :k].T, float(np.abs(vals).max())
 
 
 def _merge_lowest(values: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -479,55 +586,50 @@ def spectrum(H: np.ndarray | OperatorMatrix, k: int | None = None) -> np.ndarray
     """Lowest k eigenvalues (ascending) of a Hermitian operator; all of them
     when k is None or exceeds the dimension.
 
-    Dense path: an ``OperatorMatrix`` is solved one conserved Z2 parity
-    sector at a time (see ``_parity_sectors``); a bare array is one block.
-    Input whose hermiticity defect exceeds 1e-10 relative to the largest entry
-    (no floor, so the check holds at any unit scale) is rejected; defect and
-    scale are maxima over the blocks, equal to those of the full matrix since
-    both off-blocks are exactly zero.  Blocks of an H with imaginary part
-    exactly zero go to the real symmetric eigensolver, others to the complex
-    Hermitian one.  The returned pairs of each block are then verified: each
-    eigenpair residual within 1e-9 of the largest eigenvalue magnitude over
-    all blocks (again no floor), and the eigenvectors orthonormal to 1e-9.
-    Two blocks of size D/2 cost about a quarter of one D x D solve; verifying
-    m pairs of a block of size b costs O(b^2 m), two b^3 products when k is
-    None.
-
-    Krylov path: a term list of dimension at least ``KRYLOV_MIN_DIM`` with
-    k given is solved on its factors and never forms ``data``
-    (``optomech._krylov``).  Its hermiticity defect and scale are streamed
-    exactly (``OperatorMatrix._entry_stats``) and checked as above; each
-    sector read off the factors is solved by block Davidson where its diagonal
-    dominates, by block Lanczos elsewhere (real when every factor is) or,
-    where that is the cheaper solve, densely from its factors, and the
-    returned pairs pass the same residual and orthonormality checks, with
-    residuals from the factored product and the norm taken as the largest
-    sector scale: the largest Ritz value magnitude, joined on a Davidson
-    sector by the largest diagonal magnitude, both at most max|lambda|.
+    A term list is solved one Z2 parity sector of ``_term_sectors`` at a
+    time on its factors (``_sector_operator``), so its ``data`` is never
+    filled; its hermiticity defect, largest entry and finiteness are
+    streamed exactly (``OperatorMatrix._entry_stats``).  A bare array or an
+    ``OperatorMatrix`` made from an array is one sector, real when its
+    imaginary part is exactly zero.  Input with a non-finite entry, or whose
+    hermiticity defect exceeds 1e-10 relative to the largest entry (no
+    floor, so the check holds at any unit scale), is rejected.  Each sector
+    is solved by ``_sector_lowest``: by the real symmetric or complex
+    Hermitian ``eigh`` of the sector formed from its factors, or, for a term
+    list of dimension ``KRYLOV_MIN_DIM`` or more that is not one product
+    M (x) O (``_multiples``), by block Davidson where the sector's diagonal
+    dominates its low levels and by block Lanczos elsewhere.  The returned
+    pairs of each sector are then verified: each residual, from the sector's
+    apply, within 1e-9 of the largest sector scale (no floor), which is at
+    most max|lambda|, and the eigenvectors orthonormal to 1e-9.  Two sectors
+    of size D/2 cost about a quarter of one D x D solve; verifying m pairs
+    of a sector of size b costs O(b^2 m) at most.
     """
     if k is not None and int(k) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if (isinstance(H, OperatorMatrix) and H.terms and k is not None
-            and H.space.dim >= KRYLOV_MIN_DIM):
-        from . import _krylov  # loaded by the first solve that takes this path
-
-        return _krylov.spectrum(H, int(k))
-    data = _as_data(H)
-    n = len(data) if k is None else min(int(k), len(data))
-    if not data.imag.any():
-        data = data.real
-    blocks = [np.ascontiguousarray(data[idx]) for idx in _parity_sectors(H)]
-    scale = max(float(np.abs(b).max()) for b in blocks)
-    defect = max(float(np.abs(b - b.conj().T).max()) for b in blocks)
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} at scale {scale:.3e})")
-    herms = [0.5 * (b + b.conj().T) for b in blocks]
-    del blocks  # a one-block real H would otherwise hold a second D x D copy through eigh
-    solved = [np.linalg.eigh(h) for h in herms]
-    norm = max(float(np.abs(vals).max()) for vals, _ in solved)
-    lowest, returned = _merge_lowest([vals for vals, _ in solved], n)
-    for h, (vals, vecs), m in zip(herms, solved, returned):
-        _verify_pairs((h @ vecs[:, :m]).T, vals[:m], vecs[:, :m].T, norm)
+    if isinstance(H, OperatorMatrix) and H.terms:
+        peak, defect, finite = H._entry_stats
+        mechs, opts = zip(*H.terms)
+        iterative = H.space.dim >= KRYLOV_MIN_DIM and not (_multiples(mechs) or _multiples(opts))
+        sectors = [_sector_operator(H, blocks) for blocks in _term_sectors(H)]
+    else:
+        data = _as_data(H)
+        if not data.imag.any():
+            data = data.real
+        peak, defect = float(np.abs(data).max()), float(np.abs(data - data.conj().T).max())
+        finite, iterative = bool(np.isfinite(data).all()), False
+        sectors = [(len(data), lambda X: X @ data.T, data.dtype, None, None)]
+    if not finite:
+        raise ValueError("matrix has a non-finite entry")
+    if defect > HERMITICITY_RTOL * peak:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} at scale {peak:.3e})")
+    dim = sum(sector[0] for sector in sectors)
+    n = dim if k is None else min(int(k), dim)
+    solved = [_sector_lowest(*sector, min(n, sector[0]), iterative) for sector in sectors]
+    norm = max(top for *_, top in solved)
+    lowest, returned = _merge_lowest([vals for vals, _, _ in solved], n)
+    for (_, apply, *_), (vals, vecs, _), m in zip(sectors, solved, returned):
+        _verify_pairs(apply(vecs[:m]), vals[:m], vecs[:m], norm)
     return lowest
 
 

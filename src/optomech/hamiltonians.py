@@ -37,10 +37,8 @@ variant but the relativistic correction, whose terms list one factor per
 mode, is refused on a space with more than one optical mode.  ``h5`` alone
 passes a ``scale``, hbar gamma, that multiplies the summed bracket, so that
 each entry rounds as hbar gamma (A - B).  ``build_hamiltonian`` refuses a
-non-finite entry.  Below ``fock.KRYLOV_MIN_DIM``, where every reader of the
-operator fills the dense matrix, it fills it once and checks it; at or above
-it, it streams the term list's slices, as exact as a check of the dense
-matrix and without forming it.
+non-finite entry: it streams the term list's slices, as exact as a check of
+the dense matrix and without forming it, at every dimension.
 
 ``BUILDERS`` maps each variant name to its builder and is the one variant
 dispatch; ``VARIANTS`` lists its names in table order.  A builder's keyword
@@ -55,7 +53,6 @@ import cmath
 
 import numpy as np
 
-from . import fock
 from .fock import (
     FockSpace,
     ModeOperators,
@@ -434,10 +431,7 @@ def build_hamiltonian(
     try:
         with np.errstate(all="ignore"):
             H = builder(params, mode_operators(space), **options)
-            # below the Krylov threshold every reader fills ``data``, so it is
-            # filled once here and checked; above it the entries are streamed
-            finite = (bool(np.isfinite(H.data).all()) if space.dim < fock.KRYLOV_MIN_DIM
-                      else H._entry_stats[2])
+            finite = H._entry_stats[2]
     except (ArithmeticError, ValueError) as exc:
         kind = ArithmeticError if isinstance(exc, ArithmeticError) else ValueError
         raise kind(f"the {variant} Hamiltonian cannot be built: {exc}") from exc

@@ -338,7 +338,7 @@ class TestSpectrum:
             if H.imag.any():
                 complex_built.append(variant)
             # every variant conserves one Z2 parity, so the operator splits
-            assert len(fock._parity_sectors(op)) == 2, variant
+            assert len(fock._term_sectors(op)) == 2, variant
             want = np.linalg.eigh(0.5 * (H + H.conj().T))[0]
             norm = max(1.0, np.abs(want).max())
             for arg in (H, op):  # one block; parity sectors
@@ -388,8 +388,8 @@ class TestSpectrum:
 
 
 class TestParitySectors:
-    """``spectrum`` on an ``OperatorMatrix`` solves each conserved parity
-    sector as its own block."""
+    """``spectrum`` on a term list solves each conserved parity sector, read
+    off its factors, as its own block."""
 
     @staticmethod
     def _params():
@@ -403,15 +403,15 @@ class TestParitySectors:
     def test_no_conserved_parity_is_one_block(self, space16):
         # x flips the mechanical parity, q the optical one, and x + q the product
         _, ops = space16
-        H = fock.OperatorMatrix(ops.space, ops.x + ops.q + ops.m_op)
-        assert len(fock._parity_sectors(H)) == 1
+        H = ops.assemble([(ops.mech.x, None), (None, ops.opt.x), (ops.mech.n, None)])
+        assert len(fock._term_sectors(H)) == 1
         assert np.array_equal(fock.spectrum(H, 8), fock.spectrum(H.data, 8))
         assert np.array_equal(fock.spectrum(H), fock.spectrum(H.data))
 
     def test_unequal_sectors_return_every_value(self):
         space, _ = fock.make_space(7, 9)
         H = ham.build_hamiltonian("new_full", self._params(), space, order=2)
-        sizes = [len(H.data[idx]) for idx in fock._parity_sectors(H)]
+        sizes = [sum(len(mi) * len(ni) for mi, ni in blocks) for blocks in fock._term_sectors(H)]
         assert sorted(sizes) == [28, 35]  # optical parity: 7 x 4 odd, 7 x 5 even
         got = fock.spectrum(H)
         want = self._full_eigh(H.data)
@@ -421,16 +421,31 @@ class TestParitySectors:
     def test_two_optical_modes(self):
         space, _ = fock.make_space(6, 5, n_modes_opt=2)
         H = ham.build_hamiltonian("delta_relativistic", self._params(), space)
-        assert len(fock._parity_sectors(H)) == 2
+        assert len(fock._term_sectors(H)) == 2
         want = self._full_eigh(H.data)
         for k in (1, 8, None):
             got = fock.spectrum(H, k)
             assert np.abs(got - want[:k]).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
+    @pytest.mark.parametrize("shape", [(6, 7, 1), (6, 5, 2)])
+    def test_factor_sectors_partition_the_basis_and_hold_every_entry(self, shape):
+        # every entry of H between two different sectors read off the factors
+        # is exactly zero, so solving the sectors apart drops nothing
+        space = fock.FockSpace(*shape[:2], n_modes_opt=shape[2])
+        n_opt = space.dim // space.n_mech
+        for variant, H in _every_variant(space, 2.3, (0.3, 0.785)).items():
+            label = np.full(space.dim, -1)
+            for s, blocks in enumerate(fock._term_sectors(H)):
+                rows = [m * n_opt + n for mi, ni in blocks for m in mi for n in ni]
+                assert (label[rows] == -1).all(), variant
+                label[rows] = s
+            assert (label >= 0).all(), variant
+            assert (H.data[label[:, None] != label[None, :]] == 0).all(), variant
+
     def test_perturbed_eigenvector_in_one_block_raises(self, space16, monkeypatch):
         # mechanical sectors: the even one holds 0, 1, 1, ..., the odd one 0.5, 1.5, ...
         _, ops = space16
-        H = fock.OperatorMatrix(ops.space, ops.n_op + 0.5 * ops.m_op)
+        H = ops.assemble([(None, ops.opt.n), (0.5 * ops.mech.n, None)])
         eigh = np.linalg.eigh
         calls = []
 
@@ -449,7 +464,8 @@ class TestParitySectors:
         assert len(fock.spectrum(H, 1)) == 1  # the odd block returns no pair
 
     def test_repeated_vector_in_one_block_raises(self, space16, monkeypatch):
-        # n_op's ground level is 8-fold degenerate in each mechanical sector
+        # an OperatorMatrix made from an array is one block, and n_op's ground
+        # level is 16-fold degenerate in it
         _, ops = space16
         eigh = np.linalg.eigh
 
@@ -465,15 +481,15 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("imag", [0.0, 0.1])  # real and complex path
     def test_non_hermitian_entry_in_one_off_block_rejected(self, space16, imag):
-        # H[odd, even] != 0 with H[even, odd] = 0 for the mechanical parity: a
-        # split that tested one off-block would drop the entry unseen
+        # H[odd, even] != 0 with H[even, odd] = 0 for the mechanical parity;
+        # an OperatorMatrix made from an array is one block, so the check of
+        # the whole matrix sees the entry
         space, ops = space16
         data = ops.n_op + 0.5 * ops.m_op + 1j * imag * (ops.a @ ops.a - ops.adag @ ops.adag)
         assert data.imag.any() == (imag != 0.0)
         odd, even = 1 * space.n_opt, 0  # |m=1, n=0>, |m=0, n=0>
         data[odd, even] = 1e-3
         H = fock.OperatorMatrix(space, data)
-        assert len(fock._parity_sectors(H)) == 2  # a later label keeps both in one block
         with pytest.raises(ValueError, match="not Hermitian"):
             fock.spectrum(H, 3)
 
@@ -528,11 +544,14 @@ class TestTermList:
             fresh._support = None
         assert np.array_equal(fresh.data, H.data)  # the cached fills still land
 
-    def test_build_fills_data_below_the_threshold_only(self, monkeypatch, space16):
-        assert "data" in ham.build_hamiltonian("H012", TestParitySectors._params(), space16[0]).__dict__
-        monkeypatch.setattr(fock, "KRYLOV_MIN_DIM", space16[0].dim)
-        H = ham.build_hamiltonian("H012", TestParitySectors._params(), space16[0])
-        assert "data" not in H.__dict__
+    @pytest.mark.parametrize("n", [16, 30])  # dims 256 and 900, below and at KRYLOV_MIN_DIM
+    def test_build_and_spectrum_never_fill_data(self, n):
+        space = fock.FockSpace(n, n)
+        for variant in ("H012", "H4"):
+            H = ham.build_hamiltonian(variant, TestParitySectors._params(), space)
+            for k in (8, None):
+                fock.spectrum(H, k)
+                assert "data" not in H.__dict__, (variant, k)
 
     @_POINTS
     @pytest.mark.parametrize("shape", [(6, 7, 1), (5, 4, 2)])
@@ -568,7 +587,7 @@ class TestTermList:
 
 
 class TestKrylovPath:
-    """``spectrum`` on the factors, with its dimension threshold lowered."""
+    """``spectrum``'s iterative sector solves, with its dimension threshold lowered."""
 
     @pytest.fixture(autouse=True)
     def low_threshold(self, monkeypatch):
@@ -631,21 +650,11 @@ class TestKrylovPath:
             norm = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() <= 1e-13 * norm, variant
 
-    def test_sectors_from_the_factors_are_the_dense_ones(self):
-        space = fock.FockSpace(6, 7)
-        for variant, H in _every_variant(space, 2.3, (0.3, 0.785)).items():
-            n_opt = space.dim // space.n_mech
-            from_factors = sorted(
-                sorted(int(m * n_opt + n) for mi, ni in blocks for m in mi for n in ni)
-                for blocks in _krylov._term_sectors(H))
-            dense = sorted(sorted(np.unique(idx[0]).tolist()) for idx in fock._parity_sectors(H))
-            assert from_factors == dense, variant
-
     def test_lanczos_converges_to_the_dense_levels(self):
         H = _every_variant(fock.FockSpace(12, 12), 2.3, (0.0, 0.0))["new_full"]
         rng = np.random.default_rng(0)
-        for blocks in _krylov._term_sectors(H):
-            dim, apply, dtype, *_ = _krylov._sector_operator(H, blocks)
+        for blocks in fock._term_sectors(H):
+            dim, apply, dtype, *_ = fock._sector_operator(H, blocks)
             want = np.linalg.eigvalsh(apply(np.eye(dim, dtype=dtype)).T)
             vals, vecs, top = _krylov._lanczos(apply, dim, 8, 2, dtype, rng, dim)
             assert np.abs(vals - want[:8]).max() <= 1e-13 * np.abs(want).max()
@@ -653,8 +662,8 @@ class TestKrylovPath:
 
     def test_diagonal_and_radii_are_read_off_the_factors(self):
         for variant, H in _every_variant(fock.FockSpace(6, 7), 1.0, (0.3, 0.785)).items():
-            for blocks in _krylov._term_sectors(H):
-                dim, apply, dtype, diag, radii = _krylov._sector_operator(H, blocks)
+            for blocks in fock._term_sectors(H):
+                dim, apply, dtype, diag, radii = fock._sector_operator(H, blocks)
                 dense = apply(np.eye(dim, dtype=dtype)).T
                 want = dense.diagonal().real
                 assert np.abs(diag - want).max() <= 1e-15 * np.abs(want).max(initial=1e-300), variant
@@ -673,8 +682,8 @@ class TestKrylovPath:
         else:
             variants, dominant = _every_variant(space, omega_c, phases), _DOMINANT
         for variant, H in variants.items():
-            for blocks in _krylov._term_sectors(H):
-                dim, apply, dtype, diag, radii = _krylov._sector_operator(H, blocks)
+            for blocks in fock._term_sectors(H):
+                dim, apply, dtype, diag, radii = fock._sector_operator(H, blocks)
                 start = _krylov._dominant(apply, diag, radii, 8, dtype)
                 assert (start is not None) == (variant in dominant), variant
 
@@ -687,8 +696,8 @@ class TestKrylovPath:
         builds = _every_variant(fock.FockSpace(n, n), omega_c, phases)
         for variant in sorted(_DOMINANT):
             H = builds[variant]
-            for blocks in _krylov._term_sectors(H):
-                dim, apply, dtype, diag, radii = _krylov._sector_operator(H, blocks)
+            for blocks in fock._term_sectors(H):
+                dim, apply, dtype, diag, radii = fock._sector_operator(H, blocks)
                 want = np.linalg.eigvalsh(apply(np.eye(dim, dtype=dtype)).T)
                 applied = []
 
@@ -716,8 +725,8 @@ class TestKrylovPath:
         H = ham.build_hamiltonian("new_full", p, fock.FockSpace(48, 48), order=2)
         got = fock.spectrum(H, 8)
         want, spaced = [], []
-        for blocks in _krylov._term_sectors(H):
-            dim, apply, dtype, diag, radii = _krylov._sector_operator(H, blocks)
+        for blocks in fock._term_sectors(H):
+            dim, apply, dtype, diag, radii = fock._sector_operator(H, blocks)
             low = np.argsort(diag, kind="stable")
             E = np.zeros((10, dim), dtype)
             E[np.arange(10), low[:10]] = 1.0

@@ -35,15 +35,30 @@ print(json.dumps({
 """
 
 
-def fresh_import(module: str) -> dict:
+_SOLVED = """
+import json, sys
+from optomech import fock, hamiltonians as ham
+from optomech.rates import CavityParams
+n = int(sys.argv[1])
+p = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=2.0, a_amp=1.0, b_amp=1.0)
+fock.spectrum(ham.build_hamiltonian("new_full", p, fock.FockSpace(n, n), order=2), 8)
+print(json.dumps({"modules": sorted(sys.modules)}))
+"""
+
+
+def fresh_run(code: str, arg: str) -> dict:
     # a fresh interpreter, so modules other tests imported do not count
     src = str(Path(optomech.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _LOADED, module], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, arg], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def fresh_import(module: str) -> dict:
+    return fresh_run(_LOADED, module)
 
 
 @pytest.mark.parametrize("layer", sorted(_CLOSURES))
@@ -54,3 +69,11 @@ def test_layer_loads_only_its_closure(layer):
 
 def test_package_root_defines_only_the_version():
     assert fresh_import("")["public"] == ["__version__"]
+
+
+def test_only_an_iterative_solve_loads_krylov():
+    # an order-2 new_full for 8 levels: at 16 x 16, below fock.KRYLOV_MIN_DIM,
+    # each sector is solved densely; at 32 x 32 each goes to Davidson
+    below = fresh_run(_SOLVED, "16")["modules"]
+    assert "optomech._krylov" not in below and "numpy.random" not in below
+    assert "optomech._krylov" in fresh_run(_SOLVED, "32")["modules"]
