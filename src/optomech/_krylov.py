@@ -4,22 +4,27 @@ solvers of ``fock.spectrum``.
 A sector is given as ``fock._sector_operator`` forms it: a function that
 applies H to a block of sector vectors on the factors restricted to the
 sector (C. F. Van Loan, J. Comput. Appl. Math. 123, 85 (2000)), its
-diagonal and its Gershgorin radii, all read off the factors, so no D x D
-array is formed here.  ``lowest`` solves a sector whose diagonal dominates
+diagonal read off them, and a function that returns its Gershgorin radii,
+which ``radii`` reads off the same factors, so no D x D array is formed
+here.  ``lowest`` solves a sector whose diagonal dominates
 its low levels, with a Gershgorin bound that certifies them (``_dominant``),
 as the free part dominates the full builds, by block Davidson with the
 diagonal preconditioner (``_davidson``; E. R. Davidson, J. Comput. Phys.
 17, 87 (1975)); any other, or one where Davidson runs out of budget, by
 block Lanczos with full reorthogonalization (``_lanczos``; C. Lanczos,
 J. Res. Natl. Bur. Stand. 45, 255 (1950); G. H. Golub and R. Underwood
-(1977)).  It returns None when neither converges under its cap, and
+(1977)).  ``fock`` says which of the two a sector may take, by its
+dimension.  ``lowest`` returns None when none converges under its cap, and
 ``fock._sector_lowest`` then solves the sector densely.  ``fock`` imports
-this module, and the seeded generator of the random start blocks is made,
-only when a sector goes iterative, so a process that never solves one
-compiles none of it and never loads ``numpy.random``.
+this module only when a sector may go iterative, and the seeded generator
+of the random rows is made on the first draw, so a process that never
+solves a sector iteratively compiles none of this, and one whose Davidson
+runs draw nothing never loads ``numpy.random``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -30,7 +35,55 @@ _CHECK_GROWTH = 1.25  # ratio of successive convergence-check basis sizes
 _DAVIDSON_BLOCKS = 4  # Davidson's basis, in blocks of k + 2, at which it restarts
 
 
-def _random_rows(rng: np.random.Generator, shape: tuple[int, int], dtype) -> np.ndarray:
+class _SeededRows:
+    """Standard normal draws from ``numpy.random.default_rng(seed)``, made on
+    the first draw, so a solve that draws nothing never loads
+    ``numpy.random``; every draw comes from one generator, so the stream is
+    that of the generator made up front."""
+
+    def __init__(self, seed: int):
+        self._seed, self._rng = seed, None
+
+    def standard_normal(self, shape: tuple[int, int]) -> np.ndarray:
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng.standard_normal(shape)
+
+
+def radii(parts, shapes) -> np.ndarray:
+    """Each row's sum of off-diagonal |H| of the sector that
+    ``fock._sector_operator`` forms from ``parts``, its (block b, block c,
+    mechanical factor, transposed optical factor) restrictions, and the
+    (mechanical, optical) ``shapes`` of its blocks: one pair of diagonal
+    offsets at a time, H there being the sum of outer products of the
+    factors' stripes."""
+    out = [np.zeros(shape) for shape in shapes]
+    for (b, c), group in itertools.groupby(parts, key=lambda part: part[:2]):
+        pairs = [(ms, ot.T) for *_, ms, ot in group]
+        dm, dn = (sorted(set().union(*(_offsets(pair[j]) for pair in pairs))) for j in (0, 1))
+        # entries[i, j, m, n]: H at row (m, n) of block b, offsets (dm[i], dn[j]) into block c
+        entries = sum(np.einsum("im,jn->ijmn", _stripes(ms, dm), _stripes(o, dn)) for ms, o in pairs)
+        if b == c and 0 in dm and 0 in dn:
+            entries[dm.index(0), dn.index(0)] = 0
+        out[b] += np.abs(entries).sum(axis=(0, 1))
+    return np.concatenate([x.ravel() for x in out])
+
+
+def _offsets(f: np.ndarray) -> set[int]:
+    rows, cols = np.nonzero(f)
+    return set((cols - rows).tolist())
+
+
+def _stripes(f: np.ndarray, offsets: list[int]) -> np.ndarray:
+    """Row i holds the diagonal of f at ``offsets[i]`` (column - row) over
+    f's rows, zero where that diagonal has no entry."""
+    rows = np.arange(len(f))
+    cols = rows + np.array(offsets)[:, None]
+    inside = (cols >= 0) & (cols < f.shape[1])
+    return np.where(inside, f[rows, np.clip(cols, 0, f.shape[1] - 1)], 0)
+
+
+def _random_rows(rng, shape: tuple[int, int], dtype) -> np.ndarray:
     rows = rng.standard_normal(shape)
     return rows + 1j * rng.standard_normal(shape) if np.dtype(dtype).kind == "c" else rows
 
@@ -39,8 +92,7 @@ def _norm(w: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(w, w).real))
 
 
-def _extend(V: np.ndarray, m: int, W: np.ndarray, norms: np.ndarray,
-            rng: np.random.Generator) -> None:
+def _extend(V: np.ndarray, m: int, W: np.ndarray, norms: np.ndarray, rng) -> None:
     """Write the rows of W, orthogonal to V[:m], as orthonormal rows
     V[m:m + len(W)], each orthogonalized against the rows written before it.
     A row that loses over half its norm there is orthogonalized twice more
@@ -60,7 +112,7 @@ def _extend(V: np.ndarray, m: int, W: np.ndarray, norms: np.ndarray,
         V[m + j] = w / _norm(w)
 
 
-def _lanczos(apply, dim: int, k: int, block: int, dtype, rng: np.random.Generator, cap: int):
+def _lanczos(apply, dim: int, k: int, block: int, dtype, rng, cap: int):
     """Lowest k Ritz pairs of the Hermitian operator ``apply`` on a space of
     dimension ``dim``, by block Lanczos from a seeded random start block, or
     None if the basis reaches ``cap`` vectors first.
@@ -124,8 +176,7 @@ def _dominant(apply, diag: np.ndarray, radii, k: int, dtype):
     return (E, HE, s[0], bound[s[0]]) if len(s) else None
 
 
-def _davidson(apply, diag: np.ndarray, k: int, E: np.ndarray, HE: np.ndarray,
-              rng: np.random.Generator, cap: int):
+def _davidson(apply, diag: np.ndarray, k: int, E: np.ndarray, HE: np.ndarray, rng, cap: int):
     """Lowest k Ritz pairs by block Davidson with the diagonal (Jacobi)
     preconditioner from the start block E and its image HE, or None if
     converging would apply more than ``cap`` vectors in all.
@@ -168,31 +219,33 @@ def _davidson(apply, diag: np.ndarray, k: int, E: np.ndarray, HE: np.ndarray,
         m, applied = m + len(W), applied + len(W)
 
 
-def lowest(apply, diag: np.ndarray, radii, k: int, dtype, cap: int):
+def lowest(apply, diag: np.ndarray, radii, k: int, dtype, cap: int, davidson: bool, lanczos: bool):
     """Lowest k values of one sector, their eigenvectors as rows and the
-    norm estimate of ``fock.spectrum``, or None when neither solver
+    norm estimate of ``fock.spectrum``, or None when no solver it may take
     converges under ``cap`` applied vectors.
 
-    When ``_dominant`` finds the diagonal dominant, ``_davidson`` converges
-    its s pairs from the block of width k + 2 (a level may repeat k times
-    among the lowest k), kept if the s-th value plus the residual bound stays
-    below g_s.  Otherwise, or when Davidson would pass the cap, ``_lanczos``
-    runs from block size 2 and again with twice the block while some level
-    appears among the lowest k as often as the block is wide (levels within
+    When ``davidson`` is set and ``_dominant`` finds the diagonal dominant,
+    ``_davidson`` converges its s pairs from the block of width k + 2 (a
+    level may repeat k times among the lowest k), kept if the s-th value plus
+    the residual bound stays below g_s.  Otherwise, or when Davidson would
+    pass the cap, and only when ``lanczos`` is set, ``_lanczos`` runs from
+    block size 2 and again with twice the block while some level appears
+    among the lowest k as often as the block is wide (levels within
     ``EIG_RESIDUAL_RTOL`` of max|theta| count as one), since a block of width
     b finds at most b copies of a level.  None when the Lanczos basis reaches
     the cap or the next block's first check would not fit under it.  The
-    random start rows come from a generator seeded with 0 for each sector.
+    random rows of both solvers come from one generator seeded with 0 for
+    each sector.
     """
-    rng = np.random.default_rng(0)
-    start = _dominant(apply, diag, radii, k, dtype)
+    rng = _SeededRows(0)
+    start = _dominant(apply, diag, radii, k, dtype) if davidson else None
     if start is not None:
         E, HE, s, bound = start
         found = _davidson(apply, diag, s, E, HE, rng, cap)
         if found is not None and found[0][-1] + np.sqrt(s) * _LANCZOS_RTOL * found[2] < bound:
             return found[0][:k], found[1][:k], found[2]
     block = 2
-    while 4 * (k + block) <= cap:
+    while lanczos and 4 * (k + block) <= cap:
         found = _lanczos(apply, len(diag), k, block, dtype, rng, cap)
         if found is None:
             return None

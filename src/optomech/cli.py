@@ -308,7 +308,10 @@ def _sweep_point(cfg: RunConfig, names: list[str], values: tuple) -> tuple:
     point = dataclasses.replace(
         cfg, **{name: v for name, v in zip(names, values) if v is not None}
     )
-    rs = base_rates(_cavity_params(point), point.r_convention)
+    try:
+        rs = base_rates(_cavity_params(point), point.r_convention)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise type(exc)(f"{exc}, at grid point {dict(zip(names, values))}") from None
     rates = tuple(float(getattr(rs, f)) for f in _SCALAR_RATE_FIELDS)
     _require_finite(_SCALAR_RATE_FIELDS, rates, zip(names, values))
     return values + rates

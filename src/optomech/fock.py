@@ -25,17 +25,24 @@ term keeps splits H into two sectors.  A term list that no label splits, a
 bare array and an ``OperatorMatrix`` made from an array are one sector.  H
 is applied to a sector on the factors restricted to it, and the sector is
 solved by the ``eigh`` of its matrix formed from them (real when every
-factor is), so ``data`` of a term list is never filled.  From dimension
-``KRYLOV_MIN_DIM`` up a sector may instead converge its k lowest levels by
-block Davidson where its diagonal dominates them or by block Lanczos
-elsewhere (``optomech._krylov``, loaded by the first sector that goes
-iterative).  The hermiticity defect and scale are streamed off the factors,
-and the eigenpair residuals and orthonormality are checked on the returned
-pairs of each sector.  Two sectors of size D/2 cost about a quarter of one
-D x D solve.  At 32 x 32 (dim 1024) an order-2 ``new_full`` solves in about
-8 ms by Davidson (about 50 ms by Lanczos) against about 100 ms by the eigh of
-its sectors; with Lanczos alone both full builds were faster iteratively at
-dim 900 and tied at dim 784, measured on 2 cores.
+factor is), so ``data`` of a term list is never filled.  A sector may
+instead converge its k lowest levels in ``optomech._krylov``, which the
+first sector that may go iterative loads: by block Davidson where its
+diagonal dominates them, from dimension ``DAVIDSON_MIN_DIM`` up, and by block
+Lanczos elsewhere, from ``KRYLOV_MIN_DIM`` up; in between, a sector that
+Davidson does not solve takes the dense ``eigh``.  A smaller solve loads
+neither ``_krylov`` nor ``numpy.random``.  The hermiticity defect and
+scale are streamed off the factors, and the eigenpair residuals and
+orthonormality are checked on the returned pairs of each sector.  Two
+sectors of size D/2 cost about a quarter of one D x D solve.  Each threshold
+is a crossover measured on 2 cores for the two order-2 full builds with
+k = 8: by Lanczos they were faster than the eigh of their sectors from dim
+900 and tied at dim 784; by Davidson they tie at dim 256 (about 13 ms for
+both solves either way) and win from dim 272, taking 9-17 ms up to dim 784
+against 13-16 ms at 272 and about 90 ms at 784 by the eigh of their
+sectors.  At 32 x 32 (dim 1024) an order-2 ``new_full`` solves in about 8 ms
+by Davidson (about 50 ms by Lanczos) against about 100 ms by the eigh of its
+sectors.
 
 ``displacement`` exponentiates the anti-Hermitian generator G of the optical
 displacement through the eigendecomposition of the Hermitian iG, so the
@@ -83,8 +90,10 @@ __all__ = [
 HERMITICITY_RTOL = 1e-10
 EIG_RESIDUAL_RTOL = 1e-9
 MAX_WORD_LENGTH = 8
-# the smallest dimension at which spectrum may solve a sector iteratively, and
-# the most vectors one sector's Davidson or Lanczos run may apply
+# the smallest dimensions at which spectrum may solve a sector by Davidson and
+# by Lanczos, each the measured crossover with the dense sector solve, and the
+# most vectors one sector's Davidson or Lanczos run may apply
+DAVIDSON_MIN_DIM = 272
 KRYLOV_MIN_DIM = 900
 KRYLOV_MAX_BASIS = 2048
 _CHUNK = 16  # optical entries whose mechanical slices a term list forms at once
@@ -478,8 +487,7 @@ def _sector_operator(H: OperatorMatrix, blocks: list[tuple[np.ndarray, np.ndarra
     folded into the mechanical factors, and the factors are real when they
     all are.  The real diagonal is read off them, sum_i diag(M_i[b, b]) (x)
     diag(O_i[b, b]) on each block b, and ``radii()`` each row's sum of
-    off-diagonal |H|, one (mechanical, optical) pair of diagonal offsets at a
-    time: H there is the sum of outer products of the factors' stripes."""
+    off-diagonal |H| (``_krylov.radii``, the only reader)."""
     shapes = [(len(mi), len(ni)) for mi, ni in blocks]
     edges = np.cumsum([0] + [a * b for a, b in shapes])
     scale = 1.0 if H.scale is None else H.scale
@@ -508,51 +516,30 @@ def _sector_operator(H: OperatorMatrix, blocks: list[tuple[np.ndarray, np.ndarra
             diag[b] += np.outer(ms.diagonal(), ot.diagonal()).real
 
     def radii():
-        out = [np.zeros(shape) for shape in shapes]
-        for (b, c), group in itertools.groupby(parts, key=lambda part: part[:2]):
-            pairs = [(ms, ot.T) for *_, ms, ot in group]
-            dm, dn = (sorted(set().union(*(_offsets(pair[j]) for pair in pairs))) for j in (0, 1))
-            # entries[i, j, m, n]: H at row (m, n) of block b, offsets (dm[i], dn[j]) into block c
-            entries = sum(np.einsum("im,jn->ijmn", _stripes(ms, dm), _stripes(o, dn)) for ms, o in pairs)
-            if b == c and 0 in dm and 0 in dn:
-                entries[dm.index(0), dn.index(0)] = 0
-            out[b] += np.abs(entries).sum(axis=(0, 1))
-        return np.concatenate([x.ravel() for x in out])
+        from . import _krylov  # only Davidson reads the radii
+
+        return _krylov.radii(parts, shapes)
 
     return int(edges[-1]), apply, dtype, np.concatenate([x.ravel() for x in diag]), radii
 
 
-def _offsets(f: np.ndarray) -> set[int]:
-    rows, cols = np.nonzero(f)
-    return set((cols - rows).tolist())
-
-
-def _stripes(f: np.ndarray, offsets: list[int]) -> np.ndarray:
-    """Row i holds the diagonal of f at ``offsets[i]`` (column - row) over
-    f's rows, zero where that diagonal has no entry."""
-    rows = np.arange(len(f))
-    cols = rows + np.array(offsets)[:, None]
-    inside = (cols >= 0) & (cols < f.shape[1])
-    return np.where(inside, f[rows, np.clip(cols, 0, f.shape[1] - 1)], 0)
-
-
-def _sector_lowest(dim: int, apply, dtype, diag, radii, k: int, iterative: bool):
+def _sector_lowest(dim: int, apply, dtype, diag, radii, k: int, davidson: bool, lanczos: bool):
     """Lowest k values of one sector, their eigenvectors as rows and the
     sector's scale for the residual check.
 
-    When ``iterative`` is set and the first convergence check, 4 (k + 2)
-    vectors, fits in half the sector and in ``KRYLOV_MAX_BASIS``,
-    ``_krylov.lowest`` tries Davidson and Lanczos under that cap; past half
+    When ``davidson`` or ``lanczos`` is set and the first convergence check,
+    4 (k + 2) vectors, fits in half the sector and in ``KRYLOV_MAX_BASIS``,
+    ``_krylov.lowest`` tries the solvers so allowed under that cap; past half
     the sector the dense solve is the cheaper one (measured at dims 576 to
-    1600).  Otherwise, or when neither converges, the sector's matrix is
-    formed by ``apply`` on the identity, symmetrized as 0.5 (h + h^dag) and
-    solved by ``eigh``; its scale is then its largest eigenvalue magnitude.
+    1600).  Otherwise, or when none converges, the sector's matrix is formed
+    by ``apply`` on the identity, symmetrized as 0.5 (h + h^dag) and solved by
+    ``eigh``; its scale is then its largest eigenvalue magnitude.
     """
     cap = min(KRYLOV_MAX_BASIS, dim // 2)
-    if iterative and 4 * (k + 2) <= cap:
-        from . import _krylov  # loaded by the first sector that goes iterative
+    if (davidson or lanczos) and 4 * (k + 2) <= cap:
+        from . import _krylov  # loaded by the first sector that may go iterative
 
-        found = _krylov.lowest(apply, diag, radii, k, dtype, cap)
+        found = _krylov.lowest(apply, diag, radii, k, dtype, cap, davidson, lanczos)
         if found is not None:
             return found
     h = apply(np.eye(dim, dtype=dtype)).T
@@ -596,9 +583,10 @@ def spectrum(H: np.ndarray | OperatorMatrix, k: int | None = None) -> np.ndarray
     floor, so the check holds at any unit scale), is rejected.  Each sector
     is solved by ``_sector_lowest``: by the real symmetric or complex
     Hermitian ``eigh`` of the sector formed from its factors, or, for a term
-    list of dimension ``KRYLOV_MIN_DIM`` or more that is not one product
-    M (x) O (``_multiples``), by block Davidson where the sector's diagonal
-    dominates its low levels and by block Lanczos elsewhere.  The returned
+    list that is not one product M (x) O (``_multiples``), by block Davidson
+    from dimension ``DAVIDSON_MIN_DIM`` where the sector's diagonal dominates
+    its low levels and by block Lanczos from ``KRYLOV_MIN_DIM`` elsewhere;
+    Lanczos never runs below ``KRYLOV_MIN_DIM``.  The returned
     pairs of each sector are then verified: each residual, from the sector's
     apply, within 1e-9 of the largest sector scale (no floor), which is at
     most max|lambda|, and the eigenvectors orthonormal to 1e-9.  Two sectors
@@ -610,14 +598,16 @@ def spectrum(H: np.ndarray | OperatorMatrix, k: int | None = None) -> np.ndarray
     if isinstance(H, OperatorMatrix) and H.terms:
         peak, defect, finite = H._entry_stats
         mechs, opts = zip(*H.terms)
-        iterative = H.space.dim >= KRYLOV_MIN_DIM and not (_multiples(mechs) or _multiples(opts))
+        product = _multiples(mechs) or _multiples(opts)
+        davidson = not product and H.space.dim >= DAVIDSON_MIN_DIM
+        lanczos = not product and H.space.dim >= KRYLOV_MIN_DIM
         sectors = [_sector_operator(H, blocks) for blocks in _term_sectors(H)]
     else:
         data = _as_data(H)
         if not data.imag.any():
             data = data.real
         peak, defect = float(np.abs(data).max()), float(np.abs(data - data.conj().T).max())
-        finite, iterative = bool(np.isfinite(data).all()), False
+        finite, davidson, lanczos = bool(np.isfinite(data).all()), False, False
         sectors = [(len(data), lambda X: X @ data.T, data.dtype, None, None)]
     if not finite:
         raise ValueError("matrix has a non-finite entry")
@@ -625,7 +615,7 @@ def spectrum(H: np.ndarray | OperatorMatrix, k: int | None = None) -> np.ndarray
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} at scale {peak:.3e})")
     dim = sum(sector[0] for sector in sectors)
     n = dim if k is None else min(int(k), dim)
-    solved = [_sector_lowest(*sector, min(n, sector[0]), iterative) for sector in sectors]
+    solved = [_sector_lowest(*sector, min(n, sector[0]), davidson, lanczos) for sector in sectors]
     norm = max(top for *_, top in solved)
     lowest, returned = _merge_lowest([vals for vals, _, _ in solved], n)
     for (_, apply, *_), (vals, vecs, _), m in zip(sectors, solved, returned):

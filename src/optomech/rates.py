@@ -124,6 +124,27 @@ class RateSet:
     w: np.ndarray | None = None
 
 
+def _at(p: CavityParams, *keys: str) -> str:
+    return "at " + ", ".join(f"{key} = {getattr(p, key)!r}" for key in keys)
+
+
+def _divisor(rate: str, expr: str, value: float, p: CavityParams, *keys: str) -> float:
+    """``value``, the divisor ``expr`` of ``rate``, unless it underflowed to 0:
+    then ZeroDivisionError naming the rate and the keys it is made of."""
+    if value == 0.0:
+        raise ZeroDivisionError(f"{rate}: division by zero, {expr} underflows to 0 {_at(p, *keys)}")
+    return value
+
+
+def _square(rate: str, expr: str, value: float, p: CavityParams, *keys: str) -> float:
+    """value ** 2 by Python's float power, whose rounding the rates artifacts
+    depend on, or an OverflowError naming the rate and the keys of ``expr``."""
+    try:
+        return value**2
+    except OverflowError:
+        raise OverflowError(f"{rate}: {expr}**2 overflows {_at(p, *keys)}") from None
+
+
 def base_rates(p: CavityParams, r_convention: str = "exact") -> RateSet:
     """Every scalar rate of the parameter set.
 
@@ -134,15 +155,22 @@ def base_rates(p: CavityParams, r_convention: str = "exact") -> RateSet:
     G4- = 2 |b| g4- sin(theta_b); J = lambda = 2 beta |a|.
     Relativistic: w/beta = chi0 pi d Omega^2 / (4 c omega), the single-mode
     ratio of the momentum-field rate w_11 to the quadratic rate.
+    Raises ZeroDivisionError when m Omega or 4 c omega underflows to 0 and
+    OverflowError when (Omega/omega)^2 or Omega^2 overflows, each naming the
+    rate and its keys; a rate that overflows to inf is returned as it is.
     """
-    x_zp = math.sqrt(p.hbar / (p.mass * p.omega_m))
+    x_zp = math.sqrt(p.hbar / _divisor("x_zp", "mass * omega_m", p.mass * p.omega_m,
+                                       p, "mass", "omega_m"))
     theta = x_zp / p.length
     R = resolve_R(r_convention)
     alpha = p.omega_c / p.length * x_zp
     beta = theta * alpha
     g0 = alpha / math.sqrt(2.0)
     g4_plus = 0.5 * beta * p.a_amp
-    g4_minus = R * (p.omega_m / p.omega_c) ** 2 * g4_plus
+    g4_minus = R * _square("g4_minus", "(omega_m / omega_c)", p.omega_m / p.omega_c,
+                           p, "omega_m", "omega_c") * g4_plus
+    omega_m_sq = _square("w_over_beta", "omega_m", p.omega_m, p, "omega_m")
+    w_den = _divisor("w_over_beta", "4 * c * omega_c", 4.0 * p.c * p.omega_c, p, "c", "omega_c")
     return RateSet(
         x_zp=x_zp,
         theta=theta,
@@ -158,7 +186,7 @@ def base_rates(p: CavityParams, r_convention: str = "exact") -> RateSet:
         G4_minus=2.0 * p.b_amp * g4_minus * math.sin(p.b_phase),
         J=2.0 * beta * p.a_amp,
         lam=2.0 * beta * p.a_amp,
-        w_over_beta=p.chi0 * math.pi * p.thickness * p.omega_m**2 / (4.0 * p.c * p.omega_c),
+        w_over_beta=p.chi0 * math.pi * p.thickness * omega_m_sq / w_den,
     )
 
 
@@ -171,13 +199,11 @@ def relativistic_rates(p: CavityParams, kmax: int) -> np.ndarray:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    den = 4.0 * p.mass * p.c * (p.length * p.length)
-    at = f"at mass = {p.mass!r}, c = {p.c!r}, length = {p.length!r}"
-    if den == 0.0:
-        raise ZeroDivisionError(f"w: division by zero, 4 * mass * c * length**2 underflows to 0 "
-                                f"{at}")
+    keys = ("mass", "c", "length")
+    den = _divisor("w", "4 * mass * c * length**2", 4.0 * p.mass * p.c * (p.length * p.length),
+                   p, *keys)
     if math.isinf(den):
-        raise OverflowError(f"w: 4 * mass * c * length**2 overflows {at}")
+        raise OverflowError(f"w: 4 * mass * c * length**2 overflows {_at(p, *keys)}")
     w11 = p.chi0 * math.pi * p.hbar * p.thickness * p.omega_m / den
     k = np.arange(1, kmax + 1)
     return np.sqrt(np.outer(k, k).astype(float)) * w11

@@ -185,6 +185,26 @@ class TestRates:
         assert "mass = 1e-200, c = 1.0, length = 1e-100" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"omega_m": 1e200, "omega_c": 1e-200}, "w_over_beta: omega_m**2 overflows at omega_m = 1e+200"),
+        ({"omega_c": 1e-200},
+         "g4_minus: (omega_m / omega_c)**2 overflows at omega_m = 1.0, omega_c = 1e-200"),
+        ({"mass": 1e-300, "omega_m": 1e-300},
+         "x_zp: division by zero, mass * omega_m underflows to 0 at mass = 1e-300, omega_m = 1e-300"),
+        ({"c": 1e-300, "omega_c": 1e-30},
+         "w_over_beta: division by zero, 4 * c * omega_c underflows to 0 at c = 1e-300, "
+         "omega_c = 1e-30"),
+    ])
+    def test_base_rate_errors_name_their_keys(self, tmp_path, capsys, doc, message):
+        # the errors read only "(34, 'Numerical result out of range')" and
+        # "float division by zero"
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["rates", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["rates"],
                                       ["hamiltonian", "--variant", "delta_relativistic"]],
                              ids=["rates", "hamiltonian"])
@@ -368,14 +388,18 @@ class TestHamiltonianAndSpectrum:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_spectrum_reruns_byte_identical(self, tmp_path):
-        # dim 576 is large enough for multithreaded BLAS inside the dense
-        # eigensolver; dim 1024 is solved on the factors from a seeded start
-        for n in ("24", "32"):
+        # dims 576 and 1024 are solved by Davidson on the factors; the order-2
+        # runaway config at dim 576 is not dominant and goes to the dense
+        # eigensolver, large enough there for multithreaded BLAS
+        runaway = tmp_path / "runaway.json"
+        runaway.write_text(json.dumps({"length": 3.0, "omega_c": 2.0}))
+        for case, (n, *extra) in enumerate([("24",), ("32",),
+                                            ("24", "--order", "2", "--config", str(runaway))]):
             argv = ["spectrum", "--variant", "new_full", "--variant", "law_full",
-                    "--n-mech", n, "--n-opt", n]
+                    "--n-mech", n, "--n-opt", n, *extra]
             outputs = []
             for name in ("a", "b"):
-                out = tmp_path / n / name
+                out = tmp_path / str(case) / name
                 proc = run_subprocess([*argv, "--out-dir", str(out)], tmp_path)
                 assert proc.returncode == 0, proc.stderr
                 outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
@@ -479,6 +503,24 @@ class TestSweep:
         out = tmp_path / "out"
         assert run(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert "beta is inf at grid point {'omega_c': 2.0}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"grid": {"omega_c": [2.0, 1e-200]}},
+         "g4_minus: (omega_m / omega_c)**2 overflows at omega_m = 1.0, omega_c = 1e-200, "
+         "at grid point {'omega_c': 1e-200}"),
+        ({"omega_m": 1e-10, "grid": {"mass": [1.0, 1e-320]}},
+         "x_zp: division by zero, mass * omega_m underflows to 0 at mass = 1e-320, "
+         "omega_m = 1e-10, at grid point {'mass': 1e-320}"),
+    ])
+    def test_base_rate_error_names_its_grid_point(self, tmp_path, capsys, doc, message):
+        # the error named neither the keys nor the point
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
         assert not out.exists()
 
 

@@ -587,10 +587,11 @@ class TestTermList:
 
 
 class TestKrylovPath:
-    """``spectrum``'s iterative sector solves, with its dimension threshold lowered."""
+    """``spectrum``'s iterative sector solves, with its dimension thresholds lowered."""
 
     @pytest.fixture(autouse=True)
     def low_threshold(self, monkeypatch):
+        monkeypatch.setattr(fock, "DAVIDSON_MIN_DIM", 1)
         monkeypatch.setattr(fock, "KRYLOV_MIN_DIM", 1)
 
     @staticmethod
@@ -649,6 +650,13 @@ class TestKrylovPath:
             want = self._dense(H)
             norm = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() <= 1e-13 * norm, variant
+
+    def test_seeded_rows_draw_the_stream_of_one_generator(self):
+        # made on the first draw, the generator still yields the stream of
+        # default_rng(0) made up front, across Davidson's and Lanczos's draws
+        rows, rng = _krylov._SeededRows(0), np.random.default_rng(0)
+        for shape in [(1, 7), (2, 7), (3, 5)]:
+            assert np.array_equal(rows.standard_normal(shape), rng.standard_normal(shape))
 
     def test_lanczos_converges_to_the_dense_levels(self):
         H = _every_variant(fock.FockSpace(12, 12), 2.3, (0.0, 0.0))["new_full"]
@@ -841,3 +849,55 @@ class TestKrylovPath:
         with pytest.raises(ValueError, match="not Hermitian"):
             fock.spectrum(skewed, 8)
         assert "data" not in skewed.__dict__
+
+
+class TestDavidsonBelowLanczos:
+    """Between ``DAVIDSON_MIN_DIM`` and ``KRYLOV_MIN_DIM`` (24 x 24, dim 576) a
+    dominant sector is solved by Davidson and any other densely: Lanczos
+    never runs there."""
+
+    @pytest.fixture(autouse=True)
+    def between_the_thresholds(self):
+        assert fock.DAVIDSON_MIN_DIM <= 24 * 24 < fock.KRYLOV_MIN_DIM
+
+    @staticmethod
+    def _dense(monkeypatch, H):
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "DAVIDSON_MIN_DIM", 10**9)
+            return fock.spectrum(H, 8)
+
+    @_POINTS
+    def test_full_builds_take_davidson(self, monkeypatch, omega_c, phases):
+        builds = _every_variant(fock.FockSpace(24, 24), omega_c, phases)
+        for variant in ("new_full", "law_full"):
+            runs = TestKrylovPath._record_lanczos(monkeypatch)
+            davidson = TestKrylovPath._record_davidson(monkeypatch)
+            got = fock.spectrum(builds[variant], 8)
+            assert davidson == [True, True] and runs == [], variant
+            want = self._dense(monkeypatch, builds[variant])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), variant
+
+    @pytest.mark.parametrize("variant", ["new_full", "law_full"])
+    def test_runaway_config_is_solved_densely(self, monkeypatch, variant):
+        runs = TestKrylovPath._record_lanczos(monkeypatch)
+        davidson = TestKrylovPath._record_davidson(monkeypatch)
+        H = _runaway(fock.FockSpace(24, 24), variant)
+        got = fock.spectrum(H, 8)
+        assert runs == davidson == []
+        assert np.array_equal(got, self._dense(monkeypatch, H))
+
+    def test_davidson_over_budget_is_solved_densely(self, monkeypatch):
+        monkeypatch.setattr(_krylov, "_LANCZOS_RTOL", 0.0)  # no pair converges
+        runs = TestKrylovPath._record_lanczos(monkeypatch)
+        davidson = TestKrylovPath._record_davidson(monkeypatch)
+        H = _every_variant(fock.FockSpace(24, 24), 2.3, (0.0, 0.0))["new_full"]
+        got = fock.spectrum(H, 8)
+        assert davidson == [False, False] and runs == []
+        assert np.array_equal(got, self._dense(monkeypatch, H))
+
+    def test_phased_product_stays_dense(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_krylov, "lowest", lambda *args: calls.append(args))
+        H = _every_variant(fock.FockSpace(24, 24), 2.3, (0.3, 0.785))["H3_linear_optical"]
+        assert len(H.terms) == 1
+        assert len(fock.spectrum(H, 8)) == 8 and calls == []

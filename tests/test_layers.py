@@ -72,8 +72,11 @@ def test_package_root_defines_only_the_version():
 
 
 def test_only_an_iterative_solve_loads_krylov():
-    # an order-2 new_full for 8 levels: at 16 x 16, below fock.KRYLOV_MIN_DIM,
-    # each sector is solved densely; at 32 x 32 each goes to Davidson
+    # an order-2 new_full for 8 levels: at 16 x 16, below fock.DAVIDSON_MIN_DIM,
+    # each sector is solved densely; at 24 x 24 and 32 x 32 each goes to
+    # Davidson, which draws no random row there
     below = fresh_run(_SOLVED, "16")["modules"]
     assert "optomech._krylov" not in below and "numpy.random" not in below
-    assert "optomech._krylov" in fresh_run(_SOLVED, "32")["modules"]
+    for n in ("24", "32"):
+        davidson = fresh_run(_SOLVED, n)["modules"]
+        assert "optomech._krylov" in davidson and "numpy.random" not in davidson, n
