@@ -127,6 +127,17 @@ def _require_gram_block(kmax: int, ltrunc: int) -> None:
                           f"bound of {_GRAM_BLOCK_MAX} terms")
 
 
+def _name_failures(report: checks_mod.CheckReport) -> bool:
+    """Print a failed report's failing entries and builds to stderr, and
+    return whether the report passed."""
+    if not report.passed:
+        failing = [e.name for e in report.entries if not e.passed]
+        print(f"failed checks: {', '.join(failing)}", file=sys.stderr)
+        if "failed_builds" in report.notes:
+            print(f"failed builds: {report.notes['failed_builds']}", file=sys.stderr)
+    return report.passed
+
+
 def _cmd_verify(cfg: RunConfig, args):
     k_rule, k_gram = min(cfg.kmax, 8), max(cfg.kmax, 2)
     _require_above(cfg, "jmax", k_rule, "the largest sum-rule mode")
@@ -145,7 +156,7 @@ def _cmd_verify(cfg: RunConfig, args):
         checks_mod.GRAM_RULE_TOL,
     )
     report.notes["tail_correct"] = str(cfg.tail_correct)
-    return [("", "json", report.to_dict())], report.passed
+    return [("", "json", report.to_dict())], _name_failures(report)
 
 
 def _require_finite(names, values, grid_point=()) -> None:
@@ -294,12 +305,7 @@ def _cmd_checks(cfg: RunConfig, args):
     report = checks_mod.run_checks(
         jmax=cfg.jmax, ltrunc=cfg.ltrunc, kmax=kmax, params=_cavity_params(cfg)
     )
-    if not report.passed:
-        failing = [e.name for e in report.entries if not e.passed]
-        print(f"failed checks: {', '.join(failing)}", file=sys.stderr)
-        if "failed_builds" in report.notes:
-            print(f"failed builds: {report.notes['failed_builds']}", file=sys.stderr)
-    return [("", "json", report.to_dict())], report.passed
+    return [("", "json", report.to_dict())], _name_failures(report)
 
 
 def _sweep_point(cfg: RunConfig, names: list[str], values: tuple) -> tuple:

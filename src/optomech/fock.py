@@ -2,7 +2,8 @@
 
 Operators are built from single-mode factors: ``ModeOperators`` holds the
 mechanical ladder and one optical ladder shared by every optical mode, and
-``ModeOperators.assemble`` is the one constructor of an operator: it takes a
+``ModeOperators.assemble`` is the one constructor of an operator (a dense
+matrix is a plain array, never an ``OperatorMatrix``): it takes a
 sum of terms, each one mechanical factor and exactly one factor per optical
 mode, and returns an ``OperatorMatrix`` that keeps them as (M_i, O_i) pairs,
 the optical factors of a term combined by a small kron (mechanical factor
@@ -21,28 +22,21 @@ Every basis state is labelled by its mechanical parity (-1)^m, its optical
 parity (-1)^(n_1 + ... + n_modes) and their product.  The sectors of a term
 list are read off its factors, never declared by a builder: a factor's
 nonzeros keep or flip its mode's parity, and the first label that every
-term keeps splits H into two sectors.  A term list that no label splits, a
-bare array and an ``OperatorMatrix`` made from an array are one sector.  H
-is applied to a sector on the factors restricted to it, and the sector is
-solved by the ``eigh`` of its matrix formed from them (real when every
-factor is), so ``data`` of a term list is never filled.  A sector may
-instead converge its k lowest levels in ``optomech._krylov``, which the
-first sector that may go iterative loads: by block Davidson where its
-diagonal dominates them, from dimension ``DAVIDSON_MIN_DIM`` up, and by block
-Lanczos elsewhere, from ``KRYLOV_MIN_DIM`` up; in between, a sector that
-Davidson does not solve takes the dense ``eigh``.  A smaller solve loads
-neither ``_krylov`` nor ``numpy.random``.  The hermiticity defect and
-scale are streamed off the factors, and the eigenpair residuals and
-orthonormality are checked on the returned pairs of each sector.  Two
-sectors of size D/2 cost about a quarter of one D x D solve.  Each threshold
-is a crossover measured on 2 cores for the two order-2 full builds with
-k = 8: by Lanczos they were faster than the eigh of their sectors from dim
-900 and tied at dim 784; by Davidson they tie at dim 256 (about 13 ms for
-both solves either way) and win from dim 272, taking 9-17 ms up to dim 784
-against 13-16 ms at 272 and about 90 ms at 784 by the eigh of their
-sectors.  At 32 x 32 (dim 1024) an order-2 ``new_full`` solves in about 8 ms
-by Davidson (about 50 ms by Lanczos) against about 100 ms by the eigh of its
-sectors.
+term keeps splits H into two sectors.  A term list that no label splits is
+one sector; a dense matrix is a plain array, also one sector.  H is applied
+to a sector on the factors restricted to it, and the sector is solved by the
+``eigh`` of its matrix formed from them (real when every factor is), so
+``data`` of a term list is never filled.  A sector may instead converge its
+k lowest levels in ``optomech._krylov``, which the first sector that may go
+iterative loads: by block Davidson where its diagonal dominates them, from
+dimension ``DAVIDSON_MIN_DIM`` up, and by block Lanczos elsewhere, from
+``KRYLOV_MIN_DIM`` up; in between, a sector that Davidson does not solve
+takes the dense ``eigh``.  A smaller solve loads neither ``_krylov`` nor
+``numpy.random``.  The hermiticity defect and scale are streamed off the
+factors, and the eigenpair residuals and orthonormality are checked on the
+returned pairs of each sector.  Two sectors of size D/2 cost about a quarter
+of one D x D solve.  Each threshold is a crossover measured on 2 cores for
+the two order-2 full builds; the timings are in README's *Iterative solves*.
 
 ``displacement`` exponentiates the anti-Hermitian generator G of the optical
 displacement through the eigendecomposition of the Hermitian iG, so the
@@ -61,7 +55,7 @@ and is not used.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
@@ -135,34 +129,20 @@ def _chunks(entries: np.ndarray):
         yield rows[lo:lo + _CHUNK], cols[lo:lo + _CHUNK]
 
 
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Complex operator bound to its space.
-
-    Built from a dense D x D ``data`` array, or by ``ModeOperators.assemble``
-    as a sum of ``terms`` M_i (x) O_i, each an (n_mech x n_mech mechanical,
-    N x N optical) factor pair with N = D / n_mech, times ``scale`` when it is
-    given.  A term list keeps its factors: ``matvec`` and ``dagger`` work on
-    them, and ``data`` is filled on first read and read-only.  No attribute
-    can be rebound, so ``data`` cannot drift from the terms.
+    """Complex operator bound to its space: the sum of ``terms`` M_i (x) O_i,
+    each an (n_mech x n_mech mechanical, N x N optical) factor pair with
+    N = D / n_mech, times ``scale`` when it is given, as built by
+    ``ModeOperators.assemble``.  ``matvec`` and ``dagger`` work on the
+    factors, and ``data`` is filled on first read and read-only.  No
+    attribute can be rebound, so ``data`` cannot drift from the terms;
+    equality and hashing are by identity.
     """
 
-    def __init__(self, space: FockSpace, data: np.ndarray | None = None, *,
-                 terms: Iterable[tuple[np.ndarray, np.ndarray]] | None = None,
-                 scale: complex | None = None):
-        if (data is None) == (terms is None):
-            raise ValueError("an operator is either a dense array or a term list")
-        if data is not None and data.shape != (space.dim, space.dim):
-            raise ValueError("matrix dimension does not match the space")
-        terms = None if terms is None else tuple(terms)
-        self.__dict__.update(space=space, scale=scale, terms=terms)
-        if data is not None:
-            self.__dict__["data"] = data
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    space: FockSpace
+    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    scale: complex | None = None
 
     @cached_property
     def _support(self) -> np.ndarray:
@@ -196,22 +176,13 @@ class OperatorMatrix:
         out.flags.writeable = False
         return out
 
-    @property
-    def _entry_stats(self) -> tuple[float, float, bool]:
-        """(max|H|, max|H - H^dag|, every entry finite), read off ``data`` once
-        it is there (a dense-born array may be written to), else streamed."""
-        if "data" not in self.__dict__:
-            return self._term_stats
-        data = self.data
-        return (float(np.abs(data).max()), float(np.abs(data - data.conj().T).max()),
-                bool(np.isfinite(data).all()))
-
     @cached_property
-    def _term_stats(self) -> tuple[float, float, bool]:
-        """``_entry_stats`` of a term list, streamed over the optical pairs
-        n <= n' where H or H^dag has a nonzero slice: the slices (n, n') and
-        (n', n) are formed and scaled as ``data`` forms them and compared, so
-        the three values equal those of the dense array without forming it."""
+    def _entry_stats(self) -> tuple[float, float, bool]:
+        """(max|H|, max|H - H^dag|, every entry finite), streamed over the
+        optical pairs n <= n' where H or H^dag has a nonzero slice: the slices
+        (n, n') and (n', n) are formed and scaled as ``data`` forms them and
+        compared, so the three values equal those of the dense array without
+        forming it."""
         scale = 1.0 if self.scale is None else self.scale
         peaks, defects = [0.0], [0.0]
         finite = bool(np.isfinite(scale))
@@ -226,21 +197,17 @@ class OperatorMatrix:
         return float(np.max(peaks)), float(np.max(defects)), finite
 
     def dagger(self) -> "OperatorMatrix":
-        if self.terms is None:
-            return OperatorMatrix(self.space, self.data.conj().T)
-        return OperatorMatrix(self.space, terms=[(m.conj().T, o.conj().T) for m, o in self.terms],
-                              scale=None if self.scale is None else np.conj(self.scale))
+        return OperatorMatrix(self.space, tuple((m.conj().T, o.conj().T) for m, o in self.terms),
+                              None if self.scale is None else np.conj(self.scale))
 
     def hermiticity_defect(self) -> float:
         return self._entry_stats[1]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H @ v for v of shape (D,) or (D, p).  A term list is applied on its
-        factors, H v = sum_i M_i V O_i^T with V the (n_mech, N) view of v
+        """H @ v for v of shape (D,) or (D, p), applied on the factors,
+        H v = sum_i M_i V O_i^T with V the (n_mech, N) view of v
         (C. F. Van Loan, J. Comput. Appl. Math. 123, 85 (2000)), without
         forming ``data``."""
-        if self.terms is None:
-            return self.data @ v
         v = np.asarray(v)
         cols = v.T.reshape(-1, self.space.n_mech, self.space.dim // self.space.n_mech)
         out = sum((m @ cols @ o.T for m, o in self.terms), np.zeros(cols.shape, complex))
@@ -299,7 +266,12 @@ class ModeOperators:
         then one factor per optical mode in order; ``None`` or a missing
         trailing factor is the identity.  The data of ``assemble`` of the
         one padded term."""
-        return self.assemble([(mech, *opt, *(None,) * (self.space.n_modes_opt - len(opt)))]).data
+        return self._padded(mech, *opt).data
+
+    def _padded(self, mech: np.ndarray | None = None, *opt: np.ndarray | None) -> OperatorMatrix:
+        """``assemble`` of one term whose missing trailing optical factors
+        are the identity."""
+        return self.assemble([(mech, *opt, *(None,) * (self.space.n_modes_opt - len(opt)))])
 
     def assemble(self, terms: Iterable[Sequence[np.ndarray | None]],
                  scale: complex | None = None) -> OperatorMatrix:
@@ -325,7 +297,7 @@ class ModeOperators:
                 raise ValueError(f"{len(opt)} optical factor(s) for {n_modes} optical mode(s)")
             pairs.append((self.mech.eye if mech is None else mech,
                           reduce(np.kron, [self.opt.eye if f is None else f for f in opt])))
-        return OperatorMatrix(self.space, terms=pairs, scale=scale)
+        return OperatorMatrix(self.space, tuple(pairs), scale)
 
     def _each_optical_mode(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(self.lift(None, *(None,) * i, op) for i in range(self.space.n_modes_opt))
@@ -426,16 +398,10 @@ def _as_data(op: np.ndarray | OperatorMatrix) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
-def commutator(
-    A: np.ndarray | OperatorMatrix, B: np.ndarray | OperatorMatrix
-) -> np.ndarray | OperatorMatrix:
-    """[A, B] = AB - BA; returns an OperatorMatrix when either input carries a space."""
+def commutator(A: np.ndarray | OperatorMatrix, B: np.ndarray | OperatorMatrix) -> np.ndarray:
+    """[A, B] = AB - BA, as an array."""
     da, db = _as_data(A), _as_data(B)
-    data = da @ db - db @ da
-    for op in (A, B):
-        if isinstance(op, OperatorMatrix):
-            return OperatorMatrix(op.space, data)
-    return data
+    return da @ db - db @ da
 
 
 def _parity_moves(factor: np.ndarray, parity: np.ndarray) -> set[int]:
@@ -576,18 +542,18 @@ def spectrum(H: np.ndarray | OperatorMatrix, k: int | None = None) -> np.ndarray
     A term list is solved one Z2 parity sector of ``_term_sectors`` at a
     time on its factors (``_sector_operator``), so its ``data`` is never
     filled; its hermiticity defect, largest entry and finiteness are
-    streamed exactly (``OperatorMatrix._entry_stats``).  A bare array or an
-    ``OperatorMatrix`` made from an array is one sector, real when its
-    imaginary part is exactly zero.  Input with a non-finite entry, or whose
-    hermiticity defect exceeds 1e-10 relative to the largest entry (no
-    floor, so the check holds at any unit scale), is rejected.  Each sector
-    is solved by ``_sector_lowest``: by the real symmetric or complex
-    Hermitian ``eigh`` of the sector formed from its factors, or, for a term
-    list that is not one product M (x) O (``_multiples``), by block Davidson
-    from dimension ``DAVIDSON_MIN_DIM`` where the sector's diagonal dominates
-    its low levels and by block Lanczos from ``KRYLOV_MIN_DIM`` elsewhere;
-    Lanczos never runs below ``KRYLOV_MIN_DIM``.  The returned
-    pairs of each sector are then verified: each residual, from the sector's
+    streamed exactly (``OperatorMatrix._entry_stats``).  A dense matrix is a
+    bare array, the reference the sector solves are compared against: it is
+    one sector, real when its imaginary part is exactly zero.  Input with a
+    non-finite entry, or whose hermiticity defect exceeds 1e-10 relative to
+    the largest entry (no floor, so the check holds at any unit scale), is
+    rejected.  Each sector is solved by ``_sector_lowest``: by the real
+    symmetric or complex Hermitian ``eigh`` of the sector formed from its
+    factors, or, for a term list that is not one product M (x) O
+    (``_multiples``), by block Davidson from dimension ``DAVIDSON_MIN_DIM``
+    where the sector's diagonal dominates its low levels and by block
+    Lanczos from ``KRYLOV_MIN_DIM`` elsewhere; Lanczos never runs below
+    ``KRYLOV_MIN_DIM``.  The returned pairs of each sector are then verified: each residual, from the sector's
     apply, within 1e-9 of the largest sector scale (no floor), which is at
     most max|lambda|, and the eigenvectors orthonormal to 1e-9.  Two sectors
     of size D/2 cost about a quarter of one D x D solve; verifying m pairs
@@ -625,16 +591,15 @@ def spectrum(H: np.ndarray | OperatorMatrix, k: int | None = None) -> np.ndarray
 
 def bogoliubov_pair(rho: complex, ops: ModeOperators) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Squeezing-mixed mode operators A = a^dag sinh(rho) + a cosh(rho) and
-    B = b^dag cosh(rho) + b sinh(rho).
+    B = b^dag cosh(rho) + b sinh(rho), A on the first optical mode.
 
     For real rho the interior commutator [A, A^dag] equals the identity; the
     complex-rho case is returned as-is (its commutator is not canonical and
     is treated as a report-only quantity).
     """
     sh, ch = np.sinh(rho), np.cosh(rho)
-    A = ops.lift(None, ops.opt.adag * sh + ops.opt.a * ch)
-    B = ops.lift(ops.mech.adag * ch + ops.mech.a * sh)
-    return OperatorMatrix(ops.space, A), OperatorMatrix(ops.space, B)
+    return (ops._padded(None, ops.opt.adag * sh + ops.opt.a * ch),
+            ops._padded(ops.mech.adag * ch + ops.mech.a * sh))
 
 
 def squared_annihilator(ops: ModeOperators) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -647,8 +612,7 @@ def squared_annihilator(ops: ModeOperators) -> tuple[OperatorMatrix, OperatorMat
         raise ValueError("need n_mech >= 4 to resolve the squared annihilator")
     c = 0.5 * (ops.mech.a @ ops.mech.a)
     cdag = c.conj().T
-    return (OperatorMatrix(ops.space, ops.lift(c)),
-            OperatorMatrix(ops.space, ops.lift(c @ cdag - cdag @ c)))
+    return ops._padded(c), ops._padded(c @ cdag - cdag @ c)
 
 
 def displacement(ops: ModeOperators, amp: complex) -> np.ndarray:

@@ -320,8 +320,8 @@ def h4_special_eta(
     at phi = 0; as eta -> infinity the special-case convention of the
     optically linearized quartic term is recovered.
     """
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
+    if not eta > 0:
+        raise ValueError(f"eta must be > 0, got {eta}")
     rs = base_rates(params)
     D = _drive_quadrature(ops, params.a_phase)
     Dc = _drive_quadrature(ops, -params.a_phase)

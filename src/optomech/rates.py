@@ -264,8 +264,8 @@ def special_case_frequency(eta: float, p: CavityParams, r_convention: str = "exa
     eta = 1/2 targets the pure two-phonon interaction (omega ~= 0.665 Omega
     with the exact R; the rounded R = 0.95 gives the often-quoted 0.689).
     """
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
+    if not eta > 0:
+        raise ValueError(f"eta must be > 0, got {eta}")
     return math.sqrt(eta * resolve_R(r_convention)) * p.omega_m
 
 

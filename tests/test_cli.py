@@ -94,7 +94,7 @@ _NAN_INJECTIONS = {
                                 lambda sq: dataclasses.replace(sq, rho_arctanh=math.nan)),
     "bogoliubov_commutator_interior": (
         fock, "bogoliubov_pair",
-        lambda pair: (fock.OperatorMatrix(pair[0].space, pair[0].data * math.nan), pair[1])),
+        lambda pair: (dataclasses.replace(pair[0], scale=math.nan), pair[1])),
 }
 
 
@@ -140,6 +140,14 @@ class TestVerify:
         peak_mb = maxrss * (1 if sys.platform == "darwin" else 1024) / 1e6
         assert peak_mb < 100.0
         assert read_json(only(tmp_path, "verify-*.json"))["passed"] is True
+
+    def test_failed_report_names_its_entries(self, tmp_path, capsys):
+        # with jmax 2 the k = 1 sum rule misses by 0.24, and the run exited 1
+        # with an empty stderr
+        assert run(["verify", "--kmax", "1", "--jmax", "2", "--out-dir", str(tmp_path)]) == 1
+        doc = read_json(only(tmp_path, "verify-*.json"))
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["mode_sum_rule_k1"]
+        assert capsys.readouterr().err == "failed checks: mode_sum_rule_k1\n"
 
 
 class TestRates:
@@ -449,10 +457,11 @@ class TestChecks:
         # divided by max(1, max|H|), the entry was absolute in SI units, where
         # max|H| is below 1e-18, and passed this defect of 7e-20
         def skewed(params, ops):
+            # the extra term (c E00) (x) E01 adds c to the entry H[0, 1] alone
             H = ham.new_full(params, ops)
-            data = H.data.copy()
-            data[0, 1] += 0.1 * np.abs(data).max()
-            return fock.OperatorMatrix(H.space, data)
+            e00, e01 = np.zeros_like(ops.mech.eye), np.zeros_like(ops.opt.eye)
+            e00[0, 0], e01[0, 1] = 0.1 * np.abs(H.data).max(), 1.0
+            return fock.OperatorMatrix(H.space, (*H.terms, (e00, e01)), H.scale)
 
         cfg = tmp_path / "si.json"
         cfg.write_text(json.dumps(_SI_DOC))

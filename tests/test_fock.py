@@ -244,6 +244,22 @@ class TestBogoliubov:
         block = fock.interior_block(comm, space)
         assert np.abs(block - np.eye(block.shape[0])).max() < 1e-12
 
+    def test_two_optical_modes_pad_with_the_identity(self):
+        # A acts on the first optical mode and B on the mechanical one; both,
+        # and c and [c, c^dag], equal the nested kron bit for bit
+        _, ops = fock.make_space(6, 4, n_modes_opt=2)
+        sh, ch = np.sinh(0.7), np.cosh(0.7)
+        A, B = fock.bogoliubov_pair(0.7, ops)
+        c, comm = fock.squared_annihilator(ops)
+        half_b2 = 0.5 * (ops.mech.a @ ops.mech.a)
+        for got, (mech, opt_1) in [
+            (A, (ops.mech.eye, ops.opt.adag * sh + ops.opt.a * ch)),
+            (B, (ops.mech.adag * ch + ops.mech.a * sh, ops.opt.eye)),
+            (c, (half_b2, ops.opt.eye)),
+            (comm, (half_b2 @ half_b2.conj().T - half_b2.conj().T @ half_b2, ops.opt.eye)),
+        ]:
+            assert np.array_equal(got.data, np.kron(mech, np.kron(opt_1, ops.opt.eye)))
+
 
 class TestSquaredAnnihilator:
     def test_vacuum_commutator(self):
@@ -294,7 +310,7 @@ class TestSpectrum:
         i, j = np.unravel_index(off.argmax(), off.shape)
         data[i, j] += 0.1 * np.abs(H.data).max()
         with pytest.raises(ValueError, match="not Hermitian"):
-            fock.spectrum(fock.OperatorMatrix(H.space, data), 8)
+            fock.spectrum(data, 8)
 
     def test_si_scale_wrong_eigenvalues_rejected(self, monkeypatch):
         H = _si_new_full()
@@ -383,7 +399,7 @@ class TestSpectrum:
 
     def test_operator_matrix_input(self, space16):
         _, ops = space16
-        vals = fock.spectrum(fock.OperatorMatrix(ops.space, ops.n_op), 3)
+        vals = fock.spectrum(ops.assemble([(None, ops.opt.n)]), 3)
         np.testing.assert_allclose(vals, [0.0, 0.0, 0.0], atol=1e-13)
 
 
@@ -464,8 +480,8 @@ class TestParitySectors:
         assert len(fock.spectrum(H, 1)) == 1  # the odd block returns no pair
 
     def test_repeated_vector_in_one_block_raises(self, space16, monkeypatch):
-        # an OperatorMatrix made from an array is one block, and n_op's ground
-        # level is 16-fold degenerate in it
+        # the mechanical parity splits 1 (x) n into two blocks, and its ground
+        # level is 8-fold degenerate in each
         _, ops = space16
         eigh = np.linalg.eigh
 
@@ -477,21 +493,20 @@ class TestParitySectors:
 
         monkeypatch.setattr(np.linalg, "eigh", repeated)
         with pytest.raises(ArithmeticError, match="orthonormality"):
-            fock.spectrum(fock.OperatorMatrix(ops.space, ops.n_op), 3)
+            fock.spectrum(ops.assemble([(None, ops.opt.n)]), 3)
 
     @pytest.mark.parametrize("imag", [0.0, 0.1])  # real and complex path
     def test_non_hermitian_entry_in_one_off_block_rejected(self, space16, imag):
         # H[odd, even] != 0 with H[even, odd] = 0 for the mechanical parity;
-        # an OperatorMatrix made from an array is one block, so the check of
-        # the whole matrix sees the entry
+        # a bare array is one block, so the check of the whole matrix sees
+        # the entry
         space, ops = space16
         data = ops.n_op + 0.5 * ops.m_op + 1j * imag * (ops.a @ ops.a - ops.adag @ ops.adag)
         assert data.imag.any() == (imag != 0.0)
         odd, even = 1 * space.n_opt, 0  # |m=1, n=0>, |m=0, n=0>
         data[odd, even] = 1e-3
-        H = fock.OperatorMatrix(space, data)
         with pytest.raises(ValueError, match="not Hermitian"):
-            fock.spectrum(H, 3)
+            fock.spectrum(data, 3)
 
 
 def test_coherent_state_normalization():
@@ -569,7 +584,7 @@ class TestTermList:
     @_POINTS
     def test_streamed_entry_stats_equal_the_dense_ones(self, omega_c, phases):
         for variant, H in _every_variant(fock.FockSpace(6, 7), omega_c, phases).items():
-            peak, defect, finite = H._term_stats
+            peak, defect, finite = H._entry_stats
             data = H.data
             assert peak == np.abs(data).max(), variant
             assert defect == np.abs(data - data.conj().T).max() == H.hermiticity_defect()
@@ -622,7 +637,7 @@ class TestKrylovPath:
 
     @staticmethod
     def _dense(H):
-        return fock.spectrum(fock.OperatorMatrix(H.space, H.data), 8)
+        return fock.spectrum(H.data, 8)
 
     @_POINTS
     @pytest.mark.parametrize("shape", [(28, 28, 1), (12, 8, 2)])
@@ -811,7 +826,7 @@ class TestKrylovPath:
         H = _runaway(fock.FockSpace(20, 20))
         got = fock.spectrum(H, 60)  # the first check, 4 (60 + 2) vectors, passes half a sector
         assert runs == [] and "data" not in H.__dict__
-        want = fock.spectrum(fock.OperatorMatrix(H.space, H.data), 60)
+        want = fock.spectrum(H.data, 60)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_large_k_skips_davidson(self, monkeypatch):
@@ -820,7 +835,7 @@ class TestKrylovPath:
         H = _every_variant(fock.FockSpace(20, 20), 2.3, (0.0, 0.0))["new_full"]
         got = fock.spectrum(H, 60)
         assert runs == davidson == [] and "data" not in H.__dict__
-        want = fock.spectrum(fock.OperatorMatrix(H.space, H.data), 60)
+        want = fock.spectrum(H.data, 60)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_unconverged_pairs_fail_verification(self, monkeypatch):

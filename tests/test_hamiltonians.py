@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -75,12 +76,15 @@ class TestStructure:
 def kron_sum(ops, terms, scale=None):
     """Reference for ``ModeOperators.assemble``: the sum over terms of
     np.kron(mechanical factor, nested np.kron of the optical factors), times
-    ``scale`` when given."""
+    ``scale`` when given, as a stand-in with the ``data`` and ``_entry_stats``
+    that ``build_hamiltonian`` and these tests read."""
     acc = np.zeros((ops.space.dim,) * 2, dtype=complex)
     for mech, *opt in terms:
         optical = functools.reduce(np.kron, [ops.opt.eye if f is None else f for f in opt])
         acc = acc + np.kron(ops.mech.eye if mech is None else mech, optical)
-    return fock.OperatorMatrix(ops.space, acc if scale is None else acc * scale)
+    data = acc if scale is None else acc * scale
+    stats = (np.abs(data).max(), np.abs(data - data.conj().T).max(), bool(np.isfinite(data).all()))
+    return types.SimpleNamespace(data=data, _entry_stats=stats)
 
 
 class TestAssembly:
@@ -355,6 +359,14 @@ class TestSpecialCase:
         _, ops = ops8
         with pytest.raises(ValueError):
             ham.h4_special_eta(P_WEAK, ops, eta=0.0)
+
+    def test_nan_eta_is_refused_by_value(self, ops8):
+        # the guard eta <= 0 let a NaN through, and the build failed as a
+        # non-finite entry without naming eta
+        space, _ = ops8
+        with pytest.raises(ValueError, match="H4_special_eta .* eta must be > 0, got nan"):
+            ham.build_hamiltonian("H4_special_eta", P_WEAK, space, eta=math.nan)
+        assert ham.build_hamiltonian("H4_special_eta", P_WEAK, space, eta=math.inf)._entry_stats[2]
 
 
 def arctanh_bogoliubov(params, ops):

@@ -158,6 +158,12 @@ class TestSpecialCase:
         with pytest.raises(ValueError):
             special_case_frequency(0.0, CavityParams())
 
+    def test_nan_eta_is_refused_by_value(self):
+        # the guard eta <= 0 let a NaN through, and the frequency came back NaN
+        with pytest.raises(ValueError, match="eta must be > 0, got nan"):
+            special_case_frequency(math.nan, CavityParams())
+        assert special_case_frequency(math.inf, CavityParams()) == math.inf  # the large-eta limit
+
 
 class TestRelativisticRates:
     def test_transparent_mirror(self):
