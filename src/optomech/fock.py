@@ -32,11 +32,12 @@ iterative loads: by block Davidson where its diagonal dominates them, from
 dimension ``DAVIDSON_MIN_DIM`` up, and by block Lanczos elsewhere, from
 ``KRYLOV_MIN_DIM`` up; in between, a sector that Davidson does not solve
 takes the dense ``eigh``.  A smaller solve loads neither ``_krylov`` nor
-``numpy.random``.  The hermiticity defect and scale are streamed off the
-factors, and the eigenpair residuals and orthonormality are checked on the
-returned pairs of each sector.  Two sectors of size D/2 cost about a quarter
-of one D x D solve.  Each threshold is a crossover measured on 2 cores for
-the two order-2 full builds; the timings are in README's *Iterative solves*.
+``numpy.random``.  The hermiticity defect and largest entry are streamed off
+the factors, and the eigenpair residuals and orthonormality are checked on
+the returned pairs of each sector.  Two sectors of size D/2 cost about a
+quarter of one D x D solve.  Each threshold is a crossover measured on 2
+cores for the two order-2 full builds; the timings are in README's
+*Iterative solves*.
 
 ``displacement`` exponentiates the anti-Hermitian generator G of the optical
 displacement through the eigendecomposition of the Hermitian iG, so the
@@ -133,7 +134,7 @@ def _chunks(entries: np.ndarray):
 class OperatorMatrix:
     """Complex operator bound to its space: the sum of ``terms`` M_i (x) O_i,
     each an (n_mech x n_mech mechanical, N x N optical) factor pair with
-    N = D / n_mech, times ``scale`` when it is given, as built by
+    N = D / n_mech and every coefficient folded into the factors, as built by
     ``ModeOperators.assemble``.  ``matvec`` and ``dagger`` work on the
     factors, and ``data`` is filled on first read and read-only.  No
     attribute can be rebound, so ``data`` cannot drift from the terms;
@@ -142,7 +143,6 @@ class OperatorMatrix:
 
     space: FockSpace
     terms: tuple[tuple[np.ndarray, np.ndarray], ...]
-    scale: complex | None = None
 
     @cached_property
     def _support(self) -> np.ndarray:
@@ -151,9 +151,9 @@ class OperatorMatrix:
         return reduce(np.logical_or, (o != 0 for _, o in self.terms), np.zeros((n_opt, n_opt), bool))
 
     def _slices(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The n_mech x n_mech slices sum_i M_i O_i[n, n'] of the unscaled sum
-        at the optical entries (rows[p], cols[p]), each summed in term order
-        from zero over the terms with O_i[n, n'] != 0."""
+        """The n_mech x n_mech slices sum_i M_i O_i[n, n'] at the optical
+        entries (rows[p], cols[p]), each summed in term order from zero over
+        the terms with O_i[n, n'] != 0."""
         acc = np.zeros((len(rows),) + (self.space.n_mech,) * 2, dtype=complex)
         for mech, o in self.terms:
             c = o[rows, cols]
@@ -165,14 +165,12 @@ class OperatorMatrix:
     def data(self) -> np.ndarray:
         """The dense matrix of a term list: viewing the D x D output as
         (n_mech, N, n_mech, N), the slice of each optical entry in the support
-        is written once, then the whole array is multiplied by ``scale``."""
+        is written once."""
         n_mech, dim = self.space.n_mech, self.space.dim
         out = np.zeros((dim, dim), dtype=complex)
         blocks = out.reshape(n_mech, dim // n_mech, n_mech, dim // n_mech)
         for rows, cols in _chunks(self._support):
             blocks[:, rows, :, cols] = self._slices(rows, cols)
-        if self.scale is not None:
-            out *= self.scale
         out.flags.writeable = False
         return out
 
@@ -180,25 +178,20 @@ class OperatorMatrix:
     def _entry_stats(self) -> tuple[float, float, bool]:
         """(max|H|, max|H - H^dag|, every entry finite), streamed over the
         optical pairs n <= n' where H or H^dag has a nonzero slice: the slices
-        (n, n') and (n', n) are formed and scaled as ``data`` forms them and
-        compared, so the three values equal those of the dense array without
-        forming it."""
-        scale = 1.0 if self.scale is None else self.scale
-        peaks, defects = [0.0], [0.0]
-        finite = bool(np.isfinite(scale))
+        (n, n') and (n', n) are formed as ``data`` forms them and compared,
+        so the three values equal those of the dense array without forming
+        it."""
+        peaks, defects, finite = [0.0], [0.0], True
         for rows, cols in _chunks(np.triu(self._support | self._support.T)):
             with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry is the finding
                 a, b = self._slices(rows, cols), self._slices(cols, rows)
-                if self.scale is not None:
-                    a, b = a * scale, b * scale
             peaks += [np.abs(a).max(), np.abs(b).max()]
             defects.append(np.abs(a - b.conj().transpose(0, 2, 1)).max())
             finite = finite and bool(np.isfinite(a).all() and np.isfinite(b).all())
         return float(np.max(peaks)), float(np.max(defects)), finite
 
     def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, tuple((m.conj().T, o.conj().T) for m, o in self.terms),
-                              None if self.scale is None else np.conj(self.scale))
+        return OperatorMatrix(self.space, tuple((m.conj().T, o.conj().T) for m, o in self.terms))
 
     def hermiticity_defect(self) -> float:
         return self._entry_stats[1]
@@ -211,12 +204,11 @@ class OperatorMatrix:
         v = np.asarray(v)
         cols = v.T.reshape(-1, self.space.n_mech, self.space.dim // self.space.n_mech)
         out = sum((m @ cols @ o.T for m, o in self.terms), np.zeros(cols.shape, complex))
-        if self.scale is not None:
-            out = out * self.scale
         return out.reshape(v.T.shape).T
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.data, dtype=dtype)
+        # NumPy 1.x never passes copy and refuses copy=None, so copy only on request
+        return np.array(self.data, dtype=dtype) if copy else np.asarray(self.data, dtype=dtype)
 
 
 def destroy(n: int) -> np.ndarray:
@@ -273,13 +265,11 @@ class ModeOperators:
         are the identity."""
         return self.assemble([(mech, *opt, *(None,) * (self.space.n_modes_opt - len(opt)))])
 
-    def assemble(self, terms: Iterable[Sequence[np.ndarray | None]],
-                 scale: complex | None = None) -> OperatorMatrix:
+    def assemble(self, terms: Iterable[Sequence[np.ndarray | None]]) -> OperatorMatrix:
         """The operator of a sum of product-space terms, each a
         ``(mech, opt_1, ..., opt_modes)`` factor tuple with exactly one factor
         per optical mode (``None`` is the identity); any other count raises
-        ``ValueError``.  ``scale``, when given, multiplies the summed terms, so
-        each entry rounds as scale * (sum of terms).
+        ``ValueError``.  Every coefficient is folded into the factors.
 
         A term's optical factors are combined by a small kron into one N x N
         factor O_i (N = dim / n_mech), and the operator keeps the (M_i, O_i)
@@ -297,7 +287,7 @@ class ModeOperators:
                 raise ValueError(f"{len(opt)} optical factor(s) for {n_modes} optical mode(s)")
             pairs.append((self.mech.eye if mech is None else mech,
                           reduce(np.kron, [self.opt.eye if f is None else f for f in opt])))
-        return OperatorMatrix(self.space, tuple(pairs), scale)
+        return OperatorMatrix(self.space, tuple(pairs))
 
     def _each_optical_mode(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(self.lift(None, *(None,) * i, op) for i in range(self.space.n_modes_opt))
@@ -352,6 +342,8 @@ def symmetrize_matrices(
     produce identical products, so a word with repetitions averages over its
     multiset orderings with the correct weighting; the result equals the
     naive average over all n! orderings.  Enumeration is guarded at length 8.
+    Labels must be one per factor, and a label may name only equal factors;
+    either mismatch raises ``ValueError``.
     """
     n = len(factors)
     if n == 0:
@@ -361,7 +353,13 @@ def symmetrize_matrices(
     if labels is None:
         first_seen: dict[int, int] = {}
         labels = [first_seen.setdefault(id(f), i) for i, f in enumerate(factors)]
-    by_label = {lb: np.asarray(f, dtype=complex) for lb, f in zip(labels, factors)}
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} factors")
+    by_label = {}
+    for lb, f in zip(labels, factors):
+        stored = by_label.setdefault(lb, np.asarray(f, dtype=complex))
+        if not np.array_equal(stored, f, equal_nan=True):
+            raise ValueError(f"label {lb!r} names two different factors")
     # distinct label sequences in sorted order: the accumulation order depends
     # only on the multiset, so the average is bitwise invariant under any
     # permutation of the input word, with exact weighting of repeated factors
@@ -449,19 +447,18 @@ def _sector_operator(H: OperatorMatrix, blocks: list[tuple[np.ndarray, np.ndarra
     """(dimension, apply, dtype, diagonal, radii) of H on one sector.
     ``apply`` maps a (p, d) array whose rows are sector vectors to their
     images: each block pair (b, c) applies the factors restricted to it,
-    M[b, c] X_c O[b, c]^T, skipping restrictions that are zero.  The scale is
-    folded into the mechanical factors, and the factors are real when they
-    all are.  The real diagonal is read off them, sum_i diag(M_i[b, b]) (x)
-    diag(O_i[b, b]) on each block b, and ``radii()`` each row's sum of
-    off-diagonal |H| (``_krylov.radii``, the only reader)."""
+    M[b, c] X_c O[b, c]^T, skipping restrictions that are zero.  The factors
+    are real when they all are.  The real diagonal is read off them,
+    sum_i diag(M_i[b, b]) (x) diag(O_i[b, b]) on each block b, and
+    ``radii()`` each row's sum of off-diagonal |H| (``_krylov.radii``, the
+    only reader)."""
     shapes = [(len(mi), len(ni)) for mi, ni in blocks]
     edges = np.cumsum([0] + [a * b for a, b in shapes])
-    scale = 1.0 if H.scale is None else H.scale
     parts = []
     for b, (mb, nb) in enumerate(blocks):
         for c, (mc, nc) in enumerate(blocks):
             for m, o in H.terms:
-                m_bc, o_bc = scale * m[np.ix_(mb, mc)], o[np.ix_(nb, nc)]
+                m_bc, o_bc = m[np.ix_(mb, mc)], o[np.ix_(nb, nc)]
                 if m_bc.any() and o_bc.any():
                     parts.append((b, c, m_bc, o_bc.T.copy()))
     dtype = complex if any(ms.imag.any() or ot.imag.any() for *_, ms, ot in parts) else float

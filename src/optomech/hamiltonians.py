@@ -34,11 +34,10 @@ keeps the at most four factor pairs; no D x D Kronecker product or sum of
 D x D terms is formed, and the dense matrix is written only when something
 reads it.  ``assemble`` takes exactly one factor per optical mode, so every
 variant but the relativistic correction, whose terms list one factor per
-mode, is refused on a space with more than one optical mode.  ``h5`` alone
-passes a ``scale``, hbar gamma, that multiplies the summed bracket, so that
-each entry rounds as hbar gamma (A - B).  ``build_hamiltonian`` refuses a
-non-finite entry: it streams the term list's slices, as exact as a check of
-the dense matrix and without forming it, at every dimension.
+mode, is refused on a space with more than one optical mode.
+``build_hamiltonian`` refuses a non-finite entry: it streams the term list's
+slices, as exact as a check of the dense matrix and without forming it, at
+every dimension.
 
 ``BUILDERS`` maps each variant name to its builder and is the one variant
 dispatch; ``VARIANTS`` lists its names in table order.  A builder's keyword
@@ -135,12 +134,11 @@ def h5(params: CavityParams, ops: ModeOperators, r_convention: str = "exact") ->
     ratio2 = (params.omega_m / params.omega_c) ** 2
     m, o = ops.mech, ops.opt
     sym_ppx = symmetrize_matrices([m.p, m.p, m.x], labels=["p", "p", "x"])
-    # hbar gamma scales the summed bracket, so each entry rounds as
-    # hbar gamma (A - B), the form the quintic identities are written in
+    hg = params.hbar * rs.gamma
     return ops.assemble([
-        (rs.R * ratio2 * sym_ppx, o.x @ o.x),
-        (-(m.x @ m.x @ m.x), o.n + 0.5 * o.eye),
-    ], scale=params.hbar * rs.gamma)
+        (hg * (rs.R * ratio2 * sym_ppx), o.x @ o.x),
+        (hg * -(m.x @ m.x @ m.x), o.n + 0.5 * o.eye),
+    ])
 
 
 def ground_shift_estimate(params: CavityParams, r_convention: str = "exact") -> float:

@@ -18,5 +18,5 @@ def nan_bogoliubov_builder():
         (mech, opt), *rest = H.terms
         mech = mech.copy()
         mech[0, 1] = math.nan
-        return fock.OperatorMatrix(H.space, ((mech, opt), *rest), H.scale)
+        return fock.OperatorMatrix(H.space, ((mech, opt), *rest))
     return build

@@ -94,7 +94,8 @@ _NAN_INJECTIONS = {
                                 lambda sq: dataclasses.replace(sq, rho_arctanh=math.nan)),
     "bogoliubov_commutator_interior": (
         fock, "bogoliubov_pair",
-        lambda pair: (dataclasses.replace(pair[0], scale=math.nan), pair[1])),
+        lambda pair: (dataclasses.replace(
+            pair[0], terms=tuple((m * math.nan, o) for m, o in pair[0].terms)), pair[1])),
 }
 
 
@@ -461,7 +462,7 @@ class TestChecks:
             H = ham.new_full(params, ops)
             e00, e01 = np.zeros_like(ops.mech.eye), np.zeros_like(ops.opt.eye)
             e00[0, 0], e01[0, 1] = 0.1 * np.abs(H.data).max(), 1.0
-            return fock.OperatorMatrix(H.space, (*H.terms, (e00, e01)), H.scale)
+            return fock.OperatorMatrix(H.space, (*H.terms, (e00, e01)))
 
         cfg = tmp_path / "si.json"
         cfg.write_text(json.dumps(_SI_DOC))

@@ -193,6 +193,26 @@ class TestSymmetrize:
         other = fock.symmetrize_matrices([mats[l] for l in shuffled], labels=shuffled)
         assert np.array_equal(base, other)
 
+    def test_label_count_must_match_the_word(self):
+        # two labels for three factors dropped the third and returned S{X P}
+        _, ops = fock.make_space(4, 4)
+        with pytest.raises(ValueError, match="2 labels for 3 factors"):
+            fock.symmetrize_matrices([ops.x, ops.p_mech, ops.m_op], labels=["x", "p"])
+
+    def test_one_label_names_equal_factors_only(self):
+        # a label on two different factors kept the last one, so S{X P} came back as P P
+        _, ops = fock.make_space(4, 4)
+        with pytest.raises(ValueError, match="label 'x' names two different factors"):
+            fock.symmetrize_matrices([ops.x, ops.p_mech], labels=["x", "x"])
+        got = fock.symmetrize_matrices([ops.x, ops.x.copy()], labels=["x", "x"])
+        assert np.array_equal(got, ops.x @ ops.x)
+        # a NaN factor equals its own copy: the product is NaN, not a label error
+        poisoned = ops.x.copy()
+        poisoned[0, 0] = np.nan
+        for labels in (None, ["x", "x"]):
+            got = fock.symmetrize_matrices([poisoned, poisoned], labels=labels)
+            assert np.isnan(got).any()
+
 
 class TestInversePowerSeries:
     def test_integer_orders(self):
@@ -548,8 +568,7 @@ class TestTermList:
             H.data[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             H.data[...] *= 2.0
-        for name, value in [("data", np.zeros_like(H.data)), ("terms", ()), ("scale", 2.0),
-                            ("space", H.space)]:
+        for name, value in [("data", np.zeros_like(H.data)), ("terms", ()), ("space", H.space)]:
             with pytest.raises(AttributeError, match=name):
                 setattr(H, name, value)
         with pytest.raises(AttributeError, match="data"):
@@ -558,6 +577,14 @@ class TestTermList:
         with pytest.raises(AttributeError, match="_support"):
             fresh._support = None
         assert np.array_equal(fresh.data, H.data)  # the cached fills still land
+
+    def test_array_copy_is_a_writeable_copy(self, space16):
+        # np.array(H, copy=True) returned the read-only cache itself
+        H = ham.build_hamiltonian("H012", TestParitySectors._params(), space16[0])
+        for copied in (np.array(H), np.array(H, copy=True), np.array(H, dtype=complex)):
+            assert not np.shares_memory(copied, H.data) and copied.flags.writeable
+            copied[0, 0] = 1.0
+        assert np.asarray(H) is H.data and np.asarray(H, dtype=complex) is H.data
 
     @pytest.mark.parametrize("n", [16, 30])  # dims 256 and 900, below and at KRYLOV_MIN_DIM
     def test_build_and_spectrum_never_fill_data(self, n):
@@ -766,7 +793,8 @@ class TestKrylovPath:
         # compares two magnitudes of H, so no unit scale can change its mode
         davidson = self._record_davidson(monkeypatch)
         H = _si_new_full(20)
-        natural = fock.OperatorMatrix(H.space, terms=H.terms, scale=1.0 / (SI_HBAR * 1e6))
+        natural = fock.OperatorMatrix(H.space,
+                                      tuple((m * (1.0 / (SI_HBAR * 1e6)), o) for m, o in H.terms))
         got, want = fock.spectrum(H, 8), fock.spectrum(natural, 8)
         assert davidson == [True] * 4
         assert np.abs(got / (SI_HBAR * 1e6) - want).max() <= 1e-13 * np.abs(want).max()

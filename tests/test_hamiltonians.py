@@ -73,18 +73,17 @@ class TestStructure:
                 ham.build_hamiltonian(variant, P_WEAK, space, **options)
 
 
-def kron_sum(ops, terms, scale=None):
+def kron_sum(ops, terms):
     """Reference for ``ModeOperators.assemble``: the sum over terms of
-    np.kron(mechanical factor, nested np.kron of the optical factors), times
-    ``scale`` when given, as a stand-in with the ``data`` and ``_entry_stats``
-    that ``build_hamiltonian`` and these tests read."""
+    np.kron(mechanical factor, nested np.kron of the optical factors), as a
+    stand-in with the ``data`` and ``_entry_stats`` that ``build_hamiltonian``
+    and these tests read."""
     acc = np.zeros((ops.space.dim,) * 2, dtype=complex)
     for mech, *opt in terms:
         optical = functools.reduce(np.kron, [ops.opt.eye if f is None else f for f in opt])
         acc = acc + np.kron(ops.mech.eye if mech is None else mech, optical)
-    data = acc if scale is None else acc * scale
-    stats = (np.abs(data).max(), np.abs(data - data.conj().T).max(), bool(np.isfinite(data).all()))
-    return types.SimpleNamespace(data=data, _entry_stats=stats)
+    stats = (np.abs(acc).max(), np.abs(acc - acc.conj().T).max(), bool(np.isfinite(acc).all()))
+    return types.SimpleNamespace(data=acc, _entry_stats=stats)
 
 
 class TestAssembly:
@@ -203,10 +202,9 @@ class TestQuarticAndQuintic:
         H5 = ham.h5(P_WEAK, ops)
         sym_ppx = fock.symmetrize_matrices([ops.p_mech, ops.p_mech, ops.x],
                                            labels=["p", "p", "x"])
-        want = P_WEAK.hbar * rs.gamma * (
-            rs.R * (P_WEAK.omega_m / P_WEAK.omega_c) ** 2 * sym_ppx @ (ops.q @ ops.q)
-            - ops.x @ ops.x @ ops.x @ (ops.n_op + 0.5 * ops.identity)
-        )
+        hg = P_WEAK.hbar * rs.gamma  # folded into each mechanical factor, as h5 folds it
+        want = ((hg * (rs.R * (P_WEAK.omega_m / P_WEAK.omega_c) ** 2 * sym_ppx)) @ (ops.q @ ops.q)
+                - (hg * (ops.x @ ops.x @ ops.x)) @ (ops.n_op + 0.5 * ops.identity))
         assert np.abs(H5.data - want).max() == 0.0
 
 
