@@ -3,28 +3,26 @@ solvers of ``fock.spectrum``.
 
 A sector is given as ``fock._sector_operator`` forms it: a function that
 applies H to a block of sector vectors on the factors restricted to the
-sector (C. F. Van Loan, J. Comput. Appl. Math. 123, 85 (2000)), its
-diagonal read off them, and a function that returns its Gershgorin radii,
-which ``radii`` reads off the same factors, so no D x D array is formed
-here.  ``lowest`` solves a sector whose diagonal dominates
-its low levels, with a Gershgorin bound that certifies them (``_dominant``),
-as the free part dominates the full builds, by block Davidson with the
-diagonal preconditioner (``_davidson``; E. R. Davidson, J. Comput. Phys.
-17, 87 (1975)); any other, or one where Davidson runs out of budget, by
-block Lanczos with full reorthogonalization (``_lanczos``; C. Lanczos,
-J. Res. Natl. Bur. Stand. 45, 255 (1950); G. H. Golub and R. Underwood
-(1977)).  ``fock`` says which of the two a sector may take, by its
-dimension.  ``lowest`` returns None when none converges under its cap, and
-``fock._sector_lowest`` then solves the sector densely.  ``fock`` imports
-this module only when a sector may go iterative, and the seeded generator
-of the random rows is made on the first draw, so a process that never
-solves a sector iteratively compiles none of this, and one whose Davidson
-runs draw nothing never loads ``numpy.random``.
+sector (C. F. Van Loan, J. Comput. Appl. Math. 123, 85 (2000)), and its
+diagonal and Gershgorin radii as arrays, which ``fock`` streams off the
+term list in the same pass as max|H|, so no D x D array is formed and
+nothing of the factors is read here.  ``lowest`` solves a sector whose
+diagonal dominates its low levels, with a Gershgorin bound that certifies
+them (``_dominant``), as the free part dominates the full builds, by block
+Davidson with the diagonal preconditioner (``_davidson``; E. R. Davidson,
+J. Comput. Phys. 17, 87 (1975)); any other, or one where Davidson runs out
+of budget, by block Lanczos with full reorthogonalization (``_lanczos``;
+C. Lanczos, J. Res. Natl. Bur. Stand. 45, 255 (1950); G. H. Golub and
+R. Underwood (1977)).  ``fock`` says which of the two a sector may take,
+by its dimension.  ``lowest`` returns None when none converges under its
+cap, and ``fock._sector_lowest`` then solves the sector densely.  ``fock``
+imports this module only when a sector may go iterative, and the seeded
+generator of the random rows is made on the first draw, so a process that
+never solves a sector iteratively compiles none of this, and one whose
+Davidson runs draw nothing never loads ``numpy.random``.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -48,39 +46,6 @@ class _SeededRows:
         if self._rng is None:
             self._rng = np.random.default_rng(self._seed)
         return self._rng.standard_normal(shape)
-
-
-def radii(parts, shapes) -> np.ndarray:
-    """Each row's sum of off-diagonal |H| of the sector that
-    ``fock._sector_operator`` forms from ``parts``, its (block b, block c,
-    mechanical factor, transposed optical factor) restrictions, and the
-    (mechanical, optical) ``shapes`` of its blocks: one pair of diagonal
-    offsets at a time, H there being the sum of outer products of the
-    factors' stripes."""
-    out = [np.zeros(shape) for shape in shapes]
-    for (b, c), group in itertools.groupby(parts, key=lambda part: part[:2]):
-        pairs = [(ms, ot.T) for *_, ms, ot in group]
-        dm, dn = (sorted(set().union(*(_offsets(pair[j]) for pair in pairs))) for j in (0, 1))
-        # entries[i, j, m, n]: H at row (m, n) of block b, offsets (dm[i], dn[j]) into block c
-        entries = sum(np.einsum("im,jn->ijmn", _stripes(ms, dm), _stripes(o, dn)) for ms, o in pairs)
-        if b == c and 0 in dm and 0 in dn:
-            entries[dm.index(0), dn.index(0)] = 0
-        out[b] += np.abs(entries).sum(axis=(0, 1))
-    return np.concatenate([x.ravel() for x in out])
-
-
-def _offsets(f: np.ndarray) -> set[int]:
-    rows, cols = np.nonzero(f)
-    return set((cols - rows).tolist())
-
-
-def _stripes(f: np.ndarray, offsets: list[int]) -> np.ndarray:
-    """Row i holds the diagonal of f at ``offsets[i]`` (column - row) over
-    f's rows, zero where that diagonal has no entry."""
-    rows = np.arange(len(f))
-    cols = rows + np.array(offsets)[:, None]
-    inside = (cols >= 0) & (cols < f.shape[1])
-    return np.where(inside, f[rows, np.clip(cols, 0, f.shape[1] - 1)], 0)
 
 
 def _random_rows(rng, shape: tuple[int, int], dtype) -> np.ndarray:
@@ -150,14 +115,14 @@ def _lanczos(apply, dim: int, k: int, block: int, dtype, rng, cap: int):
     return None
 
 
-def _dominant(apply, diag: np.ndarray, radii, k: int, dtype):
+def _dominant(apply, diag: np.ndarray, radii: np.ndarray, k: int, dtype):
     """(E, HE, s, g_s) when the diagonal dominates the low levels, else None.
 
     E holds the p = k + 2 unit vectors at the lowest diagonal entries
     (stable order) and HE their images.  Dominant means max_i
     |H e_i - d_i e_i| below the mean spacing (d_(p) - d_(0)) / p, and some
     s in [k, p] whose s-th Ritz value on E lies below g_s, the least
-    d_j - radii()_j over the rows outside the s lowest.  By Gershgorin and
+    d_j - radii_j over the rows outside the s lowest.  By Gershgorin and
     Cauchy interlacing at most s levels lie below g_s, and Ritz values only
     fall as the basis grows, so s converged pairs are the s lowest levels; a
     level made of high rows far below the low diagonal fails the bound.
@@ -170,7 +135,7 @@ def _dominant(apply, diag: np.ndarray, radii, k: int, dtype):
     off = np.linalg.norm(HE - diag[low[:p], None] * E, axis=1).max()
     if not off < (diag[low[p]] - diag[low[0]]) / p:
         return None
-    bound = np.minimum.accumulate((diag - radii())[low][::-1])[::-1]  # g_s at index s
+    bound = np.minimum.accumulate((diag - radii)[low][::-1])[::-1]  # g_s at index s
     theta = np.linalg.eigvalsh(E.conj() @ HE.T)
     s = k + np.flatnonzero(theta[k - 1:] < bound[k:p + 1])
     return (E, HE, s[0], bound[s[0]]) if len(s) else None

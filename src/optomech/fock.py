@@ -32,12 +32,13 @@ iterative loads: by block Davidson where its diagonal dominates them, from
 dimension ``DAVIDSON_MIN_DIM`` up, and by block Lanczos elsewhere, from
 ``KRYLOV_MIN_DIM`` up; in between, a sector that Davidson does not solve
 takes the dense ``eigh``.  A smaller solve loads neither ``_krylov`` nor
-``numpy.random``.  The hermiticity defect and largest entry are streamed off
-the factors, and the eigenpair residuals and orthonormality are checked on
-the returned pairs of each sector.  Two sectors of size D/2 cost about a
-quarter of one D x D solve.  Each threshold is a crossover measured on 2
-cores for the two order-2 full builds; the timings are in README's
-*Iterative solves*.
+``numpy.random``.  One pass over the term list's slices streams the
+hermiticity defect, the largest entry, and each row's diagonal entry and
+Gershgorin radius for Davidson; the eigenpair residuals and orthonormality
+are checked on the returned pairs of each sector.  Two sectors of size D/2
+cost about a quarter of one D x D solve.  Each threshold is a crossover
+measured on 2 cores for the two order-2 full builds; the timings are in
+README's *Iterative solves*.
 
 ``displacement`` exponentiates the anti-Hermitian generator G of the optical
 displacement through the eigendecomposition of the Hermitian iG, so the
@@ -175,20 +176,34 @@ class OperatorMatrix:
         return out
 
     @cached_property
-    def _entry_stats(self) -> tuple[float, float, bool]:
-        """(max|H|, max|H - H^dag|, every entry finite), streamed over the
-        optical pairs n <= n' where H or H^dag has a nonzero slice: the slices
-        (n, n') and (n', n) are formed as ``data`` forms them and compared,
-        so the three values equal those of the dense array without forming
-        it."""
-        peaks, defects, finite = [0.0], [0.0], True
+    def _entry_pass(self) -> tuple[float, float, bool, np.ndarray, np.ndarray]:
+        """(max|H|, max|H - H^dag|, every entry finite, diagonal, radii),
+        streamed over the optical pairs n <= n' where H or H^dag has a nonzero
+        slice: the slice (n, n') and its mirror (n', n) are formed as ``data``
+        forms them and compared, so the values equal those of the dense array
+        without forming it.  ``diagonal`` holds the real diagonal entry of row
+        (m, n) at [m, n], and ``radii`` its sum of off-diagonal |H|, both
+        (n_mech, N)."""
+        diag = np.zeros((self.space.n_mech, self.space.dim // self.space.n_mech))
+        sums = np.zeros(diag.shape[::-1])  # optical index first, for the scatter
+        peaks, defects = [0.0], [0.0]
         for rows, cols in _chunks(np.triu(self._support | self._support.T)):
             with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry is the finding
-                a, b = self._slices(rows, cols), self._slices(cols, rows)
-            peaks += [np.abs(a).max(), np.abs(b).max()]
-            defects.append(np.abs(a - b.conj().transpose(0, 2, 1)).max())
-            finite = finite and bool(np.isfinite(a).all() and np.isfinite(b).all())
-        return float(np.max(peaks)), float(np.max(defects)), finite
+                on, off = rows == cols, rows != cols
+                a = self._slices(rows, cols)
+                b = a.copy()  # a slice (n, n) is its own mirror; only n < n' forms a second
+                b[off] = self._slices(cols[off], rows[off])
+                defects.append(np.abs(a - b.conj().transpose(0, 2, 1)).max())
+                diag[:, rows[on]] = a.diagonal(0, 1, 2)[on].real.T
+                mag_a, mag_b = np.abs(a), np.abs(b)
+                peaks += [mag_a.max(), mag_b.max()]
+                np.einsum("pii->pi", mag_a)[on] = 0.0
+                np.add.at(sums, np.concatenate([rows, cols[off]]),
+                          np.concatenate([mag_a.sum(2), mag_b.sum(2)[off]]))
+        peak = float(np.max(peaks))  # NaN or inf exactly when some entry is not finite
+        return peak, float(np.max(defects)), bool(np.isfinite(peak)), diag, sums.T
+
+    _entry_stats = property(lambda self: self._entry_pass[:3])  # (max|H|, defect, finite)
 
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, tuple((m.conj().T, o.conj().T) for m, o in self.terms))
@@ -448,10 +463,11 @@ def _sector_operator(H: OperatorMatrix, blocks: list[tuple[np.ndarray, np.ndarra
     ``apply`` maps a (p, d) array whose rows are sector vectors to their
     images: each block pair (b, c) applies the factors restricted to it,
     M[b, c] X_c O[b, c]^T, skipping restrictions that are zero.  The factors
-    are real when they all are.  The real diagonal is read off them,
-    sum_i diag(M_i[b, b]) (x) diag(O_i[b, b]) on each block b, and
-    ``radii()`` each row's sum of off-diagonal |H| (``_krylov.radii``, the
-    only reader)."""
+    are real when they all are.  The real diagonal and the radii, each row's
+    sum of off-diagonal |H|, are the sector's blocks of those that
+    ``OperatorMatrix._entry_pass`` streams with max|H|; H has no entry
+    between two sectors, so a row's radius within its sector is its radius
+    in H."""
     shapes = [(len(mi), len(ni)) for mi, ni in blocks]
     edges = np.cumsum([0] + [a * b for a, b in shapes])
     parts = []
@@ -473,17 +489,9 @@ def _sector_operator(H: OperatorMatrix, blocks: list[tuple[np.ndarray, np.ndarra
             outs[b] += ms @ ins[c] @ ot
         return np.concatenate([out.reshape(p, a * b) for out, (a, b) in zip(outs, shapes)], axis=1)
 
-    diag = [np.zeros(shape) for shape in shapes]
-    for b, c, ms, ot in parts:
-        if b == c:
-            diag[b] += np.outer(ms.diagonal(), ot.diagonal()).real
-
-    def radii():
-        from . import _krylov  # only Davidson reads the radii
-
-        return _krylov.radii(parts, shapes)
-
-    return int(edges[-1]), apply, dtype, np.concatenate([x.ravel() for x in diag]), radii
+    diag, radii = (np.concatenate([full[np.ix_(mb, nb)].ravel() for mb, nb in blocks])
+                   for full in H._entry_pass[3:])
+    return int(edges[-1]), apply, dtype, diag, radii
 
 
 def _sector_lowest(dim: int, apply, dtype, diag, radii, k: int, davidson: bool, lanczos: bool):

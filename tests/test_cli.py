@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import optomech
+from optomech import cli
 from optomech import checks as checks_mod
 from optomech import fock
 from optomech import hamiltonians as ham
@@ -505,6 +506,20 @@ class TestSweep:
 
     def test_missing_grid_is_usage_error(self, tmp_path):
         assert run(["sweep", "--out-dir", str(tmp_path)]) == 2
+
+    def test_grid_over_the_point_bound_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # every row is held in memory, and no bound limited the grid; the
+        # refusal comes before the first point is computed
+        def computed(*args):
+            raise AssertionError("a grid point was computed")
+
+        monkeypatch.setattr(cli, "_sweep_point", computed)
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"grid": {"mass": [1.0] * 1001, "omega_c": [2.0] * 1000}}))
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "grid has 1001000 points, above the sweep bound of 1000000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_rate_is_numerical_failure(self, tmp_path, capsys):
         # the row held inf for beta and six rates after it and nan for G4_minus

@@ -610,12 +610,20 @@ class TestTermList:
 
     @_POINTS
     def test_streamed_entry_stats_equal_the_dense_ones(self, omega_c, phases):
-        for variant, H in _every_variant(fock.FockSpace(6, 7), omega_c, phases).items():
+        builds = [_every_variant(fock.FockSpace(6, 7), omega_c, phases),
+                  _every_variant(fock.FockSpace(5, 4, n_modes_opt=2), omega_c, phases)]
+        for variant, H in (item for variants in builds for item in variants.items()):
             peak, defect, finite = H._entry_stats
             data = H.data
             assert peak == np.abs(data).max(), variant
             assert defect == np.abs(data - data.conj().T).max() == H.hermiticity_defect()
             assert finite
+            # row (m, n) of the dense array is row m * N + n, so the
+            # (n_mech, N) arrays ravel into the dense row order
+            diag, radii = H._entry_pass[3:]
+            assert np.array_equal(diag.ravel(), data.diagonal().real), variant
+            off = np.abs(data).sum(axis=1) - np.abs(data.diagonal())
+            assert np.abs(radii.ravel() - off).max() <= 1e-14 * peak, variant
             dagger = H.dagger()
             assert "data" not in dagger.__dict__
             assert np.array_equal(dagger.data, data.conj().T), variant
@@ -718,7 +726,7 @@ class TestKrylovPath:
                 want = dense.diagonal().real
                 assert np.abs(diag - want).max() <= 1e-15 * np.abs(want).max(initial=1e-300), variant
                 off = np.abs(dense).sum(axis=1) - np.abs(dense.diagonal())
-                assert np.abs(radii() - off).max() <= 1e-14 * np.abs(dense).max(), variant
+                assert np.abs(radii - off).max() <= 1e-14 * np.abs(dense).max(), variant
 
     @pytest.mark.parametrize("omega_c, phases", [
         (2.3, (0.0, 0.0)), (1.0, (0.0, 0.0)), (2.3, (0.3, 0.785)), (1.0, (0.3, 0.785)), (None, None)])
