@@ -8,9 +8,13 @@ sum of terms, each one mechanical factor and exactly one factor per optical
 mode, and returns an ``OperatorMatrix`` that keeps them as (M_i, O_i) pairs,
 the optical factors of a term combined by a small kron (mechanical factor
 first; the total dimension is capped).  Its ``matvec``, ``dagger``,
-hermiticity defect and entry checks work on the factors; its dense ``data``
-is filled on first read, one slice per nonzero optical entry, read-only, so
-no D x D Kronecker product or D x D sum of terms is formed.  ``lift`` pads
+hermiticity defect and entry checks work on the factors, and its dense
+``data`` is filled on first read and read-only.  ``data`` and the entry
+checks form the slice sum_i M_i O_i[n, n'] of an optical entry only on the
+band of the mechanical factors, their nonzero positions closed under
+transpose (790 of 4,096 for the order-2 ``new_full`` at 64 x 64), in
+float64 when every factor is real, so no D x D Kronecker product or sum of
+terms is formed.  ``lift`` pads
 one term's missing trailing optical factors with the identity and returns
 the assembled array, and product-space attributes such as ``ops.x`` are
 lifted on first use.  Ladder truncation corrupts the top levels, so operator
@@ -32,7 +36,7 @@ iterative loads: by block Davidson where its diagonal dominates them, from
 dimension ``DAVIDSON_MIN_DIM`` up, and by block Lanczos elsewhere, from
 ``KRYLOV_MIN_DIM`` up; in between, a sector that Davidson does not solve
 takes the dense ``eigh``.  A smaller solve loads neither ``_krylov`` nor
-``numpy.random``.  One pass over the term list's slices streams the
+``numpy.random``.  One pass over the term list's band slices streams the
 hermiticity defect, the largest entry, and each row's diagonal entry and
 Gershgorin radius for Davidson; the eigenpair residuals and orthonormality
 are checked on the returned pairs of each sector.  Two sectors of size D/2
@@ -92,7 +96,6 @@ MAX_WORD_LENGTH = 8
 DAVIDSON_MIN_DIM = 272
 KRYLOV_MIN_DIM = 900
 KRYLOV_MAX_BASIS = 2048
-_CHUNK = 16  # optical entries whose mechanical slices a term list forms at once
 
 
 @dataclass(frozen=True)
@@ -123,12 +126,15 @@ class FockSpace:
         return (self.n_mech,) + (self.n_opt,) * self.n_modes_opt
 
 
-def _chunks(entries: np.ndarray):
-    """(rows, cols) of the nonzero entries of an N x N mask, _CHUNK at a time,
-    so that their n_mech x n_mech slices hold O(n_mech^2) memory."""
-    rows, cols = np.nonzero(entries)
-    for lo in range(0, len(rows), _CHUNK):
-        yield rows[lo:lo + _CHUNK], cols[lo:lo + _CHUNK]
+def _closed_positions(factors, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, mirror) of the entries that are nonzero in some n x n
+    factor or in its transpose, in row-major order: ``mirror[p]`` is the
+    index of entry p's transpose."""
+    mask = reduce(np.logical_or, (f != 0 for f in factors), np.zeros((n, n), bool))
+    rows, cols = np.nonzero(mask | mask.T)
+    index = np.zeros((n, n), int)
+    index[rows, cols] = np.arange(len(rows))
+    return rows, cols, index[cols, rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,71 +143,81 @@ class OperatorMatrix:
     each an (n_mech x n_mech mechanical, N x N optical) factor pair with
     N = D / n_mech and every coefficient folded into the factors, as built by
     ``ModeOperators.assemble``.  ``matvec`` and ``dagger`` work on the
-    factors, and ``data`` is filled on first read and read-only.  No
-    attribute can be rebound, so ``data`` cannot drift from the terms;
-    equality and hashing are by identity.
+    factors; ``data`` is filled on first read from the band slices that the
+    entry pass reads, and is read-only.  No attribute can be rebound, so
+    ``data`` cannot drift from the terms; equality and hashing are by
+    identity.
     """
 
     space: FockSpace
     terms: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @cached_property
-    def _support(self) -> np.ndarray:
-        """The optical entries (n, n') that are nonzero in some term."""
-        n_opt = self.space.dim // self.space.n_mech
-        return reduce(np.logical_or, (o != 0 for _, o in self.terms), np.zeros((n_opt, n_opt), bool))
+    def _band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """(rows, cols, mirror, factors) of the band U, the union of the
+        mechanical factors' nonzero positions closed under transpose, in
+        row-major order: ``mirror[u]`` is the index in U of position u's
+        transpose, and ``factors`` holds each term's mechanical entries on U
+        with its optical factor, in float64 when every factor is real."""
+        rows, cols, mirror = _closed_positions([m for m, _ in self.terms], self.space.n_mech)
+        factors = [(m[rows, cols], o) for m, o in self.terms]
+        if not any(m.imag.any() or o.imag.any() for m, o in factors):
+            factors = [(m.real, o.real) for m, o in factors]
+        return rows, cols, mirror, factors
 
     def _slices(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The n_mech x n_mech slices sum_i M_i O_i[n, n'] at the optical
-        entries (rows[p], cols[p]), each summed in term order from zero over
-        the terms with O_i[n, n'] != 0."""
-        acc = np.zeros((len(rows),) + (self.space.n_mech,) * 2, dtype=complex)
-        for mech, o in self.terms:
+        """The slices sum_i M_i O_i[n, n'] on the band, one row per optical
+        entry (rows[p], cols[p]) and one column per band position, each
+        summed in term order from zero over the terms with O_i[n, n'] != 0.
+        Off the band every such sum is +0, as the dense one is."""
+        band_rows, _, _, factors = self._band
+        dtype = np.result_type(float, *(f for term in factors for f in term))
+        acc = np.zeros((len(rows), len(band_rows)), dtype)
+        for mech, o in factors:
             c = o[rows, cols]
-            hit = np.flatnonzero(c)
-            acc[hit] += mech * c[hit, None, None]
+            np.add(acc, mech * c[:, None], out=acc, where=(c != 0)[:, None])
         return acc
 
     @cached_property
     def data(self) -> np.ndarray:
         """The dense matrix of a term list: viewing the D x D output as
-        (n_mech, N, n_mech, N), the slice of each optical entry in the support
-        is written once."""
+        (n_mech, N, n_mech, N), the band of each optical entry where H or
+        H^dag has a nonzero slice is written once."""
         n_mech, dim = self.space.n_mech, self.space.dim
         out = np.zeros((dim, dim), dtype=complex)
         blocks = out.reshape(n_mech, dim // n_mech, n_mech, dim // n_mech)
-        for rows, cols in _chunks(self._support):
-            blocks[:, rows, :, cols] = self._slices(rows, cols)
+        rows, cols, _ = _closed_positions([o for _, o in self.terms], dim // n_mech)
+        band_rows, band_cols, *_ = self._band
+        blocks[band_rows, rows[:, None], band_cols, cols[:, None]] = self._slices(rows, cols)
         out.flags.writeable = False
         return out
 
     @cached_property
     def _entry_pass(self) -> tuple[float, float, bool, np.ndarray, np.ndarray]:
         """(max|H|, max|H - H^dag|, every entry finite, diagonal, radii),
-        streamed over the optical pairs n <= n' where H or H^dag has a nonzero
-        slice: the slice (n, n') and its mirror (n', n) are formed as ``data``
-        forms them and compared, so the values equal those of the dense array
-        without forming it.  ``diagonal`` holds the real diagonal entry of row
-        (m, n) at [m, n], and ``radii`` its sum of off-diagonal |H|, both
-        (n_mech, N)."""
-        diag = np.zeros((self.space.n_mech, self.space.dim // self.space.n_mech))
-        sums = np.zeros(diag.shape[::-1])  # optical index first, for the scatter
-        peaks, defects = [0.0], [0.0]
-        for rows, cols in _chunks(np.triu(self._support | self._support.T)):
-            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry is the finding
-                on, off = rows == cols, rows != cols
-                a = self._slices(rows, cols)
-                b = a.copy()  # a slice (n, n) is its own mirror; only n < n' forms a second
-                b[off] = self._slices(cols[off], rows[off])
-                defects.append(np.abs(a - b.conj().transpose(0, 2, 1)).max())
-                diag[:, rows[on]] = a.diagonal(0, 1, 2)[on].real.T
-                mag_a, mag_b = np.abs(a), np.abs(b)
-                peaks += [mag_a.max(), mag_b.max()]
-                np.einsum("pii->pi", mag_a)[on] = 0.0
-                np.add.at(sums, np.concatenate([rows, cols[off]]),
-                          np.concatenate([mag_a.sum(2), mag_b.sum(2)[off]]))
-        peak = float(np.max(peaks))  # NaN or inf exactly when some entry is not finite
-        return peak, float(np.max(defects)), bool(np.isfinite(peak)), diag, sums.T
+        read off the band slices of every optical entry where H or H^dag is
+        nonzero; each entry's mirror is read off the same slices at the
+        transposed optical entry and band position, so max|H|, the defect and
+        the diagonal equal those of the dense array without forming it.  An
+        entry is not finite exactly when max|H| is not or an optical factor
+        has a non-finite entry (its product with a zero off the band is
+        NaN).  ``diagonal`` holds the real diagonal entry of row (m, n) at
+        [m, n], and ``radii`` its sum of off-diagonal |H|, both (n_mech, N)."""
+        n_mech, n_opt = self.space.n_mech, self.space.dim // self.space.n_mech
+        rows, cols, mirror = _closed_positions([o for _, o in self.terms], n_opt)
+        band_rows, band_cols, band_mirror, _ = self._band
+        on, band_on = np.flatnonzero(rows == cols)[:, None], np.flatnonzero(band_rows == band_cols)
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry is the finding
+            a = self._slices(rows, cols)
+            defect = float(np.abs(a[mirror[:, None], band_mirror].conj() - a).max(initial=0.0))
+            mag = np.abs(a)
+        peak = float(mag.max(initial=0.0))  # NaN or inf when some entry on the band is not finite
+        diag = np.zeros((n_mech, n_opt))
+        diag[band_rows[band_on], rows[on]] = a[on, band_on].real
+        mag[on, band_on] = 0.0
+        radii = np.bincount((band_rows * n_opt + rows[:, None]).ravel(), mag.ravel(), n_mech * n_opt)
+        finite = bool(np.isfinite(peak)) and all(np.isfinite(o).all() for _, o in self.terms)
+        return peak, defect, finite, diag, radii.reshape(n_mech, n_opt)
 
     _entry_stats = property(lambda self: self._entry_pass[:3])  # (max|H|, defect, finite)
 
@@ -288,12 +304,12 @@ class ModeOperators:
 
         A term's optical factors are combined by a small kron into one N x N
         factor O_i (N = dim / n_mech), and the operator keeps the (M_i, O_i)
-        pairs.  Its ``data``, filled on first read, writes the n_mech x n_mech
-        slice sum_i M_i O_i[n, n'] of each optical entry (n, n') that is
-        nonzero in some term once, summed in term order from zero over the
-        terms with a nonzero O_i[n, n'].  Ladder factors have at most three
-        nonzeros per row, so that is about 3 N slices and nothing D x D but
-        the output.  ``assemble([])`` is the zero operator.
+        pairs.  Its ``data``, filled on first read, writes the slice
+        sum_i M_i O_i[n, n'] of each optical entry (n, n') that is nonzero in
+        some term once, on the band of the mechanical factors (their nonzero
+        positions; every other entry is zero), summed in term order from
+        zero over the terms with a nonzero O_i[n, n'].  Nothing D x D is
+        formed but the output.  ``assemble([])`` is the zero operator.
         """
         n_modes = self.space.n_modes_opt
         pairs = []

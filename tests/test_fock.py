@@ -81,8 +81,10 @@ class TestLadder:
         space, ops = fock.make_space(3, 4, n_modes_opt=2)
         zero = ops.assemble([])
         assert isinstance(zero, fock.OperatorMatrix) and zero.space == space
+        assert zero._entry_stats == (0.0, 0.0, True)
         assert zero.data.shape == (space.dim, space.dim) and zero.data.dtype == complex
         assert not zero.data.any()
+        assert all(not part.any() for part in zero._entry_pass[3:])
 
     def test_assemble_equals_sum_of_lifts(self):
         # terms that share optical entries are summed in term order
@@ -574,8 +576,8 @@ class TestTermList:
         with pytest.raises(AttributeError, match="data"):
             del H.data
         fresh = fock.OperatorMatrix(H.space, terms=H.terms)
-        with pytest.raises(AttributeError, match="_support"):
-            fresh._support = None
+        with pytest.raises(AttributeError, match="_band"):
+            fresh._band = None
         assert np.array_equal(fresh.data, H.data)  # the cached fills still land
 
     def test_array_copy_is_a_writeable_copy(self, space16):
@@ -609,24 +611,27 @@ class TestTermList:
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), variant
 
     @_POINTS
-    def test_streamed_entry_stats_equal_the_dense_ones(self, omega_c, phases):
-        builds = [_every_variant(fock.FockSpace(6, 7), omega_c, phases),
-                  _every_variant(fock.FockSpace(5, 4, n_modes_opt=2), omega_c, phases)]
-        for variant, H in (item for variants in builds for item in variants.items()):
-            peak, defect, finite = H._entry_stats
-            data = H.data
-            assert peak == np.abs(data).max(), variant
-            assert defect == np.abs(data - data.conj().T).max() == H.hermiticity_defect()
-            assert finite
-            # row (m, n) of the dense array is row m * N + n, so the
-            # (n_mech, N) arrays ravel into the dense row order
-            diag, radii = H._entry_pass[3:]
-            assert np.array_equal(diag.ravel(), data.diagonal().real), variant
-            off = np.abs(data).sum(axis=1) - np.abs(data.diagonal())
-            assert np.abs(radii.ravel() - off).max() <= 1e-14 * peak, variant
-            dagger = H.dagger()
-            assert "data" not in dagger.__dict__
-            assert np.array_equal(dagger.data, data.conj().T), variant
+    def test_streamed_entry_stats_equal_the_dense_ones(self, kron_sum, omega_c, phases):
+        # the dense reference is the sum of np.kron(M_i, O_i), formed apart
+        # from the slices that fill data and stream the entry pass
+        for space in (fock.FockSpace(6, 7), fock.FockSpace(5, 4, n_modes_opt=2), fock.FockSpace(16, 16)):
+            ops = fock.mode_operators(space)
+            for variant, H in _every_variant(space, omega_c, phases).items():
+                ref = kron_sum(ops, H.terms)
+                data = ref.data
+                assert H.data.tobytes() == data.tobytes(), variant
+                peak, defect, finite = H._entry_stats
+                assert (peak, defect, finite) == ref._entry_stats and finite, variant
+                assert defect == H.hermiticity_defect()
+                # row (m, n) of the dense array is row m * N + n, so the
+                # (n_mech, N) arrays ravel into the dense row order
+                diag, radii = H._entry_pass[3:]
+                assert np.array_equal(diag.ravel(), data.diagonal().real), variant
+                off = np.abs(data).sum(axis=1) - np.abs(data.diagonal())
+                assert np.abs(radii.ravel() - off).max() <= 1e-14 * peak, variant
+                dagger = H.dagger()
+                assert "data" not in dagger.__dict__
+                assert np.array_equal(dagger.data, data.conj().T), variant
 
     def test_non_finite_factor_entry_is_seen(self, space16):
         H = ham.build_hamiltonian("new_full", TestParitySectors._params(), space16[0])
@@ -634,6 +639,17 @@ class TestTermList:
         mech = mech.copy()
         mech[3, 5] = np.inf
         assert not fock.OperatorMatrix(H.space, terms=[(mech, opt), *rest])._entry_stats[2]
+
+    def test_infinite_optical_entry_under_zero_mechanical_factors_is_seen(self, kron_sum):
+        # no mechanical entry is nonzero, so no slice has a band position, yet
+        # each entry M_i[m, m'] O_i[n, n'] = 0 * inf of the dense matrix is NaN
+        space, ops = fock.make_space(4, 5)
+        opt = ops.opt.a.copy()
+        opt[1, 2] = np.inf
+        terms = [(np.zeros((4, 4), complex), opt)]
+        with np.errstate(invalid="ignore"):
+            assert not kron_sum(ops, terms)._entry_stats[2]
+        assert not ops.assemble(terms)._entry_stats[2]
 
 
 class TestKrylovPath:

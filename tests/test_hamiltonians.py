@@ -2,10 +2,8 @@
 
 import cmath
 import dataclasses
-import functools
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -73,24 +71,11 @@ class TestStructure:
                 ham.build_hamiltonian(variant, P_WEAK, space, **options)
 
 
-def kron_sum(ops, terms):
-    """Reference for ``ModeOperators.assemble``: the sum over terms of
-    np.kron(mechanical factor, nested np.kron of the optical factors), as a
-    stand-in with the ``data`` and ``_entry_stats`` that ``build_hamiltonian``
-    and these tests read."""
-    acc = np.zeros((ops.space.dim,) * 2, dtype=complex)
-    for mech, *opt in terms:
-        optical = functools.reduce(np.kron, [ops.opt.eye if f is None else f for f in opt])
-        acc = acc + np.kron(ops.mech.eye if mech is None else mech, optical)
-    stats = (np.abs(acc).max(), np.abs(acc - acc.conj().T).max(), bool(np.isfinite(acc).all()))
-    return types.SimpleNamespace(data=acc, _entry_stats=stats)
-
-
 class TestAssembly:
     @pytest.mark.parametrize("variant", ham.VARIANTS)
     @pytest.mark.parametrize("omega_c", [2.0, 1.0])  # generic, and degenerate omega_m = omega_c
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.4, 0.8)])
-    def test_every_variant_matches_kron_sum(self, monkeypatch, variant, omega_c, phases):
+    def test_every_variant_matches_kron_sum(self, monkeypatch, kron_sum, variant, omega_c, phases):
         p = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=omega_c,
                          a_amp=0.7, a_phase=phases[0], b_amp=1.3, b_phase=phases[1],
                          chi0=1.0, thickness=1.0)
@@ -102,7 +87,7 @@ class TestAssembly:
         ref = ham.build_hamiltonian(variant, p, space, **options).data
         assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_two_optical_modes_equal_nested_kron_exactly(self, monkeypatch):
+    def test_two_optical_modes_equal_nested_kron_exactly(self, monkeypatch, kron_sum):
         _, ops = fock.make_space(6, 5, n_modes_opt=2)
         p = CavityParams(mass=1.0, length=1.0, omega_m=1.0, omega_c=1.0, chi0=1.0, thickness=0.1)
         H = ham.delta_relativistic(p, ops).data
@@ -120,6 +105,20 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 16 * space.dim**2
+
+    def test_new_full_build_forms_slices_on_the_band_alone(self):
+        # the entry pass forms each optical entry's slice on the band of the
+        # mechanical factors (790 of 4,096 positions at 64 x 64), and this
+        # build peaks at 4.3 MB; dense slices of all 188 optical entries at
+        # once would be 6.2 MB each in float64 and 12.3 MB in complex
+        space = fock.FockSpace(64, 64)
+        tracemalloc.start()
+        try:
+            ham.build_hamiltonian("new_full", P_WEAK, space, order=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
 
 
 class TestFreeAndCubic:
