@@ -6,6 +6,10 @@ CheckReport; the CLI serializes it deterministically.  Residual values are
 computed by the library modules; nothing here does its own physics.  They are
 folded with ``np.max``, which keeps a NaN that Python's ``max`` can drop, so a
 NaN residual fails its entry.
+
+Every operator identity between two Hamiltonian term lists is one relative
+gap (``_gap``), so it can fail at any unit scale; an identity that holds by
+construction of the term lists is a tier-1 test of their factor pairs.
 """
 
 from __future__ import annotations
@@ -127,31 +131,32 @@ def _rate_checks(report: CheckReport, params: CavityParams) -> None:
 
 def _fock_checks(report: CheckReport) -> None:
     space, ops = fock.make_space(16, 16)
+    p, x = ops.mech.p, ops.mech.x
 
-    comm_qp = fock.interior_block(fock.commutator(ops.q, ops.p), space)
-    eye = np.eye(comm_qp.shape[0])
-    report.add("commutator_qp_interior", float(np.abs(comm_qp - 1j * eye).max()), 1e-12)
+    # single-mode identities on the 16-level ladders; the interior block drops the top 2 levels
+    comm_qp = fock.commutator(ops.opt.x, ops.opt.p)[:-2, :-2]
+    report.add("commutator_qp_interior",
+               float(np.abs(comm_qp - 1j * np.eye(len(comm_qp))).max()), 1e-12)
 
-    c_op, comm = fock.squared_annihilator(ops)
+    # the lifted identities: only the lift sees the spectator factor
+    _, comm = fock.squared_annihilator(ops)
     target = fock.interior_block(ops.m_op + 0.5 * ops.identity, space)
-    report.add(
-        "squared_annihilator_commutator_interior",
-        float(np.abs(fock.interior_block(comm, space) - target).max()),
-        1e-12,
-    )
+    report.add("squared_annihilator_commutator_interior",
+               float(np.abs(fock.interior_block(comm, space) - target).max()), 1e-12)
 
     devs = []
     for rho in (0.1, 1.0, 2.3637):
         A, _ = fock.bogoliubov_pair(rho, ops)
-        devs.append(np.abs(fock.interior_block(fock.commutator(A, A.dagger()), space) - eye).max())
+        inner = fock.interior_block(fock.commutator(A, A.dagger()), space)
+        devs.append(np.abs(inner - np.eye(len(inner))).max())
     report.add("bogoliubov_commutator_interior", np.max(devs), 1e-12)
 
-    # all-orderings average against the explicit three-term form
-    sym = fock.symmetrize_matrices([ops.p, ops.p, ops.x], labels=["p", "p", "x"])
-    explicit = (ops.p @ ops.p @ ops.x + ops.p @ ops.x @ ops.p + ops.x @ ops.p @ ops.p) / 3.0
+    # all-orderings average against the explicit three-term form, on the word h5 symmetrizes
+    sym = fock.symmetrize_matrices([p, p, x], labels=["p", "p", "x"])
+    explicit = (p @ p @ x + p @ x @ p + x @ p @ p) / 3.0
     report.add("symmetrize_three_term", float(np.abs(sym - explicit).max()), 1e-14)
     # the 24-ordering reference needs no product space: single-mode factors
-    facs = [ops.mech.p, ops.mech.p, ops.mech.x, ops.mech.x]
+    facs = [p, p, x, x]
     naive = np.zeros_like(ops.mech.eye)
     for perm in itertools.permutations(range(4)):
         prod = facs[perm[0]]
@@ -161,6 +166,15 @@ def _fock_checks(report: CheckReport) -> None:
     naive /= 24.0
     multi = fock.symmetrize_matrices(facs, labels=["p", "p", "x", "x"])
     report.add("symmetrize_multiset_vs_naive", float(np.abs(multi - naive).max()), 1e-13)
+
+
+def _gap(H: fock.OperatorMatrix, G: fock.OperatorMatrix) -> float:
+    """max|H - G| over the larger of max|H| and max|G|, each streamed off a term
+    list (H - G is one, G's mechanical factors negated); 0 when both are zero,
+    and NaN or inf, which fails any tolerance, for a non-finite operand."""
+    diff = fock.OperatorMatrix(H.space, H.terms + tuple((-m, o) for m, o in G.terms))
+    top = float(np.max([H._entry_stats[0], G._entry_stats[0]]))  # np.max keeps a NaN
+    return diff._entry_stats[0] / top if top else 0.0
 
 
 def _hamiltonian_checks(report: CheckReport, params: CavityParams) -> None:
@@ -191,37 +205,21 @@ def _hamiltonian_checks(report: CheckReport, params: CavityParams) -> None:
 
     add("hermiticity_relative_max", set(ham.VARIANTS), hermiticity, 1e-12)
 
-    def new_minus_law() -> float:
-        diff = (builds["new_full"].data - builds["law_full"].data
-                - ham.momentum_coupling_term(rel_params, ops).data)
-        return float(np.abs(diff).max())
-
-    add("new_minus_law_equals_momentum_term", {"new_full", "law_full"}, new_minus_law, 1e-13)
-
-    if "delta_relativistic" in builds:
-        dh1 = ham.delta_relativistic_first(rel_params, ops)
-        dh2 = ham.delta_relativistic_second(rel_params, ops)
-    add("relativistic_half_rule", {"delta_relativistic"},
-        lambda: float(np.abs(dh2.data + 0.5 * dh1.data).max()), 1e-12)
-    add("relativistic_sum_rule", {"delta_relativistic"},
-        lambda: float(np.abs(dh1.data + dh2.data - builds["delta_relativistic"].data).max()),
-        1e-12)
-
     # tuned special case: phonon-number block vanishes at eta = 1/2, and the
     # rest reduces to the two-phonon form only at drive phase 0
     def special_eta_half() -> float:
         h_half = ham.h4_special_eta(dataclasses.replace(rel_params, a_phase=0.0), ops, 0.5)
-        b2 = ops.bdag @ ops.bdag + ops.b @ ops.b
+        m, o = ops.mech, ops.opt
         two_j = 2.0 * base_rates(rel_params).J
-        target = rel_params.hbar * two_j * b2 @ (ops.adag + ops.a)
-        return float(np.abs(h_half.data - target).max())
+        target = ops.assemble([(rel_params.hbar * two_j * (m.adag @ m.adag + m.a @ m.a),
+                                o.adag + o.a)])
+        return _gap(h_half, target)
 
     add("special_eta_half_matches_two_phonon_form", {"H4_special_eta"}, special_eta_half, 1e-12)
 
     def special_eta_limit() -> float:
-        h_big = ham.h4_special_eta(rel_params, ops, 1e6)
         h_lim = ham.h4_linear_optical(rel_params, ops, branch="plus", convention="special_case")
-        return float(np.abs(h_big.data - h_lim.data).max())
+        return _gap(ham.h4_special_eta(rel_params, ops, 1e6), h_lim)
 
     add("special_eta_large_limit", {"H4_special_eta", "H4_linear_optical"}, special_eta_limit,
         1e-4)

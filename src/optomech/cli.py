@@ -313,14 +313,14 @@ def _cmd_checks(cfg: RunConfig, args):
 _SWEEP_POINTS_MAX = 10**6
 
 
-def _sweep_point(cfg: RunConfig, names: list[str], values: tuple) -> tuple:
+def _sweep_point(base: dict, names: list[str], values: tuple) -> tuple:
     # resolve_config checked every grid value by its key's own rule, so a point
-    # needs no second resolution; None keeps the base value, as in a config file
-    point = dataclasses.replace(
-        cfg, **{name: v for name, v in zip(names, values) if v is not None}
-    )
+    # needs no second resolution; None keeps the base value, as in a config file.
+    # base holds the cavity fields and r_convention, which never reaches CavityParams
+    point = {**base, **{name: v for name, v in zip(names, values) if v is not None}}
+    convention = point.pop("r_convention")
     try:
-        rs = base_rates(_cavity_params(point), point.r_convention)
+        rs = base_rates(CavityParams(**point), convention)
     except (OverflowError, ZeroDivisionError) as exc:
         raise type(exc)(f"{exc}, at grid point {dict(zip(names, values))}") from None
     rates = tuple(float(getattr(rs, f)) for f in _SCALAR_RATE_FIELDS)
@@ -340,8 +340,8 @@ def _cmd_sweep(cfg: RunConfig, args):
     count = math.prod(len(values) for values in value_lists)
     if count > _SWEEP_POINTS_MAX:
         raise ConfigError(f"grid has {count} points, above the sweep bound of {_SWEEP_POINTS_MAX}")
-    points = list(itertools.product(*value_lists))
-    rows = [_sweep_point(cfg, names, vals) for vals in points]
+    base = {name: getattr(cfg, name) for name in ("r_convention", *_CAVITY_FIELDS)}
+    rows = [_sweep_point(base, names, vals) for vals in itertools.product(*value_lists)]
     header = names + list(_SCALAR_RATE_FIELDS)
     return [("", "csv", (header, rows))], True
 

@@ -7,17 +7,16 @@ matrix is a plain array, never an ``OperatorMatrix``): it takes a
 sum of terms, each one mechanical factor and exactly one factor per optical
 mode, and returns an ``OperatorMatrix`` that keeps them as (M_i, O_i) pairs,
 the optical factors of a term combined by a small kron (mechanical factor
-first; the total dimension is capped).  Its ``matvec``, ``dagger``,
-hermiticity defect and entry checks work on the factors, and its dense
-``data`` is filled on first read and read-only.  ``data`` and the entry
-checks form the slice sum_i M_i O_i[n, n'] of an optical entry only on the
-band of the mechanical factors, their nonzero positions closed under
-transpose (790 of 4,096 for the order-2 ``new_full`` at 64 x 64), in
-float64 when every factor is real, so no D x D Kronecker product or sum of
-terms is formed.  ``lift`` pads
-one term's missing trailing optical factors with the identity and returns
-the assembled array, and product-space attributes such as ``ops.x`` are
-lifted on first use.  Ladder truncation corrupts the top levels, so operator
+first; the total dimension is capped).  Its ``dagger``, hermiticity defect
+and entry checks work on the factors, and its dense ``data`` is filled on
+first read and read-only.  ``data`` and the entry checks form the slice
+sum_i M_i O_i[n, n'] of an optical entry only on the band of the mechanical
+factors, their nonzero positions closed under transpose (790 of 4,096 for
+the order-2 ``new_full`` at 64 x 64), in float64 when every factor is real,
+so no D x D Kronecker product or sum of terms is formed.  ``lift`` pads one
+term's missing trailing optical factors with the identity and returns the
+assembled array, and product-space attributes such as ``ops.x`` are lifted
+on first use.  Ladder truncation corrupts the top levels, so operator
 identities are asserted on the "interior block" that excludes the top
 levels of each subsystem; helpers for that projection live here.
 
@@ -142,11 +141,10 @@ class OperatorMatrix:
     """Complex operator bound to its space: the sum of ``terms`` M_i (x) O_i,
     each an (n_mech x n_mech mechanical, N x N optical) factor pair with
     N = D / n_mech and every coefficient folded into the factors, as built by
-    ``ModeOperators.assemble``.  ``matvec`` and ``dagger`` work on the
-    factors; ``data`` is filled on first read from the band slices that the
-    entry pass reads, and is read-only.  No attribute can be rebound, so
-    ``data`` cannot drift from the terms; equality and hashing are by
-    identity.
+    ``ModeOperators.assemble``.  ``dagger`` works on the factors; ``data``
+    is filled on first read from the band slices that the entry pass reads,
+    and is read-only.  No attribute can be rebound, so ``data`` cannot drift
+    from the terms; equality and hashing are by identity.
     """
 
     space: FockSpace
@@ -226,16 +224,6 @@ class OperatorMatrix:
 
     def hermiticity_defect(self) -> float:
         return self._entry_stats[1]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H @ v for v of shape (D,) or (D, p), applied on the factors,
-        H v = sum_i M_i V O_i^T with V the (n_mech, N) view of v
-        (C. F. Van Loan, J. Comput. Appl. Math. 123, 85 (2000)), without
-        forming ``data``."""
-        v = np.asarray(v)
-        cols = v.T.reshape(-1, self.space.n_mech, self.space.dim // self.space.n_mech)
-        out = sum((m @ cols @ o.T for m, o in self.terms), np.zeros(cols.shape, complex))
-        return out.reshape(v.T.shape).T
 
     def __array__(self, dtype=None, copy=None):
         # NumPy 1.x never passes copy and refuses copy=None, so copy only on request

@@ -19,7 +19,7 @@ from optomech import fock
 from optomech import hamiltonians as ham
 from optomech.cli import main
 from optomech.config import resolve_config
-from optomech.rates import CavityParams
+from optomech.rates import CavityParams, base_rates
 
 
 def run(argv):
@@ -97,6 +97,33 @@ _NAN_INJECTIONS = {
         fock, "bogoliubov_pair",
         lambda pair: (dataclasses.replace(
             pair[0], terms=tuple((m * math.nan, o) for m, o in pair[0].terms)), pair[1])),
+}
+
+
+def _negated(build):
+    def negated(*args, **kwargs):
+        H = build(*args, **kwargs)
+        return fock.OperatorMatrix(H.space, tuple((-mech, opt) for mech, opt in H.terms))
+    return negated
+
+
+def _number_term_flipped(build):
+    # the special-case mechanical factor is 2 hbar beta |a| (b^dag^2 + b^2 + m),
+    # whose diagonal is the phonon-number term m
+    def flipped(params, ops, branch="plus", convention="printed", r_convention="exact"):
+        H = build(params, ops, branch, convention, r_convention)
+        if convention != "special_case":
+            return H
+        (mech, opt), = H.terms
+        return fock.OperatorMatrix(H.space, ((mech - 2 * np.diag(mech.diagonal()), opt),))
+    return flipped
+
+
+# checks entry -> (hamiltonians function, its break): each breaks the identity
+# that the entry compares at the SI config
+_SI_BREAKS = {
+    "special_eta_half_matches_two_phonon_form": ("h4_special_eta", _negated),
+    "special_eta_large_limit": ("h4_linear_optical", _number_term_flipped),
 }
 
 
@@ -433,6 +460,17 @@ class TestChecks:
         assert {"r_convention", "beta_convention"} <= set(doc["notes"])
         for entry in doc["checks"]:
             assert set(entry) == {"name", "value", "tolerance", "passed"}
+        # adding, dropping or reordering an entry is a declared report change
+        assert [entry["name"] for entry in doc["checks"]] == [
+            "mode_sum_rule_max_k1to5", "gram_identity_max", "gram_residual_scaling_ratio_dev",
+            "gram_tail_vs_next_order_max", "d_equals_sym_h_exact_rational_violations",
+            "single_mode_formulation_gap", "rate_chain_ulp", "squeeze_cross_check_max",
+            "squeeze_zero_at_tuned_frequency", "g4_branch_ratio", "commutator_qp_interior",
+            "squared_annihilator_commutator_interior", "bogoliubov_commutator_interior",
+            "symmetrize_three_term", "symmetrize_multiset_vs_naive", "hermiticity_relative_max",
+            "special_eta_half_matches_two_phonon_form", "special_eta_large_limit",
+            "ground_shift_vs_perturbation_rel", "ground_shift_sign",
+        ]
 
     @pytest.mark.parametrize("phase", [0.3, 2.0])
     def test_drive_phase_passes(self, tmp_path, phase):
@@ -474,6 +512,38 @@ class TestChecks:
         assert entry["value"] == pytest.approx(0.1, rel=1e-12)
         assert entry["passed"] is False
 
+    @pytest.mark.parametrize("entry", sorted(_SI_BREAKS))
+    def test_si_identity_entry_fails_a_broken_build(self, tmp_path, monkeypatch, capsys, entry):
+        # against absolute tolerances of 1e-12 and 1e-4 these read about
+        # 1.5e-41 in SI units and passed; relative to max|H| they read 2.0
+        name, breaks = _SI_BREAKS[entry]
+        monkeypatch.setattr(ham, name, breaks(getattr(ham, name)))
+        cfg = tmp_path / "si.json"
+        cfg.write_text(json.dumps(_SI_DOC))
+        assert run(["checks", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert entry in capsys.readouterr().err
+        doc = read_json(only(tmp_path, "checks-*.json"))
+        entry_doc, = (c for c in doc["checks"] if c["name"] == entry)
+        assert entry_doc["value"] > 0.5 and entry_doc["passed"] is False
+
+    @pytest.mark.parametrize("poison", [math.inf, math.nan])
+    def test_non_finite_operand_fails_its_gap(self, tmp_path, monkeypatch, poison):
+        # a non-finite entry reads NaN or inf relative to max|H|, with no numpy warning
+        build = ham.h4_special_eta
+
+        def poisoned(params, ops, eta):
+            H = build(params, ops, eta)
+            (mech, opt), *rest = H.terms
+            mech = mech.copy()
+            mech[0, 2] = poison
+            return fock.OperatorMatrix(H.space, ((mech, opt), *rest))
+
+        monkeypatch.setattr(ham, "h4_special_eta", poisoned)
+        assert run(["checks", "--out-dir", str(tmp_path)]) == 1
+        doc = read_json(only(tmp_path, "checks-*.json"))
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
+            "special_eta_half_matches_two_phonon_form", "special_eta_large_limit"]
+
     @pytest.mark.parametrize("entry", sorted(_NAN_INJECTIONS))
     def test_nan_residual_fails_its_entry(self, tmp_path, monkeypatch, entry):
         # max(worst, x) dropped a NaN x, so the entry and the report passed
@@ -495,6 +565,22 @@ class TestSweep:
         assert len(lines) == 1 + 6
         header = lines[0].split(",")
         assert header[:2] == ["mass", "omega_c"]
+
+    def test_rows_equal_base_rates_of_each_point(self, tmp_path):
+        # a grid r_convention reaches base_rates, never CavityParams, and overrides the base one
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"r_convention": "prose", "mass": 2.0, "grid": {
+            "omega_c": [0.5, 2.0, 3.0], "r_convention": ["exact", "prose"]}}))
+        assert run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        lines = only(tmp_path, "sweep-*.csv").read_text().splitlines()
+        assert lines[0] == ",".join(["omega_c", "r_convention", *cli._SCALAR_RATE_FIELDS])
+        assert len(lines) == 1 + 6
+        for line in lines[1:]:
+            omega_c, convention, *rates = line.split(",")
+            rs = base_rates(CavityParams(mass=2.0, length=100.0, omega_c=float(omega_c),
+                                         a_amp=1.0, b_amp=1.0), convention)
+            assert [float(v) for v in rates] == [getattr(rs, f) for f in cli._SCALAR_RATE_FIELDS]
+        assert lines[1].split(",")[2:] != lines[2].split(",")[2:]
 
     def test_sweep_deterministic(self, tmp_path):
         cfg = tmp_path / "s.json"
@@ -772,8 +858,8 @@ class TestErrors:
         assert caught == []
         doc = read_json(only(tmp_path / "out", "checks-*.json"))
         assert "delta_relativistic" in doc["notes"]["failed_builds"]
-        failing = {c["name"] for c in doc["checks"] if not c["passed"]}
-        assert {"relativistic_half_rule", "relativistic_sum_rule"} <= failing
+        failing = {c["name"]: c["value"] for c in doc["checks"] if not c["passed"]}
+        assert failing["hermiticity_relative_max"] == math.inf
         assert "delta_relativistic" in capsys.readouterr().err
 
     def test_builder_arithmetic_error_names_the_variant(self, tmp_path, capsys):

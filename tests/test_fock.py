@@ -598,19 +598,6 @@ class TestTermList:
                 assert "data" not in H.__dict__, (variant, k)
 
     @_POINTS
-    @pytest.mark.parametrize("shape", [(6, 7, 1), (5, 4, 2)])
-    def test_every_variant_matvec_matches_dense(self, omega_c, phases, shape):
-        space = fock.FockSpace(*shape[:2], n_modes_opt=shape[2])
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal((space.dim, 3)) + 1j * rng.standard_normal((space.dim, 3))
-        for variant, H in _every_variant(space, omega_c, phases).items():
-            for x in (v, v[:, 0], v.real):
-                want = H.data @ x
-                got = H.matvec(x)
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), variant
-
-    @_POINTS
     def test_streamed_entry_stats_equal_the_dense_ones(self, kron_sum, omega_c, phases):
         # the dense reference is the sum of np.kron(M_i, O_i), formed apart
         # from the slices that fill data and stream the entry pass

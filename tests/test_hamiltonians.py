@@ -16,6 +16,15 @@ from optomech.rates import CavityParams, base_rates
 P_WEAK = CavityParams(mass=1.0, length=100.0, omega_m=1.0, omega_c=2.0,
                       a_amp=1.0, b_amp=1.0, b_phase=math.pi / 4,
                       chi0=1.0, thickness=1.0)
+P_SI = CavityParams(mass=1e-9, length=1e-3, omega_m=1e6, omega_c=1e15, c=SI_C, hbar=SI_HBAR,
+                    a_amp=10.0, b_amp=1.0, b_phase=0.7)
+
+
+def assert_same_pairs(terms, want):
+    """Equal factor pairs, pair for pair and bit for bit."""
+    assert len(terms) == len(want)
+    for (m, o), (wm, wo) in zip(terms, want):
+        assert np.array_equal(m, wm) and np.array_equal(o, wo)
 
 
 @pytest.fixture(scope="module")
@@ -209,12 +218,16 @@ class TestQuarticAndQuintic:
 
 class TestFullBuilds:
     def test_difference_is_momentum_term(self, ops8):
+        # new_full lists law_full's terms, then the momentum term's, exactly
         space, ops = ops8
-        for order in (0, 1, 2):
-            new = ham.new_full(P_WEAK, ops, order=order)
-            law = ham.law_full(P_WEAK, ops, order=order)
-            mom = ham.momentum_coupling_term(P_WEAK, ops, order=order)
-            assert np.abs(new.data - law.data - mom.data).max() < 1e-13
+        for params in (P_WEAK, P_SI):
+            for order in (0, 1, 2):
+                for printed in (False, True):
+                    opts = {"order": order, "printed_quadratic": printed}
+                    new = ham.new_full(params, ops, **opts)
+                    law = ham.law_full(params, ops, **opts)
+                    mom = ham.momentum_coupling_term(params, ops, **opts)
+                    assert_same_pairs(new.terms, law.terms + mom.terms)
 
     def test_order_zero_reduces_to_free_plus_quartic_momentum(self, ops8):
         space, ops = ops8
@@ -429,9 +442,7 @@ class TestBogoliubovForm:
         # at omega_c/omega_m = 1e9 the squeeze ratio's arctanh argument rounds
         # to exactly 1, so the arctanh construction cannot be evaluated there
         space, _ = fock.make_space(3, 3)
-        p = CavityParams(mass=1e-9, length=1e-3, omega_m=1e6, omega_c=1e15, c=SI_C, hbar=SI_HBAR,
-                         a_amp=10.0, b_amp=1.0, b_phase=0.7)
-        H = ham.build_hamiltonian("H4_bogoliubov_form", p, space)
+        H = ham.build_hamiltonian("H4_bogoliubov_form", P_SI, space)
         assert np.isfinite(H.data).all()
         assert np.abs(H.data).max() > 0.0
 
@@ -443,12 +454,17 @@ class TestRelativistic:
         assert np.abs(ham.delta_relativistic(p, ops).data).max() == 0.0
 
     def test_half_rule_and_sum(self, ops8):
-        space, ops = ops8
-        d1 = ham.delta_relativistic_first(P_WEAK, ops)
-        d2 = ham.delta_relativistic_second(P_WEAK, ops)
-        total = ham.delta_relativistic(P_WEAK, ops)
-        assert np.abs(d2.data + 0.5 * d1.data).max() == 0.0
-        assert np.abs(d1.data + d2.data - total.data).max() < 1e-16
+        # the second order is -1/2 of the first and the total their sum, factor pair
+        # for factor pair and exactly, on one and two optical modes
+        for ops in (ops8[1], fock.mode_operators(fock.FockSpace(4, 4, n_modes_opt=2))):
+            d1 = ham.delta_relativistic_first(P_WEAK, ops)
+            d2 = ham.delta_relativistic_second(P_WEAK, ops)
+            total = ham.delta_relativistic(P_WEAK, ops)
+            assert len(d1.terms) == ops.space.n_modes_opt**2
+            assert all(np.abs(m).max() > 0 for m, _ in d1.terms)
+            assert_same_pairs(d2.terms, [(-0.5 * m, o) for m, o in d1.terms])
+            assert_same_pairs(total.terms, [(m1 + m2, o) for (m1, o), (m2, _) in
+                                            zip(d1.terms, d2.terms)])
 
     def test_vanishes_at_infinite_light_speed(self, ops8):
         space, ops = ops8
